@@ -1,15 +1,16 @@
 // .h2t v2 block-codec throughput: the adaptive range coder (order-1 model,
 // 64 KiB blocks) measured on the real column streams of freshly captured
-// traces, plus the end-to-end v2 read path (TraceReader::open — full section
-// decode through the block cache).
+// traces, plus the end-to-end v2 read path (TraceFile::open, then every
+// section decoded through the block cache).
 //
 // Phase 1 captures a corpus. Phase 2 pulls every compressed section's raw
 // column bytes back out by decoding its blocks directly with rc_decompress —
 // the same material the writer fed the coder. Phase 3 times rc_compress over
 // those blocks, phase 4 times rc_decompress, and both hard-fail unless the
 // round trip is byte-exact and a second encode pass is byte-identical to
-// the first (codec determinism). Phase 5 times eager TraceReader::open over
-// the corpus — the number a cold corpus scan actually sees.
+// the first (codec determinism). Phase 5 times a full read of every trace —
+// open, drain the packet cursor, decode every other section — the number a
+// cold corpus scan actually sees.
 //
 //   $ ./bench_codec [runs] [--jobs N]
 #include <chrono>
@@ -21,7 +22,6 @@
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/trace_codec.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/corpus/store.hpp"
 #include "h2priv/util/range_coder.hpp"
@@ -187,16 +187,23 @@ int main(int argc, char** argv) {
                          (1024.0 * 1024.0) / dec_wall
                    : 0.0;
 
-  // Phase 5: end-to-end cold read — eager TraceReader::open decodes every
-  // section of every trace through the block cache.
+  // Phase 5: end-to-end cold read — open each trace and decode every
+  // section through the block cache: packets, both record sections, ground
+  // truth, summary.
   const int open_reps = 5;
   std::uint64_t decoded_packets = 0;
   const double o0 = now_s();
   for (int rep = 0; rep < open_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
-      const capture::TraceReader trace =
-          capture::TraceReader::open(trace_path(corpus, e));
-      decoded_packets += trace.packets().size();
+      const capture::TraceFile trace = capture::TraceFile::open(trace_path(corpus, e));
+      analysis::PacketObservation p;
+      for (capture::PacketCursor cursor = trace.packets(); cursor.next(p);) {
+        ++decoded_packets;
+      }
+      (void)trace.records(net::Direction::kClientToServer);
+      (void)trace.records(net::Direction::kServerToClient);
+      (void)trace.ground_truth();
+      (void)trace.summary();
     }
   }
   const double open_wall = now_s() - o0;

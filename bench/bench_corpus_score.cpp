@@ -1,6 +1,6 @@
 // Corpus-scale scoring throughput: the records-direct pipeline (mmap'd
 // TraceFile + score_stored machinery, no TCP reassembly) versus the
-// sequential per-trace baseline (eager TraceReader::open + capture::replay
+// sequential per-trace baseline (TraceFile::open + chunked capture::replay
 // per verdict).
 //
 // Phase 1 generates a sharded corpus (live runs, capture on). Phase 2 times
@@ -18,7 +18,7 @@
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/corpus/score.hpp"
 #include "h2priv/corpus/store.hpp"
 
@@ -79,15 +79,14 @@ int main(int argc, char** argv) {
               corpus.manifest.entries.size(),
               static_cast<double>(corpus_bytes) / 1024.0, generate_wall);
 
-  // Phase 2: baseline — sequential eager open + full replay per trace.
+  // Phase 2: baseline — sequential open + full chunked replay per trace.
   const int baseline_reps = 2;
   int mismatches = 0;
   const double b0 = now_s();
   for (int rep = 0; rep < baseline_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
-      const capture::TraceReader trace =
-          capture::TraceReader::open(trace_path(corpus, e));
-      const capture::ReplayResult r = capture::replay(trace);
+      const capture::ReplayResult r =
+          capture::replay(capture::TraceFile::open(trace_path(corpus, e)));
       if (!r.records_match || !r.summary_matches) ++mismatches;
     }
   }
@@ -128,7 +127,7 @@ int main(int argc, char** argv) {
       corpus::format_report(corpus::score_corpus(corpus, options)) == report_text;
 
   const double rss_mib = peak_rss_mib();
-  std::printf("baseline: %.1f traces/s (eager open + full replay, sequential)\n",
+  std::printf("baseline: %.1f traces/s (open + chunked replay, sequential)\n",
               baseline_traces_per_s);
   std::printf("pipeline: %.1f traces/s, %.1f MiB/s, %.1fx speedup at 1 job\n",
               score_traces_per_s, score_mib_per_s, speedup);

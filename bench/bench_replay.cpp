@@ -18,8 +18,7 @@
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 
 using namespace h2priv;
 
@@ -40,21 +39,17 @@ int main(int argc, char** argv) {
   std::printf("capture:\n");
   bench::print_batch_perf(live);
 
-  // Load once; replay timing should not include file I/O or parsing.
-  std::vector<capture::TraceReader> traces;
+  // Open (map + validate) once; replay timing should not include file I/O.
+  // Sizes come from the manifest run_many wrote beside the traces.
+  const capture::Manifest manifest = capture::read_manifest(corpus + "/manifest.txt");
+  std::vector<capture::TraceFile> traces;
   std::uint64_t trace_bytes = 0, raw_bytes = 0, total_packets = 0;
-  traces.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) {
-    const std::uint64_t seed = 1'000 + static_cast<std::uint64_t>(i);
-    traces.push_back(
-        capture::TraceReader::open(corpus + "/" + capture::trace_filename(seed)));
-    const capture::TraceReader& t = traces.back();
-    trace_bytes += t.file_size();
-    total_packets += t.packets().size();
-    raw_bytes += t.packets().size() * capture::kRawPacketBytes +
-                 (t.records(net::Direction::kClientToServer).size() +
-                  t.records(net::Direction::kServerToClient).size()) *
-                     capture::kRawRecordBytes;
+  traces.reserve(manifest.entries.size());
+  for (const capture::ManifestEntry& e : manifest.entries) {
+    traces.push_back(capture::TraceFile::open(corpus + "/" + e.file));
+    trace_bytes += e.stored_bytes;
+    raw_bytes += e.raw_bytes;
+    total_packets += e.packets;
   }
 
   // Phase 2: replay each trace until the measurement is stable.
@@ -62,7 +57,7 @@ int main(int argc, char** argv) {
   int verdict_mismatches = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    for (const capture::TraceReader& trace : traces) {
+    for (const capture::TraceFile& trace : traces) {
       const capture::ReplayResult r = capture::replay(trace);
       if (!r.records_match || !r.summary_matches) ++verdict_mismatches;
     }

@@ -1,5 +1,5 @@
-// Synthesizes a structurally valid libpcap capture from stored packet
-// observations, so any .h2t trace opens in Wireshark/tshark — the paper's
+// Synthesizes a structurally valid libpcap capture from a stored trace's
+// packet observations, so any .h2t trace opens in Wireshark/tshark — the paper's
 // own tooling. The simulator's wire format is not IP, so Ethernet + IPv4 +
 // TCP headers are reconstructed: addresses/ports are fixed per direction
 // (10.0.0.1:49152 <-> 10.0.0.2:443), seq/ack/flags come from the
@@ -8,11 +8,10 @@
 // computed so dissectors raise no errors.
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "h2priv/analysis/observation.hpp"
-#include "h2priv/util/bytes.hpp"
+#include "h2priv/capture/trace_view.hpp"
 
 namespace h2priv::capture {
 
@@ -23,13 +22,10 @@ inline constexpr std::size_t kPcapRecordHeaderBytes = 16;
 /// Ethernet(14) + IPv4(20) + TCP(20) synthesized in front of each payload.
 inline constexpr std::size_t kSynthHeaderBytes = 54;
 
-/// Renders the packets as a complete libpcap file image (linktype 1,
-/// Ethernet). Negative timestamps are clamped to zero.
-[[nodiscard]] util::Bytes pcap_bytes(
-    const std::vector<analysis::PacketObservation>& packets);
-
-/// Writes pcap_bytes() to `path`; throws TraceError on I/O failure.
-void export_pcap(const std::vector<analysis::PacketObservation>& packets,
-                 const std::string& path);
+/// Drains `packets` into a libpcap file at `path` (linktype 1, Ethernet),
+/// one record at a time, so memory stays O(one packet). Negative timestamps
+/// are clamped to zero. Returns the number of packets written; throws
+/// TraceError on a malformed packet section or an I/O failure.
+std::uint64_t export_pcap(PacketCursor packets, const std::string& path);
 
 }  // namespace h2priv::capture

@@ -13,13 +13,11 @@
 // states as the live run — retransmissions, reordering and all — so the
 // recomputed records, GET count, verdicts and DoM values are bit-identical.
 //
-// Two replay engines share that construction:
-//  - replay_into(TraceReader&, ...): eager — materializes both full
-//    per-direction streams (O(stream bytes) memory).
-//  - replay_into(TraceFile&, ...): chunked — streams packets off the mmap'd
-//    image with a PacketCursor and synthesizes each packet's payload into a
-//    reusable scratch buffer, so peak memory is O(records + one packet), not
-//    O(stream bytes). Bit-identical monitor state to the eager engine.
+// One engine does the feeding, for a stored trace (replay_into / replay) and
+// for a demultiplexed fleet connection (replay_conn) alike: a first pass over
+// the packets sizes each direction's stream, a second streams the packets
+// through the monitor and synthesizes each payload into a reusable scratch
+// buffer. Peak memory is O(records + one packet), never O(stream bytes).
 //
 // The scoring half (score_with_predictor / count_gets) is split out so the
 // corpus pipeline can score straight off stored record sections without any
@@ -29,7 +27,6 @@
 #include <span>
 
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/monitor.hpp"
 #include "h2priv/core/predictor.hpp"
@@ -45,15 +42,12 @@ struct ReplayResult {
   bool summary_matches = false;
 };
 
-/// Feeds every stored packet through `monitor` via synthesized payloads.
-/// The monitor must be freshly constructed (standalone ctor). Throws
-/// TraceError if the trace's streams cannot be synthesized faithfully.
-void replay_into(const TraceReader& trace, core::TrafficMonitor& monitor);
-
-/// Chunked engine: same observable monitor state as the eager overload, but
-/// packets stream off the trace and payloads are synthesized per packet into
-/// a reusable scratch buffer. Requires records sorted by stream offset (what
-/// TraceWriter emits). Peak memory: O(records) + one packet payload.
+/// Feeds every stored packet through `monitor` via synthesized payloads:
+/// packets stream off the trace with a PacketCursor and each payload is
+/// synthesized into a reusable scratch buffer. The monitor must be freshly
+/// constructed (standalone ctor). Requires records sorted by stream offset
+/// (what TraceWriter emits). Peak memory: O(records) + one packet payload.
+/// Throws TraceError if the trace's streams cannot be synthesized faithfully.
 void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 
 /// Applies TrafficMonitor's GET filter (application-data records whose
@@ -85,12 +79,9 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 /// Full offline pipeline: replay_into a fresh monitor, then score with
 /// core::ObjectPredictor against the stored ground truth and metadata,
 /// mirroring core::run_once's scoring step. Requires ground truth (and uses
-/// the stored summary, when present, for the fidelity cross-check).
-[[nodiscard]] ReplayResult replay(const TraceReader& trace);
-
-/// Chunked-engine variant of replay() over a lazy TraceFile; the monitor
-/// runs with packet retention off, so peak memory stays bounded regardless
-/// of trace length. Verdict-identical to replay().
+/// the stored summary, when present, for the fidelity cross-check). The
+/// monitor runs with packet retention off, so peak memory stays bounded
+/// regardless of trace length.
 [[nodiscard]] ReplayResult replay(const TraceFile& trace);
 
 /// One client connection demultiplexed out of a fleet trace. Observation
@@ -113,8 +104,10 @@ struct DemuxedConn {
 [[nodiscard]] std::vector<DemuxedConn> demux_fleet(const TraceFile& trace);
 
 /// Replays one demuxed connection through a fresh monitor and scores it —
-/// the per-client analogue of replay(); the stored per-connection summary is
-/// the fidelity cross-check.
+/// the per-client analogue of replay(), on the same feed loop; the stored
+/// per-connection summary is the fidelity cross-check. Throws TraceError if
+/// the connection's streams cannot be synthesized faithfully (records out of
+/// stream-offset order included).
 [[nodiscard]] ReplayResult replay_conn(const DemuxedConn& conn);
 
 /// Demultiplexes and replays every connection of a fleet trace, in

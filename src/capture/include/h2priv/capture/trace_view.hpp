@@ -1,16 +1,14 @@
-// Structural access to a .h2t image: validation, the section index, and the
-// section decoders — shared by every reader path.
+// The .h2t reader: validation, the section index, the section decoders, and
+// the two classes every caller reads a trace through.
 //
-// Three layers build on this file:
 //   TraceFile    lazy, zero-copy: mmaps the file (util::MappedFile), checks
 //                the skeleton once, and decodes only the sections a caller
-//                asks for. The corpus scoring pipeline's reader — a scorer
-//                that needs meta + records never touches the packet bytes.
-//   TraceReader  eager: decodes everything into vectors up front
-//                (trace_reader.hpp; implemented on top of these decoders).
+//                asks for — a scorer that needs meta + records never touches
+//                the packet bytes.
 //   PacketCursor streaming: yields one PacketObservation at a time from the
-//                packets section, O(1) memory — what chunked replay iterates
-//                so multi-hour traces never materialize a packet vector.
+//                packets section, O(1) memory — what replay, pcap export and
+//                recompression iterate, so multi-hour traces never
+//                materialize a packet vector.
 //
 // Validation here is hardened against hostile input: wrong magics, truncated
 // trailers, section offsets past EOF, overlapping sections and implausible

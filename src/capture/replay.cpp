@@ -11,69 +11,12 @@ namespace h2priv::capture {
 
 namespace {
 
-/// Builds the synthetic byte stream one direction carried: zeros, with a
-/// real TLS header at every recorded record offset and (when the stream
-/// ends mid-record) a phantom header whose declared body can never complete
-/// within the remaining bytes.
-[[nodiscard]] util::Bytes synthesize_stream(
-    const std::vector<analysis::PacketObservation>& packets,
-    const std::vector<analysis::RecordObservation>& records, net::Direction dir) {
-  // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies seq 0).
-  std::uint64_t total = 0;
-  for (const analysis::PacketObservation& p : packets) {
-    if (p.dir != dir || p.payload_len == 0) continue;
-    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
-    total = std::max(total, p.seq - 1 + p.payload_len);
-  }
-  util::Bytes stream(static_cast<std::size_t>(total), 0);
-
-  std::uint64_t last_end = 0;  // end of the last complete record
-  for (const analysis::RecordObservation& rec : records) {
-    const std::uint64_t off = rec.stream_offset;
-    if (off + tls::kHeaderBytes > total) {
-      throw TraceError("record header extends past the synthesized stream");
-    }
-    stream[static_cast<std::size_t>(off)] = static_cast<std::uint8_t>(rec.type);
-    stream[static_cast<std::size_t>(off) + 1] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 >> 8);
-    stream[static_cast<std::size_t>(off) + 2] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 & 0xff);
-    stream[static_cast<std::size_t>(off) + 3] =
-        static_cast<std::uint8_t>(rec.ciphertext_len >> 8);
-    stream[static_cast<std::size_t>(off) + 4] =
-        static_cast<std::uint8_t>(rec.ciphertext_len & 0xff);
-    last_end = std::max(last_end, off + tls::kHeaderBytes + rec.ciphertext_len);
-  }
-
-  // Trailing bytes belong to a record the live run never saw complete. Fewer
-  // than 5 of them can't even form a header (the scanner just waits); for 5+
-  // plant a phantom application-data header declaring the maximum body — the
-  // scanner parses it and waits forever, exactly like the live partial
-  // record, as long as the remainder can't satisfy the declared length.
-  const std::uint64_t trailing = total - last_end;
-  if (trailing >= tls::kHeaderBytes) {
-    const std::uint64_t phantom_body = trailing - tls::kHeaderBytes;
-    if (phantom_body >= 0xffff) {
-      throw TraceError("unfinished trailing record too large to synthesize");
-    }
-    stream[static_cast<std::size_t>(last_end)] =
-        static_cast<std::uint8_t>(tls::ContentType::kApplicationData);
-    stream[static_cast<std::size_t>(last_end) + 1] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 >> 8);
-    stream[static_cast<std::size_t>(last_end) + 2] =
-        static_cast<std::uint8_t>(tls::kVersionTls12 & 0xff);
-    stream[static_cast<std::size_t>(last_end) + 3] = 0xff;
-    stream[static_cast<std::size_t>(last_end) + 4] = 0xff;
-  }
-  return stream;
-}
-
-/// One direction's stream, synthesized a packet at a time instead of whole:
-/// given a [start, start+len) range of stream offsets, writes the bytes the
-/// full synthesize_stream() would hold there — zeros, overlapped by any real
-/// record headers and the phantom trailing header. Bit-identical output to
-/// slicing the eager stream, with O(1) memory beyond the record vector the
-/// caller already owns.
+/// The synthetic byte stream one direction carried, materialized a packet at
+/// a time: given a [start, start+len) range of stream offsets, writes the
+/// bytes the stream holds there — zeros, overlapped by a real TLS header at
+/// every recorded record offset and, when the stream ends mid-record, a
+/// phantom header whose declared body can never complete within the
+/// remaining bytes. O(1) memory beyond the record vector the caller owns.
 class ChunkSynthesizer {
  public:
   ChunkSynthesizer(const std::vector<analysis::RecordObservation>& records,
@@ -93,6 +36,12 @@ class ChunkSynthesizer {
       prev = off;
       last_end_ = std::max(last_end_, off + tls::kHeaderBytes + rec.ciphertext_len);
     }
+    // Trailing bytes belong to a record the live run never saw complete.
+    // Fewer than 5 of them can't even form a header (the scanner just
+    // waits); for 5+ plant a phantom application-data header declaring the
+    // maximum body — the scanner parses it and waits forever, exactly like
+    // the live partial record, as long as the remainder can't satisfy the
+    // declared length.
     const std::uint64_t trailing = total_ - last_end_;
     if (trailing >= tls::kHeaderBytes) {
       if (trailing - tls::kHeaderBytes >= 0xffff) {
@@ -154,6 +103,44 @@ class ChunkSynthesizer {
   bool has_phantom_ = false;
 };
 
+/// The one replay feed loop. Pass 1 sizes each direction's stream from the
+/// packets; pass 2 streams every packet through `monitor` with its payload
+/// materialized into one reusable scratch buffer. `for_each_packet(fn)` must
+/// call fn on every packet in capture order, and be callable twice.
+template <typename ForEachPacket>
+void feed(const ForEachPacket& for_each_packet,
+          const std::vector<analysis::RecordObservation>& c2s,
+          const std::vector<analysis::RecordObservation>& s2c,
+          core::TrafficMonitor& monitor) {
+  // Data byte at TCP seq s sits at stream offset s-1 (SYN occupies seq 0).
+  std::array<std::uint64_t, 2> total{};
+  for_each_packet([&](const analysis::PacketObservation& p) {
+    if (p.payload_len == 0) return;
+    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
+    std::uint64_t& t = total[static_cast<std::size_t>(p.dir)];
+    t = std::max(t, p.seq - 1 + p.payload_len);
+  });
+  const std::array<ChunkSynthesizer, 2> synth = {ChunkSynthesizer(c2s, total[0]),
+                                                 ChunkSynthesizer(s2c, total[1])};
+  util::Bytes scratch;
+  for_each_packet([&](const analysis::PacketObservation& p) {
+    util::BytesView payload;
+    if (p.payload_len > 0) {
+      payload = synth[static_cast<std::size_t>(p.dir)].materialize(
+          p.seq - 1, p.payload_len, scratch);
+    }
+    monitor.observe(p, payload);
+  });
+}
+
+/// A fresh monitor for offline replay: packet retention off, so memory stays
+/// bounded regardless of trace length (packets_seen() is exact either way).
+[[nodiscard]] core::MonitorConfig replay_monitor_config() {
+  core::MonitorConfig config;
+  config.retain_packets = false;
+  return config;
+}
+
 [[nodiscard]] bool same_records(const std::vector<analysis::RecordObservation>& a,
                                 const std::vector<analysis::RecordObservation>& b) {
   if (a.size() != b.size()) return false;
@@ -213,52 +200,16 @@ class ChunkSynthesizer {
 
 }  // namespace
 
-void replay_into(const TraceReader& trace, core::TrafficMonitor& monitor) {
-  const std::vector<analysis::PacketObservation>& packets = trace.packets();
-  const std::array<util::Bytes, 2> streams = {
-      synthesize_stream(packets, trace.records(net::Direction::kClientToServer),
-                        net::Direction::kClientToServer),
-      synthesize_stream(packets, trace.records(net::Direction::kServerToClient),
-                        net::Direction::kServerToClient)};
-  for (const analysis::PacketObservation& p : packets) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      const util::Bytes& stream = streams[static_cast<std::size_t>(p.dir)];
-      payload = util::BytesView{stream.data() + (p.seq - 1), p.payload_len};
-    }
-    monitor.observe(p, payload);
-  }
-}
-
 void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor) {
-  const std::array<std::vector<analysis::RecordObservation>, 2> records = {
-      trace.records(net::Direction::kClientToServer),
-      trace.records(net::Direction::kServerToClient)};
-
-  // Pass 1: per-direction stream extents, O(1) memory.
-  std::array<std::uint64_t, 2> total{};
-  analysis::PacketObservation p;
-  for (PacketCursor cursor = trace.packets(); cursor.next(p);) {
-    if (p.payload_len == 0) continue;
-    if (p.seq == 0) throw TraceError("data packet with seq 0 (pre-SYN payload?)");
-    std::uint64_t& t = total[static_cast<std::size_t>(p.dir)];
-    t = std::max(t, p.seq - 1 + p.payload_len);
-  }
-  const std::array<ChunkSynthesizer, 2> synth = {
-      ChunkSynthesizer(records[0], total[0]),
-      ChunkSynthesizer(records[1], total[1])};
-
-  // Pass 2: stream packets through the monitor, materializing each payload
-  // into one reusable scratch buffer.
-  util::Bytes scratch;
-  for (PacketCursor cursor = trace.packets(); cursor.next(p);) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      payload = synth[static_cast<std::size_t>(p.dir)].materialize(
-          p.seq - 1, p.payload_len, scratch);
-    }
-    monitor.observe(p, payload);
-  }
+  const auto for_each_packet = [&trace](const auto& fn) {
+    analysis::PacketObservation p;
+    for (PacketCursor cursor = trace.packets(); cursor.next(p);) fn(p);
+  };
+  const std::vector<analysis::RecordObservation> c2s =
+      trace.records(net::Direction::kClientToServer);
+  const std::vector<analysis::RecordObservation> s2c =
+      trace.records(net::Direction::kServerToClient);
+  feed(for_each_packet, c2s, s2c, monitor);
 }
 
 std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records,
@@ -339,16 +290,6 @@ TraceSummary score_stored(const TraceFile& trace) {
                               trace.packet_count(), count_gets(c2s));
 }
 
-ReplayResult replay(const TraceReader& trace) {
-  core::TrafficMonitor monitor;
-  replay_into(trace, monitor);
-  std::optional<TraceSummary> stored;
-  if (trace.has_summary()) stored = trace.summary();
-  return finish_replay(trace.meta(), trace.ground_truth(), monitor,
-                       trace.records(net::Direction::kClientToServer),
-                       trace.records(net::Direction::kServerToClient), stored);
-}
-
 std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
   if (!trace.meta().fleet) throw TraceError("not a fleet trace");
   std::vector<FleetConn> conns = trace.fleet();
@@ -389,20 +330,11 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
 }
 
 ReplayResult replay_conn(const DemuxedConn& conn) {
-  core::TrafficMonitor monitor;
-  const std::array<util::Bytes, 2> streams = {
-      synthesize_stream(conn.packets, conn.records_c2s,
-                        net::Direction::kClientToServer),
-      synthesize_stream(conn.packets, conn.records_s2c,
-                        net::Direction::kServerToClient)};
-  for (const analysis::PacketObservation& p : conn.packets) {
-    util::BytesView payload;
-    if (p.payload_len > 0) {
-      const util::Bytes& stream = streams[static_cast<std::size_t>(p.dir)];
-      payload = util::BytesView{stream.data() + (p.seq - 1), p.payload_len};
-    }
-    monitor.observe(p, payload);
-  }
+  core::TrafficMonitor monitor(replay_monitor_config());
+  const auto for_each_packet = [&conn](const auto& fn) {
+    for (const analysis::PacketObservation& p : conn.packets) fn(p);
+  };
+  feed(for_each_packet, conn.records_c2s, conn.records_s2c, monitor);
   return finish_replay(conn.meta, conn.info.truth, monitor, conn.records_c2s,
                        conn.records_s2c, conn.info.summary);
 }
@@ -416,9 +348,7 @@ std::vector<ReplayResult> replay_fleet(const TraceFile& trace) {
 }
 
 ReplayResult replay(const TraceFile& trace) {
-  core::MonitorConfig config;
-  config.retain_packets = false;  // chunked engine: O(1) packet memory
-  core::TrafficMonitor monitor(config);
+  core::TrafficMonitor monitor(replay_monitor_config());
   replay_into(trace, monitor);
   std::optional<TraceSummary> stored;
   if (trace.has_section(Section::kSummary)) stored = trace.summary();

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 
-#include <fstream>
-
 #include <cmath>
 
 #include <filesystem>
 
 #include <memory>
 
-#include "h2priv/analysis/trace_export.hpp"
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/core/parallel_runner.hpp"
-#include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/net/link.hpp"
 #include "h2priv/net/middlebox.hpp"
@@ -35,6 +31,31 @@ analysis::SizeCatalog isidewith_catalog() {
     catalog.add(party_label(p), web::kEmblemSizes[static_cast<std::size_t>(p)]);
   }
   return catalog;
+}
+
+capture::TraceSummary summary_of(const RunResult& result) {
+  const auto verdict_of = [](const ObjectOutcome& o) {
+    capture::ObjectVerdict v;
+    v.label = o.label;
+    v.true_size = o.true_size;
+    v.has_dom = o.primary_dom.has_value();
+    if (o.primary_dom) v.primary_dom = *o.primary_dom;
+    v.serialized_primary = o.serialized_primary;
+    v.any_serialized_copy = o.any_serialized_copy;
+    v.identified = o.identified;
+    v.attack_success = o.attack_success;
+    return v;
+  };
+  capture::TraceSummary summary;
+  summary.monitor_packets = result.monitor_packets;
+  summary.monitor_gets = result.monitor_gets;
+  summary.html = verdict_of(result.html);
+  for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
+    summary.emblems_by_position[pos] = verdict_of(result.emblems_by_position[pos]);
+  }
+  summary.predicted_sequence = result.predicted_sequence;
+  summary.sequence_positions_correct = result.sequence_positions_correct;
+  return summary;
 }
 
 RunResult run_once(const RunConfig& config) {
@@ -265,29 +286,7 @@ RunResult run_once(const RunConfig& config) {
     }
     trace_writer->meta().attack_horizon_ns = horizon.ns;
     trace_writer->set_ground_truth(*truth);
-
-    const auto to_verdict = [](const ObjectOutcome& o) {
-      capture::ObjectVerdict v;
-      v.label = o.label;
-      v.true_size = o.true_size;
-      v.has_dom = o.primary_dom.has_value();
-      if (o.primary_dom) v.primary_dom = *o.primary_dom;
-      v.serialized_primary = o.serialized_primary;
-      v.any_serialized_copy = o.any_serialized_copy;
-      v.identified = o.identified;
-      v.attack_success = o.attack_success;
-      return v;
-    };
-    capture::TraceSummary summary;
-    summary.monitor_packets = result.monitor_packets;
-    summary.monitor_gets = result.monitor_gets;
-    summary.html = to_verdict(result.html);
-    for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
-      summary.emblems_by_position[pos] = to_verdict(result.emblems_by_position[pos]);
-    }
-    summary.predicted_sequence = result.predicted_sequence;
-    summary.sequence_positions_correct = result.sequence_positions_correct;
-    trace_writer->set_summary(summary);
+    trace_writer->set_summary(summary_of(result));
     trace_writer->finish();
   }
 
@@ -307,26 +306,6 @@ RunResult run_once(const RunConfig& config) {
   reg.trace().push(sim.now().ns, obs::TraceLayer::kCore, obs::TraceEvent::kRunScored,
                    config.seed, events_executed);
 
-  if (!config.trace_export_prefix.empty()) {
-    if (reg.trace().enabled()) {
-      std::ofstream obs_csv(config.trace_export_prefix + "_obs_trace.csv");
-      obs::write_trace_csv(obs_csv, reg.trace());
-      std::ofstream obs_json(config.trace_export_prefix + "_obs_trace.json");
-      obs::write_trace_json(obs_json, reg.trace());
-    }
-    std::ofstream packets(config.trace_export_prefix + "_packets.csv");
-    analysis::write_packets_csv(packets, monitor.packets());
-    std::ofstream records(config.trace_export_prefix + "_records.csv");
-    const auto& c2s = monitor.records(net::Direction::kClientToServer);
-    const auto& s2c = monitor.records(net::Direction::kServerToClient);
-    std::vector<analysis::RecordObservation> all_records;
-    all_records.reserve(c2s.size() + s2c.size());
-    all_records.insert(all_records.end(), c2s.begin(), c2s.end());
-    all_records.insert(all_records.end(), s2c.begin(), s2c.end());
-    analysis::write_records_csv(records, all_records);
-    std::ofstream gt(config.trace_export_prefix + "_ground_truth.csv");
-    analysis::write_ground_truth_csv(gt, *truth);
-  }
   return result;
 }
 

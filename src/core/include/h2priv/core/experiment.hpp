@@ -16,6 +16,7 @@
 
 #include "h2priv/analysis/ground_truth.hpp"
 #include "h2priv/analysis/observation.hpp"
+#include "h2priv/capture/trace_format.hpp"
 #include "h2priv/net/packet.hpp"
 #include "h2priv/client/browser.hpp"
 #include "h2priv/core/attack.hpp"
@@ -125,12 +126,6 @@ struct RunConfig {
 
   util::Duration deadline{util::seconds(45)};
 
-  /// When non-empty, write <prefix>_packets.csv, <prefix>_records.csv and
-  /// <prefix>_ground_truth.csv at the end of the run (analysis::trace_export).
-  /// With obs_trace_capacity > 0, also <prefix>_obs_trace.csv/.json — the
-  /// structured per-layer event tail (drops, holds, retransmits, RTO fires).
-  std::string trace_export_prefix;
-
   /// Capacity of the obs::TraceRing armed on the thread-current registry for
   /// this run (0 = tracing stays off). The ring keeps the newest records.
   std::size_t obs_trace_capacity = 0;
@@ -205,6 +200,11 @@ struct RunResult {
 
 /// Executes one seeded page load and scores it.
 [[nodiscard]] RunResult run_once(const RunConfig& config);
+
+/// A run's scored verdict in the shape a .h2t trace stores it — the one
+/// RunResult -> TraceSummary conversion, shared by run_once's capture path
+/// and the fleet trace merger.
+[[nodiscard]] capture::TraceSummary summary_of(const RunResult& result);
 
 /// Convenience: run `n` seeds {base_seed .. base_seed+n-1}. Honors the
 /// H2PRIV_JOBS environment variable (defaults to all hardware threads; the

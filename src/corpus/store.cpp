@@ -5,7 +5,6 @@
 #include <map>
 
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/obs/metrics.hpp"
@@ -111,21 +110,28 @@ namespace {
 /// capture produces, so the output is byte-identical to a native v2 trace
 /// of the same run.
 void rewrite_trace(const std::string& path) {
-  const capture::TraceReader reader = capture::TraceReader::open(path);
   const std::string tmp = path + ".recompress.tmp";
-  capture::TraceWriter writer(tmp, reader.meta());
-  for (const analysis::PacketObservation& p : reader.packets()) {
-    writer.add_packet(p);
-  }
-  for (const net::Direction dir :
-       {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
-    for (const analysis::RecordObservation& r : reader.records(dir)) {
-      writer.add_record(r);
+  {
+    const capture::TraceFile trace = capture::TraceFile::open(path);
+    capture::TraceWriter writer(tmp, trace.meta());
+    analysis::PacketObservation p;
+    for (capture::PacketCursor cursor = trace.packets(); cursor.next(p);) {
+      writer.add_packet(p);
     }
-  }
-  if (reader.has_ground_truth()) writer.set_ground_truth(reader.ground_truth());
-  if (reader.has_summary()) writer.set_summary(reader.summary());
-  writer.finish();
+    for (const net::Direction dir :
+         {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+      for (const analysis::RecordObservation& r : trace.records(dir)) {
+        writer.add_record(r);
+      }
+    }
+    if (trace.has_section(capture::Section::kGroundTruth)) {
+      writer.set_ground_truth(trace.ground_truth());
+    }
+    if (trace.has_section(capture::Section::kSummary)) {
+      writer.set_summary(trace.summary());
+    }
+    writer.finish();
+  }  // unmap before the rename replaces the file
   std::filesystem::rename(tmp, path);
 }
 

@@ -107,33 +107,6 @@ CachePrepass run_prepass(const core::RunConfig& config,
   return pp;
 }
 
-/// run_once's verdict, reshaped into the stored TraceSummary (mirrors the
-/// to_verdict step of core::run_once's capture path).
-capture::TraceSummary summary_of(const core::RunResult& r) {
-  const auto to_verdict = [](const core::ObjectOutcome& o) {
-    capture::ObjectVerdict v;
-    v.label = o.label;
-    v.true_size = o.true_size;
-    v.has_dom = o.primary_dom.has_value();
-    if (o.primary_dom) v.primary_dom = *o.primary_dom;
-    v.serialized_primary = o.serialized_primary;
-    v.any_serialized_copy = o.any_serialized_copy;
-    v.identified = o.identified;
-    v.attack_success = o.attack_success;
-    return v;
-  };
-  capture::TraceSummary summary;
-  summary.monitor_packets = r.monitor_packets;
-  summary.monitor_gets = r.monitor_gets;
-  summary.html = to_verdict(r.html);
-  for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
-    summary.emblems_by_position[pos] = to_verdict(r.emblems_by_position[pos]);
-  }
-  summary.predicted_sequence = r.predicted_sequence;
-  summary.sequence_positions_correct = r.sequence_positions_correct;
-  return summary;
-}
-
 std::string fleet_trace_path(const core::RunConfig& config) {
   if (!config.capture.path.empty()) return config.capture.path;
   std::filesystem::create_directories(config.capture.corpus_dir);
@@ -175,7 +148,7 @@ void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) 
     fc.cache_misses = c.cache_misses;
     fc.cache_stale = c.cache_stale;
     fc.truth = *c.result.truth;
-    fc.summary = summary_of(c.result);
+    fc.summary = core::summary_of(c.result);
     conns.push_back(std::move(fc));
   }
   writer.begin_fleet(conns);
@@ -305,7 +278,6 @@ FleetResult run_fleet(const core::RunConfig& config, core::Parallelism paralleli
     core::RunConfig cfg = config;
     cfg.fleet = core::FleetConfig{};
     cfg.capture = core::CaptureOptions{};
-    cfg.trace_export_prefix.clear();
     cfg.packet_tap = nullptr;
     cfg.observations_out = &fleet.clients[k].obs;
     cfg.seed = profiles[k].seed;

@@ -54,8 +54,6 @@ constexpr std::array<const char*, kCounterCount> kCounterNames = {
     "capture.packets_written",
     "capture.records_written",
     "capture.raw_bytes",
-    "capture.traces_read",
-    "capture.bytes_read",
     "codec.blocks_encoded",
     "codec.blocks_stored",
     "codec.blocks_decoded",

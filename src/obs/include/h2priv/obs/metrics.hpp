@@ -89,8 +89,6 @@ enum class Counter : std::uint16_t {
   kCapturePacketsWritten,
   kCaptureRecordsWritten,
   kCaptureRawBytes,
-  kCaptureTracesRead,
-  kCaptureBytesRead,
   // codec: .h2t v2 block compression (cache hits/misses = decode locality)
   kCodecBlocksEncoded,
   kCodecBlocksStored,

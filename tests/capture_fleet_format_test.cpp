@@ -14,6 +14,7 @@
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "trace_decode.hpp"
 
 namespace h2priv::capture {
 namespace {
@@ -271,8 +272,41 @@ TEST_F(FleetTraceFormat, FleetSectionsInV1AreForgeries) {
     std::copy(kEndMagic.begin(), kEndMagic.end(),
               image.end() - static_cast<std::ptrdiff_t>(kEndMagic.size()));
     EXPECT_THROW(TraceFile{image}, TraceError) << static_cast<int>(id);
-    EXPECT_THROW(TraceReader{image}, TraceError) << static_cast<int>(id);
+    EXPECT_THROW((void)testing::decode_all(TraceFile{image}), TraceError)
+        << static_cast<int>(id);
   }
+}
+
+TEST_F(FleetTraceFormat, FuzzedFleetSectionsNeverEscapeTraceError) {
+  // Byte flips inside the kFleet blobs and the kConnIds columns: a full
+  // decode (fleet() and conn_ids() included) and demux_fleet must either
+  // succeed or raise TraceError — never another exception type or a crash.
+  sim::Rng rng(515151);
+  int parsed = 0, rejected = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const Section target = iter % 2 == 0 ? Section::kFleet : Section::kConnIds;
+    const std::size_t e = entry_at(image_, entry_for(image_, target));
+    const auto off = static_cast<std::size_t>(get_u64be(image_, e + 4));
+    const auto len = static_cast<std::size_t>(get_u64be(image_, e + 12));
+    ASSERT_GT(len, 0u);
+    util::Bytes bad = image_;
+    const int flips = static_cast<int>(rng.uniform_int(1, 3));
+    for (int i = 0; i < flips; ++i) {
+      const auto rel = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
+      bad[off + rel] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+    }
+    try {
+      const TraceFile file{bad};
+      (void)testing::decode_all(file);
+      (void)demux_fleet(file);
+      ++parsed;
+    } catch (const TraceError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  SUCCEED() << parsed << " parsed, " << rejected << " rejected";
 }
 
 TEST_F(FleetTraceFormat, SingleConnectionTracesCarryNoFleetSections) {

@@ -11,10 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/pcap_export.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "trace_decode.hpp"
 
 namespace h2priv::capture {
 namespace {
@@ -161,25 +162,27 @@ TEST(TraceRoundTrip, ArbitrarySequencesSurviveExactly) {
       writer.finish();
     }
 
-    const TraceReader reader = TraceReader::open(path);
-    ASSERT_EQ(reader.packets().size(), packets.size()) << "seed " << seed;
+    const TraceFile file = TraceFile::open(path);
+    const auto got_packets = testing::drain_packets(file);
+    ASSERT_EQ(got_packets.size(), packets.size()) << "seed " << seed;
+    EXPECT_EQ(file.packet_count(), packets.size()) << "seed " << seed;
     for (std::size_t i = 0; i < packets.size(); ++i) {
-      ASSERT_TRUE(same_packet(reader.packets()[i], packets[i]))
+      ASSERT_TRUE(same_packet(got_packets[i], packets[i]))
           << "seed " << seed << " packet " << i;
     }
     std::size_t got_records = 0;
     for (const auto dir :
          {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+      const auto decoded = file.records(dir);
       std::size_t j = 0;
       for (const auto& r : records) {
         if (r.dir != dir) continue;
-        ASSERT_LT(j, reader.records(dir).size()) << "seed " << seed;
-        ASSERT_TRUE(same_record(reader.records(dir)[j], r))
-            << "seed " << seed << " record " << j;
+        ASSERT_LT(j, decoded.size()) << "seed " << seed;
+        ASSERT_TRUE(same_record(decoded[j], r)) << "seed " << seed << " record " << j;
         ++j;
         ++got_records;
       }
-      EXPECT_EQ(reader.records(dir).size(), j) << "seed " << seed;
+      EXPECT_EQ(decoded.size(), j) << "seed " << seed;
     }
     EXPECT_EQ(got_records, records.size());
     std::remove(path.c_str());
@@ -191,13 +194,14 @@ TEST(TraceRoundTrip, EmptyRun) {
   TraceMeta meta;
   meta.seed = 7;
   { TraceWriter(path, meta).finish(); }
-  const TraceReader reader = TraceReader::open(path);
-  EXPECT_TRUE(reader.packets().empty());
-  EXPECT_TRUE(reader.records(net::Direction::kClientToServer).empty());
-  EXPECT_TRUE(reader.records(net::Direction::kServerToClient).empty());
-  EXPECT_FALSE(reader.has_ground_truth());
-  EXPECT_FALSE(reader.has_summary());
-  EXPECT_EQ(reader.meta().seed, 7u);
+  const TraceFile file = TraceFile::open(path);
+  const testing::DecodedTrace trace = testing::decode_all(file);
+  EXPECT_TRUE(trace.packets.empty());
+  EXPECT_TRUE(trace.records_c2s.empty());
+  EXPECT_TRUE(trace.records_s2c.empty());
+  EXPECT_FALSE(trace.truth.has_value());
+  EXPECT_FALSE(trace.summary.has_value());
+  EXPECT_EQ(file.meta().seed, 7u);
   std::remove(path.c_str());
 }
 
@@ -215,9 +219,9 @@ TEST(TraceRoundTrip, MaxLengthPacketFields) {
     writer.add_packet(p);
     writer.finish();
   }
-  const TraceReader reader = TraceReader::open(path);
-  ASSERT_EQ(reader.packets().size(), 1u);
-  EXPECT_TRUE(same_packet(reader.packets()[0], p));
+  const auto packets = testing::drain_packets(TraceFile::open(path));
+  ASSERT_EQ(packets.size(), 1u);
+  EXPECT_TRUE(same_packet(packets[0], p));
   std::remove(path.c_str());
 }
 
@@ -266,8 +270,8 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
     writer.finish();
   }
 
-  const TraceReader reader = TraceReader::open(path);
-  const TraceMeta& m = reader.meta();
+  const TraceFile file = TraceFile::open(path);
+  const TraceMeta& m = file.meta();
   EXPECT_EQ(m.seed, 99u);
   EXPECT_EQ(m.scenario, "fig2");
   EXPECT_EQ(m.site, "isidewith");
@@ -280,8 +284,9 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
   EXPECT_EQ(m.attack_horizon_ns, meta.attack_horizon_ns);
   EXPECT_EQ(m.party_order, meta.party_order);
 
-  ASSERT_TRUE(reader.has_ground_truth());
-  const auto& instances = reader.ground_truth().instances();
+  ASSERT_TRUE(file.has_section(Section::kGroundTruth));
+  const analysis::GroundTruth decoded_truth = file.ground_truth();
+  const auto& instances = decoded_truth.instances();
   ASSERT_EQ(instances.size(), 2u);
   EXPECT_EQ(instances[0].object_id, 6);
   EXPECT_EQ(instances[0].stream_id, 11u);
@@ -294,8 +299,8 @@ TEST(TraceRoundTrip, MetaGroundTruthAndSummary) {
   EXPECT_TRUE(instances[1].duplicate);
   EXPECT_FALSE(instances[1].complete);
 
-  ASSERT_TRUE(reader.has_summary());
-  EXPECT_EQ(reader.summary(), summary);  // incl. bit-exact DoM via bit_cast
+  ASSERT_TRUE(file.has_section(Section::kSummary));
+  EXPECT_EQ(file.summary(), summary);  // incl. bit-exact DoM via bit_cast
   std::remove(path.c_str());
 }
 
@@ -309,6 +314,12 @@ TEST(TraceWriter, RejectsReservedFlagBit) {
 }
 
 // --- structural rejection ---------------------------------------------------
+
+/// Structural validation plus a decode of every section — what any reader
+/// path would run into. Throws TraceError on a hostile image.
+void decode_image(const util::Bytes& image) {
+  (void)testing::decode_all(TraceFile{image});
+}
 
 class TraceCorruption : public ::testing::Test {
  protected:
@@ -327,26 +338,26 @@ class TraceCorruption : public ::testing::Test {
 };
 
 TEST_F(TraceCorruption, ValidImageParses) {
-  EXPECT_NO_THROW(TraceReader{image_});
+  EXPECT_NO_THROW(decode_image(image_));
 }
 
 TEST_F(TraceCorruption, RejectsBadMagic) {
   util::Bytes bad = image_;
   bad[0] ^= 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(decode_image(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsVersionMismatch) {
   util::Bytes bad = image_;
   bad[9] = capture::kFormatVersion + 1;  // version u16 lives at bytes [8,9]
   try {
-    TraceReader reader{bad};
+    decode_image(bad);
     FAIL() << "future version accepted";
   } catch (const TraceError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
   bad[9] = 0;  // below kMinReadVersion
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(decode_image(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsCompressedSectionsInV1Header) {
@@ -354,13 +365,13 @@ TEST_F(TraceCorruption, RejectsCompressedSectionsInV1Header) {
   // in place — a combination no writer produces and v1 readers can't decode.
   util::Bytes bad = image_;
   bad[9] = 1;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(decode_image(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsBadEndMagic) {
   util::Bytes bad = image_;
   bad.back() ^= 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(decode_image(bad), TraceError);
 }
 
 TEST_F(TraceCorruption, RejectsTruncationAtEveryPrefixLength) {
@@ -368,7 +379,7 @@ TEST_F(TraceCorruption, RejectsTruncationAtEveryPrefixLength) {
   for (std::size_t len = 0; len < image_.size(); len += 7) {
     util::Bytes cut(image_.begin(),
                     image_.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(TraceReader{std::move(cut)}, TraceError) << "prefix " << len;
+    EXPECT_THROW(decode_image(cut), TraceError) << "prefix " << len;
   }
 }
 
@@ -377,7 +388,7 @@ TEST_F(TraceCorruption, RejectsTrailerOffsetOutOfRange) {
   // trailer_offset u64 sits just before the 8-byte end magic.
   const std::size_t at = bad.size() - 16;
   for (std::size_t i = 0; i < 8; ++i) bad[at + i] = 0xff;
-  EXPECT_THROW(TraceReader{bad}, TraceError);
+  EXPECT_THROW(decode_image(bad), TraceError);
 }
 
 // --- digest + pcap ----------------------------------------------------------
@@ -394,7 +405,18 @@ TEST(Fnv1a, MatchesReferenceVectors) {
 TEST(PcapExport, ImageHasExpectedShape) {
   sim::Rng rng(7);
   const auto packets = random_packets(rng, 9);
-  const util::Bytes image = pcap_bytes(packets);
+  const std::string trace_path = temp_path("pcap_src");
+  {
+    TraceWriter writer(trace_path, TraceMeta{});
+    for (const auto& p : packets) writer.add_packet(p);
+    writer.finish();
+  }
+  const std::string pcap_path = ::testing::TempDir() + "h2t_format_export.pcap";
+  EXPECT_EQ(export_pcap(TraceFile::open(trace_path).packets(), pcap_path),
+            packets.size());
+  const util::Bytes image = slurp(pcap_path);
+  std::remove(trace_path.c_str());
+  std::remove(pcap_path.c_str());
 
   std::size_t expect = kPcapGlobalHeaderBytes;
   for (const auto& p : packets) {

@@ -14,7 +14,7 @@
 
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 
 namespace h2priv {
@@ -37,9 +37,9 @@ TEST(GoldenCorpus, EveryTraceReplaysToItsStoredVerdict) {
   const capture::Manifest manifest =
       capture::read_manifest(kCorpusDir + "/manifest.txt");
   for (const capture::ManifestEntry& e : manifest.entries) {
-    const capture::TraceReader trace =
-        capture::TraceReader::open(kCorpusDir + "/" + e.file);
-    EXPECT_EQ(trace.packets().size(), e.packets) << e.file;
+    const capture::TraceFile trace =
+        capture::TraceFile::open(kCorpusDir + "/" + e.file);
+    EXPECT_EQ(trace.packet_count(), e.packets) << e.file;
     const capture::ReplayResult r = capture::replay(trace);
     EXPECT_TRUE(r.records_match) << e.file << ": record scan diverged";
     EXPECT_TRUE(r.summary_matches) << e.file << ": offline verdict diverged";

@@ -17,7 +17,6 @@
 
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/corpus/score.hpp"
@@ -52,9 +51,8 @@ TEST(GoldenV1, FrozenTracesReplayToTheirStoredVerdicts) {
   const capture::Manifest manifest =
       capture::read_manifest(kV1Dir + "/manifest.txt");
   for (const capture::ManifestEntry& e : manifest.entries) {
-    const capture::TraceReader trace =
-        capture::TraceReader::open(kV1Dir + "/" + e.file);
-    EXPECT_EQ(trace.packets().size(), e.packets) << e.file;
+    const capture::TraceFile trace = capture::TraceFile::open(kV1Dir + "/" + e.file);
+    EXPECT_EQ(trace.packet_count(), e.packets) << e.file;
     const capture::ReplayResult r = capture::replay(trace);
     EXPECT_TRUE(r.records_match) << e.file << ": v1 record scan diverged";
     EXPECT_TRUE(r.summary_matches) << e.file << ": v1 offline verdict diverged";

@@ -1,10 +1,11 @@
 // Reader hardening: hostile .h2t images must raise TraceError, never UB.
 //
-// Exercises the shared validator (capture::validate_and_index) through both
-// reader paths — the eager TraceReader and the lazy mmap'd TraceFile — with
-// surgically corrupted trailers (truncated tail, overlapping sections,
-// offsets past EOF, implausible counts) plus a seeded fuzz sweep of random
-// byte flips and truncations over an otherwise-valid image.
+// Exercises the validator (capture::validate_and_index) and every section
+// decoder behind capture::TraceFile — opening alone, then a full decode of
+// every section (tests/support decode_all) — with surgically corrupted
+// trailers (truncated tail, overlapping sections, offsets past EOF,
+// implausible counts) plus a seeded fuzz sweep of random byte flips and
+// truncations over an otherwise-valid image.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,10 +15,10 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
-#include "h2priv/capture/trace_reader.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "trace_decode.hpp"
 
 namespace h2priv::capture {
 namespace {
@@ -89,11 +90,18 @@ void put_u32be(util::Bytes& image, std::size_t at, std::uint32_t v) {
   return 0;
 }
 
-/// A hostile image must be rejected with TraceError by both reader paths;
-/// anything else (other exception types, aborts, sanitizer reports) fails.
+/// Opens `image` and decodes every section it carries. Throws TraceError on
+/// a hostile image.
+void decode_image(const util::Bytes& image) {
+  (void)testing::decode_all(TraceFile{image});
+}
+
+/// A hostile image must be rejected with TraceError at open and by a full
+/// decode; anything else (other exception types, aborts, sanitizer reports)
+/// fails.
 void expect_rejected(const util::Bytes& image, const char* label) {
-  EXPECT_THROW(TraceReader{image}, TraceError) << label;
   EXPECT_THROW(TraceFile{image}, TraceError) << label;
+  EXPECT_THROW(decode_image(image), TraceError) << label;
 }
 
 class TraceHardening : public ::testing::Test {
@@ -147,41 +155,20 @@ class TraceHardening : public ::testing::Test {
 };
 
 TEST_F(TraceHardening, ValidImageParsesThroughBothPaths) {
-  EXPECT_NO_THROW(TraceReader{image_});
+  EXPECT_NO_THROW(decode_image(image_));
   const TraceFile lazy{image_};
   EXPECT_EQ(lazy.meta().seed, 77u);
   EXPECT_EQ(lazy.meta().scenario, "hardening");
-}
 
-TEST_F(TraceHardening, LazyAndEagerReadersAgree) {
-  const TraceReader eager{image_};
-  const TraceFile lazy{image_};
-  EXPECT_EQ(lazy.digest(), eager.digest());
-  EXPECT_EQ(lazy.file_size(), eager.file_size());
-  EXPECT_EQ(lazy.packet_count(), eager.packets().size());
-  for (const auto dir :
-       {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
-    const auto lazy_records = lazy.records(dir);
-    ASSERT_EQ(lazy_records.size(), eager.records(dir).size());
-    for (std::size_t i = 0; i < lazy_records.size(); ++i) {
-      EXPECT_EQ(lazy_records[i].stream_offset, eager.records(dir)[i].stream_offset);
-      EXPECT_EQ(lazy_records[i].ciphertext_len, eager.records(dir)[i].ciphertext_len);
-    }
-  }
-  EXPECT_EQ(lazy.summary(), eager.summary());
-
-  // The streaming cursor yields the same packets as the eager vector.
+  // The cursor counts down from the section's row count to exhaustion.
   PacketCursor cursor = lazy.packets();
+  EXPECT_EQ(cursor.remaining(), lazy.packet_count());
   analysis::PacketObservation p;
-  std::size_t n = 0;
-  while (cursor.next(p)) {
-    ASSERT_LT(n, eager.packets().size());
-    EXPECT_EQ(p.seq, eager.packets()[n].seq);
-    EXPECT_EQ(p.time.ns, eager.packets()[n].time.ns);
-    ++n;
-  }
-  EXPECT_EQ(n, eager.packets().size());
+  std::uint64_t n = 0;
+  while (cursor.next(p)) ++n;
+  EXPECT_EQ(n, 40u);
   EXPECT_EQ(cursor.remaining(), 0u);
+  EXPECT_FALSE(cursor.next(p));
 }
 
 TEST_F(TraceHardening, TruncatedSectionTrailerIsRejected) {
@@ -253,7 +240,7 @@ TEST_F(TraceHardening, FuzzedImagesNeverEscapeTraceError) {
           rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()))));
     }
     try {
-      const TraceReader reader{mutated};
+      decode_image(mutated);
       ++parsed;  // mutation landed somewhere harmless (or was masked)
     } catch (const TraceError&) {
       ++rejected;
@@ -335,7 +322,7 @@ TEST_F(TraceHardening, FuzzedBlockIndexNeverEscapesTraceError) {
       bad[idx_off + rel] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     }
     try {
-      const TraceReader reader{bad};
+      decode_image(bad);
       ++parsed;
     } catch (const TraceError&) {
       ++rejected;
@@ -362,7 +349,7 @@ TEST_F(TraceHardening, CorruptedCompressedPayloadNeverEscapesTraceError) {
         rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
     bad[off + rel] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
     try {
-      const TraceReader reader{bad};
+      decode_image(bad);
       ++parsed;
     } catch (const TraceError&) {
       ++rejected;

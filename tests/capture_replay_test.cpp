@@ -13,7 +13,7 @@
 
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/export.hpp"
@@ -65,14 +65,14 @@ TEST(CaptureReplay, VerdictsBitIdenticalToLive) {
       cfg.capture.path = path;
       const core::RunResult live = core::run_once(cfg);
 
-      const capture::TraceReader trace = capture::TraceReader::open(path);
+      const capture::TraceFile trace = capture::TraceFile::open(path);
       EXPECT_EQ(trace.meta().seed, seed) << ctx;
       EXPECT_EQ(trace.meta().scenario, name) << ctx;
-      EXPECT_EQ(trace.packets().size(), live.monitor_packets) << ctx;
+      EXPECT_EQ(trace.packet_count(), live.monitor_packets) << ctx;
 
       // Stored summary vs the live RunResult it was derived from.
-      ASSERT_TRUE(trace.has_summary()) << ctx;
-      const capture::TraceSummary& stored = trace.summary();
+      ASSERT_TRUE(trace.has_section(capture::Section::kSummary)) << ctx;
+      const capture::TraceSummary stored = trace.summary();
       EXPECT_EQ(stored.monitor_packets, live.monitor_packets) << ctx;
       EXPECT_EQ(stored.monitor_gets, live.monitor_gets) << ctx;
       expect_verdict_matches_outcome(stored.html, live.html, ctx + " html");
@@ -103,10 +103,11 @@ TEST(CaptureReplay, GroundTruthSurvivesTheRoundTrip) {
   const core::RunResult live = core::run_once(cfg);
   ASSERT_NE(live.truth, nullptr);
 
-  const capture::TraceReader trace = capture::TraceReader::open(path);
-  ASSERT_TRUE(trace.has_ground_truth());
+  const capture::TraceFile trace = capture::TraceFile::open(path);
+  ASSERT_TRUE(trace.has_section(capture::Section::kGroundTruth));
+  const analysis::GroundTruth stored_truth = trace.ground_truth();
   const auto& live_inst = live.truth->instances();
-  const auto& trace_inst = trace.ground_truth().instances();
+  const auto& trace_inst = stored_truth.instances();
   ASSERT_EQ(trace_inst.size(), live_inst.size());
   for (std::size_t i = 0; i < live_inst.size(); ++i) {
     EXPECT_EQ(trace_inst[i].id, live_inst[i].id);
@@ -122,7 +123,7 @@ TEST(CaptureReplay, GroundTruthSurvivesTheRoundTrip) {
     ASSERT_EQ(trace_inst[i].headers.size(), live_inst[i].headers.size());
     // DoM is a pure function of the intervals; equality above implies it,
     // but assert the headline number directly too.
-    EXPECT_EQ(trace.ground_truth().degree_of_multiplexing(trace_inst[i].id),
+    EXPECT_EQ(stored_truth.degree_of_multiplexing(trace_inst[i].id),
               live.truth->degree_of_multiplexing(live_inst[i].id));
   }
   std::remove(path.c_str());
@@ -207,48 +208,46 @@ bool same_record_vec(const std::vector<analysis::RecordObservation>& a,
   return true;
 }
 
-TEST(CaptureReplay, ChunkedEngineMatchesEagerBitForBit) {
+TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
   for (const std::string name : {"fig2", "table2"}) {
     const std::string ctx = name;
     const std::string path = ::testing::TempDir() + "replay_chunked_" + name + ".h2t";
     core::RunConfig cfg = scenario(name);
     cfg.seed = 1000;
     cfg.capture.path = path;
-    (void)core::run_once(cfg);
+    core::RunObservations live_obs;
+    cfg.observations_out = &live_obs;
+    const core::RunResult live = core::run_once(cfg);
 
-    const capture::TraceReader eager = capture::TraceReader::open(path);
-    const capture::TraceFile lazy = capture::TraceFile::open(path);
+    // Monitor state: the replay engine (streaming cursor + per-packet
+    // payload synthesis, packet retention off) must land the analysis
+    // exactly where the live monitor ended up.
+    const capture::TraceFile trace = capture::TraceFile::open(path);
+    core::MonitorConfig replay_cfg;
+    replay_cfg.retain_packets = false;
+    core::TrafficMonitor monitor(replay_cfg);
+    capture::replay_into(trace, monitor);
+    EXPECT_EQ(monitor.packets_seen(), live.monitor_packets) << ctx;
+    EXPECT_TRUE(monitor.packets().empty()) << ctx;  // bounded-memory mode
+    EXPECT_EQ(monitor.get_count(), live.monitor_gets) << ctx;
+    EXPECT_TRUE(same_record_vec(monitor.records(net::Direction::kClientToServer),
+                                live_obs.records_c2s))
+        << ctx;
+    EXPECT_TRUE(same_record_vec(monitor.records(net::Direction::kServerToClient),
+                                live_obs.records_s2c))
+        << ctx;
 
-    // Monitor state: the chunked engine (streaming cursor + per-packet
-    // payload synthesis, packet retention off) must land the analysis in
-    // the same place as the eager engine's full-stream synthesis.
-    core::TrafficMonitor m_eager;
-    capture::replay_into(eager, m_eager);
-    core::MonitorConfig chunked_cfg;
-    chunked_cfg.retain_packets = false;
-    core::TrafficMonitor m_chunked(chunked_cfg);
-    capture::replay_into(lazy, m_chunked);
-    EXPECT_EQ(m_chunked.packets_seen(), m_eager.packets_seen()) << ctx;
-    EXPECT_TRUE(m_chunked.packets().empty()) << ctx;  // bounded-memory mode
-    EXPECT_EQ(m_chunked.get_count(), m_eager.get_count()) << ctx;
-    for (const auto dir :
-         {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
-      EXPECT_TRUE(same_record_vec(m_chunked.records(dir), m_eager.records(dir)))
-          << ctx;
-    }
-
-    // Full verdicts: eager replay, chunked replay, and the records-direct
-    // fast path must all agree with the stored summary.
-    const capture::ReplayResult r_eager = capture::replay(eager);
-    const capture::ReplayResult r_chunked = capture::replay(lazy);
-    EXPECT_TRUE(r_eager.records_match) << ctx;
-    EXPECT_TRUE(r_chunked.records_match) << ctx;
-    EXPECT_TRUE(r_eager.summary_matches) << ctx;
-    EXPECT_TRUE(r_chunked.summary_matches) << ctx;
-    EXPECT_EQ(r_chunked.summary, r_eager.summary) << ctx;
-    EXPECT_EQ(capture::score_stored(lazy), r_eager.summary) << ctx;
-    EXPECT_EQ(capture::count_gets(lazy.records(net::Direction::kClientToServer)),
-              m_eager.get_count()) << ctx;
+    // Full verdicts: chunked replay and the records-direct fast path must
+    // both reproduce the live run's verdict.
+    const capture::TraceSummary live_summary = core::summary_of(live);
+    const capture::ReplayResult replayed = capture::replay(trace);
+    EXPECT_TRUE(replayed.records_match) << ctx;
+    EXPECT_TRUE(replayed.summary_matches) << ctx;
+    EXPECT_EQ(replayed.summary, live_summary) << ctx;
+    EXPECT_EQ(capture::score_stored(trace), live_summary) << ctx;
+    EXPECT_EQ(capture::count_gets(trace.records(net::Direction::kClientToServer)),
+              live.monitor_gets)
+        << ctx;
     std::remove(path.c_str());
   }
 }
@@ -261,10 +260,11 @@ TEST(CaptureReplay, ReplayCountsReadsIntoObs) {
   (void)core::run_once(cfg);
 
   obs::ScopedRegistry scoped;
-  const capture::TraceReader trace = capture::TraceReader::open(path);
+  const capture::TraceFile trace = capture::TraceFile::open(path);
   (void)capture::replay(trace);
-  EXPECT_EQ(scoped.registry().get(obs::Counter::kCaptureTracesRead), 1u);
-  EXPECT_GT(scoped.registry().get(obs::Counter::kCaptureBytesRead), 0u);
+  // Every open maps the whole file once; replay reads through that mapping.
+  EXPECT_EQ(scoped.registry().get(obs::Counter::kCorpusBytesMapped), trace.file_size());
+  EXPECT_EQ(trace.file_size(), fs::file_size(path));
   std::remove(path.c_str());
 }
 

@@ -2,8 +2,6 @@
 // paper's experiments run on.
 #include "h2priv/core/experiment.hpp"
 
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 namespace h2priv::core {
@@ -190,28 +188,6 @@ TEST(Experiment, RunManySweepsSeeds) {
   const auto results = run_many(cfg, 3);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].page_complete);
-}
-
-TEST(Experiment, TraceExportWritesCsvFiles) {
-  RunConfig cfg;
-  cfg.seed = 230;
-  cfg.trace_export_prefix = ::testing::TempDir() + "h2priv_trace";
-  const RunResult r = run_once(cfg);
-  EXPECT_TRUE(r.page_complete);
-  for (const char* suffix : {"_packets.csv", "_records.csv", "_ground_truth.csv"}) {
-    std::ifstream in(cfg.trace_export_prefix + suffix);
-    ASSERT_TRUE(in.good()) << suffix;
-    std::string header;
-    std::getline(in, header);
-    EXPECT_NE(header.find("time_s") != std::string::npos ||
-                  header.find("instance") != std::string::npos,
-              false)
-        << suffix;
-    std::string line;
-    int rows = 0;
-    while (std::getline(in, line)) ++rows;
-    EXPECT_GT(rows, 40) << suffix;
-  }
 }
 
 TEST(Experiment, TruthAndDebugMaterialsExposed) {

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/defense/grid.hpp"
 #include "h2priv/h2/connection.hpp"
@@ -347,7 +347,7 @@ TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
     cfg.capture.scenario = "table2+" + preset;
     (void)core::run_once(cfg);
 
-    const capture::TraceReader trace = capture::TraceReader::open(cfg.capture.path);
+    const capture::TraceFile trace = capture::TraceFile::open(cfg.capture.path);
     EXPECT_EQ(trace.meta().defense, cfg.server.defense) << preset;
     const capture::ReplayResult replayed = capture::replay(trace);
     EXPECT_TRUE(replayed.records_match) << preset;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -153,6 +154,27 @@ TEST(FleetRun, DemuxRecoversClientStreamsAndReplays) {
     EXPECT_TRUE(r.summary_matches);
   }
   std::remove(path.c_str());
+}
+
+TEST(FleetRun, ReplayConnRejectsRecordsOutOfStreamOrder) {
+  // A demuxed connection whose records are out of stream-offset order cannot
+  // be replayed faithfully; replay_conn must refuse it, not synthesize a
+  // stream that silently diverges from the capture.
+  const std::string path = temp_path("trace");
+  core::RunConfig cfg = fleet_config(55, 2);
+  cfg.capture.path = path;
+  (void)run_fleet(cfg, core::Parallelism{2});
+  std::vector<capture::DemuxedConn> conns =
+      capture::demux_fleet(capture::TraceFile::open(path));
+  std::remove(path.c_str());
+  ASSERT_FALSE(conns.empty());
+  capture::DemuxedConn& conn = conns.front();
+  ASSERT_GE(conn.records_s2c.size(), 2u);
+  EXPECT_TRUE(capture::replay_conn(conn).summary_matches);
+
+  const std::size_t mid = conn.records_s2c.size() / 2;
+  std::swap(conn.records_s2c[mid - 1], conn.records_s2c[mid]);
+  EXPECT_THROW((void)capture::replay_conn(conn), capture::TraceError);
 }
 
 TEST(FleetRun, CacheShortensMissFreePageLoads) {

@@ -25,7 +25,7 @@
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/pcap_export.hpp"
 #include "h2priv/capture/replay.hpp"
-#include "h2priv/capture/trace_reader.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/core/scenario.hpp"
@@ -336,10 +336,11 @@ int cmd_inspect(const std::vector<std::string>& args) {
       path = a;
     }
   }
-  const capture::TraceReader trace = capture::TraceReader::open(path);
+  const capture::TraceFile trace = capture::TraceFile::open(path);
   if (packets_csv) {
     std::printf("time_ns,dir,wire_size,seq,ack,flags,payload_len\n");
-    for (const analysis::PacketObservation& p : trace.packets()) {
+    analysis::PacketObservation p;
+    for (capture::PacketCursor cursor = trace.packets(); cursor.next(p);) {
       std::printf("%lld,%s,%lld,%llu,%llu,%u,%zu\n", static_cast<long long>(p.time.ns),
                   p.dir == net::Direction::kClientToServer ? "c2s" : "s2c",
                   static_cast<long long>(p.wire_size),
@@ -387,7 +388,7 @@ int cmd_inspect(const std::vector<std::string>& args) {
   }
   std::printf("sections:\n");
   std::uint64_t total_stored = 0, total_raw = 0;
-  for (const capture::TraceReader::SectionInfo& s : trace.sections()) {
+  for (const capture::SectionInfo& s : trace.sections()) {
     const char* name = "?";
     switch (s.id) {
       case capture::Section::kMeta: name = "meta"; break;
@@ -426,10 +427,11 @@ int cmd_inspect(const std::vector<std::string>& args) {
                     ? static_cast<double>(total_raw) / static_cast<double>(total_stored)
                     : 0.0);
   }
-  if (trace.has_summary()) print_summary(trace.summary(), "stored verdict:");
+  if (trace.has_section(capture::Section::kSummary)) {
+    print_summary(trace.summary(), "stored verdict:");
+  }
   if (meta.fleet) {
-    const capture::TraceFile file = capture::TraceFile::open(path);
-    const std::vector<capture::FleetConn> conns = file.fleet();
+    const std::vector<capture::FleetConn> conns = trace.fleet();
     std::printf("fleet: %zu connections\n", conns.size());
     for (std::size_t i = 0; i < conns.size(); ++i) {
       const capture::FleetConn& c = conns[i];
@@ -450,14 +452,15 @@ int cmd_inspect(const std::vector<std::string>& args) {
 
 int cmd_export_pcap(const std::vector<std::string>& args) {
   if (args.size() != 2) return usage();
-  const capture::TraceReader trace = capture::TraceReader::open(args[0]);
-  capture::export_pcap(trace.packets(), args[1]);
-  std::printf("wrote %s (%zu packets)\n", args[1].c_str(), trace.packets().size());
+  const capture::TraceFile trace = capture::TraceFile::open(args[0]);
+  const std::uint64_t packets = capture::export_pcap(trace.packets(), args[1]);
+  std::printf("wrote %s (%llu packets)\n", args[1].c_str(),
+              static_cast<unsigned long long>(packets));
   return 0;
 }
 
-int replay_fleet_one(const std::string& path, bool print) {
-  const capture::TraceFile trace = capture::TraceFile::open(path);
+int replay_fleet_one(const capture::TraceFile& trace, const std::string& path,
+                     bool print) {
   const std::vector<capture::ReplayResult> results = capture::replay_fleet(trace);
   int failures = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -478,10 +481,8 @@ int replay_fleet_one(const std::string& path, bool print) {
 }
 
 int replay_one(const std::string& path, bool print) {
-  if (capture::TraceFile::open(path).meta().fleet) {
-    return replay_fleet_one(path, print);
-  }
-  const capture::TraceReader trace = capture::TraceReader::open(path);
+  const capture::TraceFile trace = capture::TraceFile::open(path);
+  if (trace.meta().fleet) return replay_fleet_one(trace, path, print);
   const capture::ReplayResult r = capture::replay(trace);
   if (print) print_summary(r.summary, "replayed verdict:");
   if (!r.records_match) {
@@ -489,7 +490,7 @@ int replay_one(const std::string& path, bool print) {
                  path.c_str());
     return 1;
   }
-  if (trace.has_summary() && !r.summary_matches) {
+  if (trace.has_section(capture::Section::kSummary) && !r.summary_matches) {
     std::fprintf(stderr, "%s: FAIL — replayed verdict differs from stored\n",
                  path.c_str());
     return 1;
