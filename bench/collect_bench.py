@@ -51,11 +51,18 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # (binary, default args, quick args). Order is the order they run.
+# bench_table2_attack at --jobs 1 is the page-loads-per-core number.
+# bench_fleet prints "runs": 0 (its Monte-Carlo loop is run_fleet_corpus, not
+# run_batch), so compare gates only its wall clock and its exit status, which
+# is non-zero when the jobs-1-vs-4 manifests/digests differ or the merged
+# trace fails replay.
 BENCHES = [
     ("bench_stack_throughput", ["--mb", "32"], ["--mb", "8"]),
     ("bench_micro_protocol", [], []),
     ("bench_table1_jitter", ["50", "--jobs", "2"], ["5", "--jobs", "2"]),
     ("bench_fig3_interleaving", ["50", "--jobs", "2"], ["5", "--jobs", "2"]),
+    ("bench_table2_attack", ["40", "--jobs", "1"], ["10", "--jobs", "1"]),
+    ("bench_fleet", ["2"], ["1"]),
     ("bench_replay", ["8", "--jobs", "2"], ["4", "--jobs", "2"]),
     ("bench_corpus_score", ["12", "--jobs", "2"], ["6", "--jobs", "2"]),
     ("bench_codec", ["8", "--jobs", "2"], ["4", "--jobs", "2"]),

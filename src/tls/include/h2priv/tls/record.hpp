@@ -1,11 +1,14 @@
 // TLS record layer model.
 //
 // Real record framing (5-byte header: type, version, length) with a toy
-// stream cipher + MAC standing in for AEAD. The point is not cryptographic
-// strength — it is the *discipline*: payload bytes on the wire are
-// scrambled, so nothing in this codebase can accidentally "cheat" by reading
-// plaintext off a packet. An on-path observer sees exactly what tshark's
-// `ssl.record.content_type` filter sees: type and length.
+// stream cipher + 16-byte keyed checksum tag standing in for AEAD. The point
+// is not cryptographic strength — it is the *discipline*: payload bytes on
+// the wire are scrambled, so nothing in this codebase can accidentally
+// "cheat" by reading plaintext off a packet. An on-path observer sees exactly
+// what tshark's `ssl.record.content_type` filter sees: type and length. The
+// tag catches transport bugs (corrupted, reordered or replayed records), not
+// forgers; sealing or opening a record costs a few word-wide passes over its
+// bytes (record.cpp documents the construction).
 #pragma once
 
 #include <algorithm>

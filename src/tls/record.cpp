@@ -21,60 +21,57 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 }
 
 /// Keystream: byte i of a record is XORed with byte (i % 8) of
-/// mix(secret ^ domain<<56 ^ seq*golden ^ i/8). This form computes each
-/// 8-byte block once instead of once per byte — byte-identical to the
-/// per-byte definition (records always start at block offset 0). src == dst
-/// is allowed.
+/// mix(secret ^ domain<<56 ^ seq*golden ^ i/8), i.e. each 8-byte block of
+/// the record is XORed with one little-endian mix() word (records always
+/// start at block offset 0). src == dst is allowed.
 void keystream_xor(std::uint64_t secret, std::uint8_t domain, std::uint64_t seq,
                    const std::uint8_t* src, std::uint8_t* dst, std::size_t n) noexcept {
   const std::uint64_t base = secret ^ (static_cast<std::uint64_t>(domain) << 56) ^
                              (seq * 0x9e3779b97f4a7c15ull);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const std::uint64_t block = mix(base ^ (i / 8));
-    const std::size_t m = std::min<std::size_t>(8, n - i);
-    for (std::size_t j = 0; j < m; ++j) {
-      dst[i + j] = static_cast<std::uint8_t>(src[i + j] ^ (block >> (j * 8)));
-    }
+  std::size_t i = 0;
+  for (; n - i >= 8; i += 8) {
+    util::store_le64(dst + i, util::load_le64(src + i) ^ mix(base ^ (i / 8)));
+  }
+  if (i < n) {
+    std::uint64_t block = mix(base ^ (i / 8));
+    for (; i < n; ++i, block >>= 8) dst[i] = static_cast<std::uint8_t>(src[i] ^ block);
   }
 }
 
-/// 16-byte tag over the plaintext (keyed digest). The first 8 bytes are a
-/// serial mix chain (one data-dependent mix per byte — deliberately slow to
-/// forge); the last 8 are a keyed polynomial checksum.
-std::array<std::uint8_t, kAeadOverhead> compute_tag(std::uint64_t secret,
-                                                    std::uint8_t domain,
-                                                    std::uint64_t seq,
-                                                    util::BytesView plaintext) noexcept {
-  std::uint64_t h1 = mix(secret ^ 0x746167u ^ seq);  // "tag"
-  std::uint64_t h2 = mix(h1 ^ domain);
-  for (const std::uint8_t b : plaintext) {
-    h1 = mix(h1 ^ b);
-    h2 = h2 * 31 + b;
-  }
-  std::array<std::uint8_t, kAeadOverhead> tag{};
-  for (int i = 0; i < 8; ++i) {
-    tag[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(h1 >> (i * 8));
-    tag[static_cast<std::size_t>(i) + 8] = static_cast<std::uint8_t>(h2 >> (i * 8));
-  }
-  return tag;
-}
-
-/// The polynomial half of the tag, unrolled 8 bytes per step (the eight
-/// product terms are independent, so this runs at memory speed while the
-/// per-byte form is latency-bound on the multiply). Identical value to the
-/// `h2` accumulator in compute_tag.
-std::uint64_t poly_checksum(std::uint64_t h2, util::BytesView plaintext) noexcept {
+/// Keyed polynomial checksum of the plaintext: h = h*31 + b over every byte,
+/// unrolled 8 bytes per step (the eight product terms are independent, so
+/// this runs at memory speed where the per-byte form is latency-bound on the
+/// multiply).
+std::uint64_t poly_checksum(std::uint64_t h, util::BytesView plaintext) noexcept {
   constexpr std::uint64_t kP = 31;
   constexpr std::uint64_t kP2 = kP * kP, kP3 = kP2 * kP, kP4 = kP3 * kP;
   constexpr std::uint64_t kP5 = kP4 * kP, kP6 = kP5 * kP, kP7 = kP6 * kP, kP8 = kP7 * kP;
   const std::uint8_t* b = plaintext.data();
   std::size_t n = plaintext.size();
   for (; n >= 8; n -= 8, b += 8) {
-    h2 = h2 * kP8 + b[0] * kP7 + b[1] * kP6 + b[2] * kP5 + b[3] * kP4 + b[4] * kP3 +
-         b[5] * kP2 + b[6] * kP + b[7];
+    h = h * kP8 + b[0] * kP7 + b[1] * kP6 + b[2] * kP5 + b[3] * kP4 + b[4] * kP3 +
+        b[5] * kP2 + b[6] * kP + b[7];
   }
-  while (n-- > 0) h2 = h2 * kP + *b++;
-  return h2;
+  while (n-- > 0) h = h * kP + *b++;
+  return h;
+}
+
+/// 16-byte keyed tag over the plaintext. With h1 = mix(secret ^ "tag" ^ seq)
+/// and poly = the polynomial checksum seeded with mix(h1 ^ domain), bytes
+/// 8..15 are poly and bytes 0..7 are mix(h1 ^ poly), both little-endian.
+/// One pass over the bytes plus three mix() calls per record; open_one
+/// recomputes and compares all 16 bytes. A checksum, not a MAC — it catches
+/// corruption, reordering, replay and wrong keys, not a forger.
+std::array<std::uint8_t, kAeadOverhead> compute_tag(std::uint64_t secret,
+                                                    std::uint8_t domain,
+                                                    std::uint64_t seq,
+                                                    util::BytesView plaintext) noexcept {
+  const std::uint64_t h1 = mix(secret ^ 0x746167u ^ seq);  // "tag"
+  const std::uint64_t poly = poly_checksum(mix(h1 ^ domain), plaintext);
+  std::array<std::uint8_t, kAeadOverhead> tag{};
+  util::store_le64(tag.data(), mix(h1 ^ poly));
+  util::store_le64(tag.data() + 8, poly);
+  return tag;
 }
 
 ContentType check_type(std::uint8_t raw) {
@@ -162,20 +159,11 @@ OpenContext::Record OpenContext::open_one(util::BytesView wire, std::size_t& con
   util::Bytes plaintext(ptext_len);
   keystream_xor(secret_, domain_, seq, wire.data() + kHeaderBytes, plaintext.data(),
                 ptext_len);
-  // Verify the polynomial half of the tag (a full 64-bit keyed check).
-  // Corruption, truncation-at-record-granularity, replay, wrong secret and
-  // wrong direction all perturb it exactly like the serial half, but it
-  // vectorises — re-walking the serial mix chain here would put the
-  // receive path back on the latency-bound critical path the seal side
-  // already pays once to produce the wire bytes.
-  const std::uint64_t h1 = mix(secret_ ^ 0x746167u ^ seq);
-  const std::uint64_t expect_h2 = poly_checksum(mix(h1 ^ domain_), plaintext);
-  const util::BytesView got = wire.subspan(kHeaderBytes + ptext_len, kAeadOverhead);
-  std::uint64_t got_h2 = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    got_h2 |= static_cast<std::uint64_t>(got[8 + i]) << (i * 8);
-  }
-  if (got_h2 != expect_h2) {
+  // All 16 tag bytes are checked: corruption, reordering, replay, a wrong
+  // secret or a wrong direction each fail here.
+  const auto expect = compute_tag(secret_, domain_, seq, plaintext);
+  if (!std::equal(expect.begin(), expect.end(), wire.begin() +
+                  static_cast<std::ptrdiff_t>(kHeaderBytes + ptext_len))) {
     throw TlsError("open_one: authentication failure (corrupted or out-of-order record)");
   }
   consumed = kHeaderBytes + hdr.ciphertext_len;

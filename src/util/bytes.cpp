@@ -167,12 +167,17 @@ Bytes patterned_bytes(std::size_t n, std::uint32_t tag) {
   // splitmix-style mixing keeps the pattern cheap yet position-sensitive, so
   // any reordering or truncation in transit changes the reassembled payload.
   std::uint64_t state = 0x9e3779b97f4a7c15ull ^ tag;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; i += 8) {
     state += 0x9e3779b97f4a7c15ull;
     std::uint64_t z = state;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    out[i] = static_cast<std::uint8_t>((z ^ (z >> 31)) & 0xff);
+    z ^= z >> 31;
+    if (n - i >= 8) {
+      store_le64(out.data() + i, z);
+    } else {
+      for (std::size_t j = i; j < n; ++j, z >>= 8) out[j] = static_cast<std::uint8_t>(z);
+    }
   }
   return out;
 }

@@ -6,6 +6,7 @@
 // these two types so that framing bugs surface as exceptions, not UB.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -105,6 +106,22 @@ class ByteWriter {
   std::size_t cap_ = 0;
 };
 
+/// Little-endian 64-bit load/store at any alignment, for word-wide passes
+/// over byte buffers (the TLS keystream, synthetic object bodies). Every
+/// host takes the same path — a memcpy, byte-swapped on big-endian targets —
+/// so the bytes produced never depend on the host. (A shift-per-byte loop
+/// gives the same bytes, but gcc 12 does not merge it into word accesses.)
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  return v;
+}
+inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
 /// Consumes big-endian scalars and byte runs from a non-owned view.
 class ByteReader {
  public:
@@ -136,8 +153,10 @@ class ByteReader {
 [[nodiscard]] Bytes to_bytes(std::string_view s);
 
 /// Builds a deterministic pseudo-content buffer of length `n` whose bytes are a
-/// function of (`tag`, index). Used for synthetic web objects so that
-/// reassembled payloads can be integrity-checked end to end.
+/// function of (`tag`, index): word k (bytes 8k..8k+7, little-endian, the last
+/// word truncated) is the k-th splitmix64 output of a `tag`-seeded stream, so
+/// a shorter buffer is a prefix of a longer one. Used for synthetic web
+/// objects so that reassembled payloads can be integrity-checked end to end.
 [[nodiscard]] Bytes patterned_bytes(std::size_t n, std::uint32_t tag);
 
 }  // namespace h2priv::util

@@ -324,7 +324,8 @@ void decode_image(const util::Bytes& image) {
 class TraceCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = temp_path("corrupt");
+    // One file per test: ctest runs these tests as concurrent processes.
+    path_ = temp_path(::testing::UnitTest::GetInstance()->current_test_info()->name());
     sim::Rng rng(42);
     TraceWriter writer(path_, TraceMeta{});
     for (const auto& p : random_packets(rng, 50)) writer.add_packet(p);

@@ -6,6 +6,14 @@
 // path (pre pooled-buffer rewrite); the pooled path must reproduce them
 // exactly. If an *intentional* wire-format change lands, re-capture by
 // running this test and pasting the printed actual values.
+//
+// The wire digests were re-captured once, on purpose, when the TLS record
+// layer went word-wide: tag bytes 0-7 became one mix() per record (they
+// were a per-byte mix chain), and util::patterned_bytes, which makes every
+// object body and handshake flight, became one splitmix64 word per 8 bytes
+// (it was one output per byte). Ciphertext for a given plaintext and tag
+// bytes 8-15 are unchanged, as is every record, frame and packet length;
+// expect_scored and expect_packets did not move.
 #include "trace_hash.hpp"
 
 #include <cinttypes>
@@ -26,16 +34,16 @@ struct GoldenCase {
   std::uint64_t expect_packets;
 };
 
-// Captured at the seed commit of this PR (see file comment).
+// Wire digests re-captured for the word-wide record layer (see file comment).
 constexpr GoldenCase kCases[] = {
     {"fig2_spacing50_seed1000", 1000, false, 50,
-     0x251e83eaeb830c9full, 0x4a7dbe2272a1ca5aull, 3348},
+     0xe76ee2d727deffd6ull, 0x4a7dbe2272a1ca5aull, 3348},
     {"fig2_spacing50_seed1001", 1001, false, 50,
-     0x1ca05d29fcfd3952ull, 0x84610254b25132ccull, 3532},
+     0xab84e5269eb0f1a6ull, 0x84610254b25132ccull, 3532},
     {"table2_attack_seed1000", 1000, true, 0,
-     0xa44055df1eacd18bull, 0x6876aa6f9e75ea2cull, 5692},
+     0x663135fd8e0292f8ull, 0x6876aa6f9e75ea2cull, 5692},
     {"table2_attack_seed1001", 1001, true, 0,
-     0x8eecf2eed2ef2175ull, 0xfa83d05631f1a3caull, 5706},
+     0x098cd2adc5b2bb16ull, 0xfa83d05631f1a3caull, 5706},
 };
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};

@@ -111,7 +111,8 @@ TEST_P(ReassemblyProperty, RandomSegmentationReassemblesExactly) {
   // Duplicates and overlapping extras.
   const std::size_t base_count = pieces.size();
   for (std::size_t i = 0; i < base_count / 2; ++i) {
-    const auto& p = pieces[static_cast<std::size_t>(
+    // A copy: the push_back below may reallocate `pieces`.
+    const Piece p = pieces[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(base_count) - 1))];
     pieces.push_back(p);
     const std::size_t from = p.from / 2;

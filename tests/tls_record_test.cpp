@@ -1,5 +1,8 @@
 #include "h2priv/tls/record.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace h2priv::tls {
@@ -65,12 +68,17 @@ TEST(TlsRecord, SealedSizePredictsExactly) {
 
 TEST(TlsRecord, TamperedCiphertextFailsAuthentication) {
   SealContext seal(kSecret, 0);
-  OpenContext open(kSecret, 0);
-  util::Bytes wire = seal.seal(ContentType::kApplicationData,
-                               util::patterned_bytes(64, 4));
-  wire[kHeaderBytes + 10] ^= 0x01;
-  std::size_t consumed = 0;
-  EXPECT_THROW((void)open.open_one(wire, consumed), TlsError);
+  const util::Bytes wire = seal.seal(ContentType::kApplicationData,
+                                     util::patterned_bytes(64, 4));
+  // One flipped bit anywhere after the header — body or any of the 16 tag
+  // bytes — must fail authentication.
+  for (std::size_t i = kHeaderBytes; i < wire.size(); ++i) {
+    util::Bytes tampered = wire;
+    tampered[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+    OpenContext open(kSecret, 0);
+    std::size_t consumed = 0;
+    EXPECT_THROW((void)open.open_one(tampered, consumed), TlsError) << "byte " << i;
+  }
 }
 
 TEST(TlsRecord, OutOfOrderOpenFailsAuthentication) {
@@ -130,7 +138,7 @@ TEST(TlsRecord, OpenTruncatedThrows) {
   OpenContext open(kSecret, 0);
   util::Bytes wire = seal.seal(ContentType::kApplicationData,
                                util::patterned_bytes(64, 4));
-  wire.resize(wire.size() - 1);
+  wire.pop_back();
   std::size_t consumed = 0;
   EXPECT_THROW((void)open.open_one(wire, consumed), TlsError);
 }
@@ -144,6 +152,110 @@ TEST(TlsRecord, EmptyPlaintextSealsOneRecord) {
   const auto rec = open.open_one(wire, consumed);
   EXPECT_TRUE(rec.plaintext.empty());
   EXPECT_EQ(rec.type, ContentType::kAlert);
+}
+
+// Per-byte reference definitions of the record layer's keystream (one mix()
+// block per 8 bytes, applied a byte at a time) and of the tag's polynomial
+// half (h = h*31 + b). The word-wide implementation must produce exactly
+// these bytes.
+std::uint64_t ref_mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return x;
+}
+
+util::Bytes ref_keystream_xor(std::uint8_t domain, std::uint64_t seq,
+                              util::BytesView in) {
+  const std::uint64_t base = kSecret ^ (static_cast<std::uint64_t>(domain) << 56) ^
+                             (seq * 0x9e3779b97f4a7c15ull);
+  util::Bytes out(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t block = ref_mix(base ^ (i / 8));
+    out[i] = static_cast<std::uint8_t>(in[i] ^ (block >> ((i % 8) * 8)));
+  }
+  return out;
+}
+
+std::uint64_t ref_h1(std::uint64_t seq) { return ref_mix(kSecret ^ 0x746167u ^ seq); }
+
+std::uint64_t ref_poly(std::uint8_t domain, std::uint64_t seq, util::BytesView in) {
+  std::uint64_t h = ref_mix(ref_h1(seq) ^ domain);
+  for (const std::uint8_t b : in) h = h * 31 + b;
+  return h;
+}
+
+std::uint64_t le64_at(util::BytesView b, std::size_t off) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(b[off + i]) << (i * 8);
+  }
+  return v;
+}
+
+// Checks one sealed record at the front of `wire` against the reference for
+// plaintext `content` at sequence number `seq`; returns its wire size.
+std::size_t expect_reference_record(util::BytesView wire, std::uint8_t domain,
+                                    std::uint64_t seq, util::BytesView content) {
+  RecordHeader hdr{};
+  EXPECT_TRUE(parse_header(wire, hdr));
+  EXPECT_EQ(std::size_t{hdr.ciphertext_len}, content.size() + kAeadOverhead);
+  if (wire.size() < kHeaderBytes + content.size() + kAeadOverhead) {
+    ADD_FAILURE() << "record truncated, len " << content.size();
+    return wire.size();
+  }
+  const util::BytesView body = wire.subspan(kHeaderBytes, content.size());
+  const util::Bytes expect_body = ref_keystream_xor(domain, seq, content);
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), expect_body.begin()))
+      << "body, len " << content.size() << " seq " << seq;
+  const std::uint64_t poly = ref_poly(domain, seq, content);
+  const std::size_t tag_at = kHeaderBytes + content.size();
+  EXPECT_EQ(le64_at(wire, tag_at + 8), poly) << "tag[8..16), seq " << seq;
+  EXPECT_EQ(le64_at(wire, tag_at), ref_mix(ref_h1(seq) ^ poly)) << "tag[0..8)";
+  return kHeaderBytes + hdr.ciphertext_len;
+}
+
+// Seals `plaintext` three times on one context (records seq 0, 1, 2, ...) and
+// checks every record against the reference.
+void expect_reference_stream(std::uint8_t domain, const util::Bytes& plaintext) {
+  SealContext seal(kSecret, domain);
+  std::uint64_t seq = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const util::Bytes wire = seal.seal(ContentType::kApplicationData, plaintext);
+    std::size_t pos = 0;
+    std::size_t off = 0;
+    do {
+      const std::size_t chunk = std::min(plaintext.size() - off, kMaxPlaintext);
+      const util::BytesView content = util::BytesView(plaintext).subspan(off, chunk);
+      pos += expect_reference_record(util::BytesView(wire).subspan(pos), domain, seq++,
+                                     content);
+      off += chunk;
+    } while (off < plaintext.size());
+    EXPECT_EQ(pos, wire.size()) << "n=" << plaintext.size();
+  }
+}
+
+TEST(TlsRecord, SealedBytesMatchPerByteReference) {
+  constexpr std::size_t kLengths[] = {0, 1, 7, 8, 9, 16'383, 16'384, 40'000};
+  for (const std::uint8_t domain : {std::uint8_t{0}, std::uint8_t{1}}) {
+    for (const std::size_t n : kLengths) {
+      expect_reference_stream(domain, util::patterned_bytes(n, 11));
+    }
+  }
+}
+
+TEST(TlsRecord, QuantizedRecordMatchesPerByteReference) {
+  SealContext seal(kSecret, 1);
+  seal.set_pad_bucket(512);
+  const util::Bytes plaintext = util::patterned_bytes(1'000, 12);
+  const util::Bytes wire = seal.seal(ContentType::kApplicationData, plaintext);
+  // content || 0x17 marker || zero filler up to the 1024-byte bucket.
+  util::Bytes inner = plaintext;
+  inner.push_back(0x17);
+  inner.resize(1'024, 0);
+  EXPECT_EQ(expect_reference_record(wire, 1, 0, inner), wire.size());
 }
 
 }  // namespace

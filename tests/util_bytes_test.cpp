@@ -109,10 +109,39 @@ TEST(PatternedBytes, DeterministicPerTag) {
 }
 
 TEST(PatternedBytes, PrefixStability) {
-  // A longer buffer starts with the shorter buffer of the same tag.
-  const Bytes small = patterned_bytes(100, 3);
-  const Bytes big = patterned_bytes(200, 3);
-  EXPECT_TRUE(std::equal(small.begin(), small.end(), big.begin()));
+  // A longer buffer starts with the shorter buffer of the same tag — at
+  // every length, including those ending in a partial 8-byte word.
+  const Bytes big = patterned_bytes(64, 3);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const Bytes small = patterned_bytes(n, 3);
+    ASSERT_EQ(small.size(), n);
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), big.begin())) << "n=" << n;
+  }
+}
+
+TEST(PatternedBytes, WordsArePositionSensitive) {
+  // No two 8-byte words repeat, so a reordered or duplicated run in transit
+  // changes the reassembled payload.
+  const Bytes b = patterned_bytes(64, 3);
+  for (std::size_t i = 0; i < 64; i += 8) {
+    for (std::size_t j = i + 8; j < 64; j += 8) {
+      EXPECT_FALSE(std::equal(b.begin() + static_cast<std::ptrdiff_t>(i),
+                              b.begin() + static_cast<std::ptrdiff_t>(i + 8),
+                              b.begin() + static_cast<std::ptrdiff_t>(j)))
+          << "words at " << i << " and " << j;
+    }
+  }
+}
+
+TEST(LittleEndian64, StoresLowByteFirstAtAnyAlignment) {
+  for (std::size_t at = 0; at < 8; ++at) {
+    std::uint8_t buf[16] = {};
+    store_le64(buf + at, 0x0807060504030201ull);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(std::size_t{buf[at + i]}, i + 1) << "at " << at;
+    }
+    EXPECT_EQ(load_le64(buf + at), 0x0807060504030201ull);
+  }
 }
 
 TEST(ToBytes, ConvertsString) {
