@@ -1,5 +1,5 @@
 // Corpus-scale scoring throughput: the records-direct pipeline (mmap'd
-// TraceFile + score_stored machinery, no TCP reassembly) versus the
+// TraceFile + capture::score_with_predictor, no TCP reassembly) versus the
 // sequential per-trace baseline (TraceFile::open + chunked capture::replay
 // per verdict).
 //

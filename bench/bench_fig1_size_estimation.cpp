@@ -103,7 +103,8 @@ CaseResult run_case(server::InterleavePolicy policy) {
   analysis::SizeCatalog catalog;
   catalog.add("o1", kSizeO1);
   catalog.add("o2", kSizeO2);
-  core::ObjectPredictor predictor(monitor, catalog);
+  const core::ObjectPredictor predictor(
+      monitor.records(net::Direction::kServerToClient), catalog);
   const auto bursts = predictor.bursts_after(util::TimePoint{});
   out.bursts = bursts.size();
   for (const auto& b : bursts) {

@@ -19,9 +19,10 @@
 // through the monitor and synthesizes each payload into a reusable scratch
 // buffer. Peak memory is O(records + one packet), never O(stream bytes).
 //
-// The scoring half (score_with_predictor / count_gets) is split out so the
-// corpus pipeline can score straight off stored record sections without any
-// reassembly at all — see score_stored().
+// Scoring is not copied here: score_with_predictor calls core::score_run, the
+// same verdict pass core::run_once runs live. Together with count_gets it
+// also scores straight off stored record sections without any reassembly at
+// all, which is the corpus pipeline's fast path (corpus::score_corpus).
 #pragma once
 
 #include <span>
@@ -58,30 +59,24 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
     std::span<const analysis::RecordObservation> c2s_records,
     const core::MonitorConfig& config = {});
 
-/// The scoring step of core::run_once, recomputed offline: verdicts for the
-/// HTML and every emblem position, sequence recovery, and the per-position
-/// attack_success overwrite. Shared by full replay and records-direct
-/// corpus scoring.
+/// run_once's verdict recomputed offline: core::score_run over the site and
+/// horizon `meta` describes, converted with core::summary_of. Shared by full
+/// replay and records-direct scoring, where the predictor runs straight over
+/// a stored server->client record section and count_gets recomputes the GET
+/// count from the client->server one; for every trace whose stored records
+/// are faithful (which replay()'s records_match verifies) both give the
+/// same TraceSummary.
 [[nodiscard]] TraceSummary score_with_predictor(const TraceMeta& meta,
                                                 const analysis::GroundTruth& truth,
                                                 const core::ObjectPredictor& predictor,
                                                 std::uint64_t monitor_packets,
                                                 std::int64_t monitor_gets);
 
-/// Records-direct scoring: no reassembly, no monitor — the predictor runs
-/// straight over the stored server->client record section and the GET count
-/// is recomputed from the stored client->server section. Produces the same
-/// TraceSummary as replay() for every trace whose stored records are
-/// faithful (which replay()'s records_match verifies). Requires ground
-/// truth. This is the corpus pipeline's fast path.
-[[nodiscard]] TraceSummary score_stored(const TraceFile& trace);
-
-/// Full offline pipeline: replay_into a fresh monitor, then score with
-/// core::ObjectPredictor against the stored ground truth and metadata,
-/// mirroring core::run_once's scoring step. Requires ground truth (and uses
-/// the stored summary, when present, for the fidelity cross-check). The
-/// monitor runs with packet retention off, so peak memory stays bounded
-/// regardless of trace length.
+/// Full offline pipeline: replay_into a fresh monitor, then score it with
+/// score_with_predictor against the stored ground truth and metadata.
+/// Requires ground truth (and uses the stored summary, when present, for the
+/// fidelity cross-check). The monitor runs with packet retention off, so
+/// peak memory stays bounded regardless of trace length.
 [[nodiscard]] ReplayResult replay(const TraceFile& trace);
 
 /// One client connection demultiplexed out of a fleet trace. Observation

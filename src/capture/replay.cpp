@@ -1,10 +1,8 @@
 #include "h2priv/capture/replay.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "h2priv/core/experiment.hpp"
-#include "h2priv/obs/metrics.hpp"
 #include "h2priv/tls/record.hpp"
 
 namespace h2priv::capture {
@@ -154,30 +152,6 @@ void feed(const ForEachPacket& for_each_packet,
   return true;
 }
 
-[[nodiscard]] ObjectVerdict score_object(const analysis::GroundTruth& truth,
-                                         const core::ObjectPredictor& predictor,
-                                         web::ObjectId id, const std::string& label,
-                                         std::size_t true_size,
-                                         util::TimePoint horizon) {
-  // Mirrors core::run_once's score_object lambda, including the DoM
-  // histogram sample, so replayed analysis metrics line up with live ones.
-  ObjectVerdict v;
-  v.label = label;
-  v.true_size = true_size;
-  const std::optional<double> dom = truth.object_dom(id);
-  v.has_dom = dom.has_value();
-  if (dom.has_value()) {
-    v.primary_dom = *dom;
-    obs::sample(obs::Hist::kH2ObjectDomMilli,
-                static_cast<std::uint64_t>(std::llround(*dom * 1000.0)));
-  }
-  v.serialized_primary = dom.has_value() && *dom == 0.0;
-  v.any_serialized_copy = truth.any_serialized_instance(id);
-  v.identified = predictor.find(label, horizon).has_value();
-  v.attack_success = v.any_serialized_copy && v.identified;
-  return v;
-}
-
 [[nodiscard]] ReplayResult finish_replay(
     const TraceMeta& meta, const analysis::GroundTruth& truth,
     const core::TrafficMonitor& monitor,
@@ -189,7 +163,8 @@ void feed(const ForEachPacket& for_each_packet,
       same_records(monitor.records(net::Direction::kClientToServer), stored_c2s) &&
       same_records(monitor.records(net::Direction::kServerToClient), stored_s2c);
 
-  const core::ObjectPredictor predictor(monitor, core::isidewith_catalog());
+  const core::ObjectPredictor predictor(monitor.records(net::Direction::kServerToClient),
+                                        core::isidewith_catalog());
   result.summary = score_with_predictor(meta, truth, predictor,
                                         monitor.packets_seen(),
                                         monitor.get_count());
@@ -237,57 +212,14 @@ TraceSummary score_with_predictor(const TraceMeta& meta,
                                   const core::ObjectPredictor& predictor,
                                   std::uint64_t monitor_packets,
                                   std::int64_t monitor_gets) {
-  const web::IsideWithSite site =
-      web::build_isidewith_site(meta.pad_sensitive_objects);
+  const web::IsideWithSite site = web::build_isidewith_site(meta.pad_sensitive_objects);
   const util::TimePoint horizon{meta.attack_horizon_ns};
-
-  TraceSummary sum;
+  core::RunResult scored;
+  core::score_run(site, meta.party_order, truth, predictor, horizon, scored);
+  TraceSummary sum = core::summary_of(scored);
   sum.monitor_packets = monitor_packets;
   sum.monitor_gets = monitor_gets;
-  sum.html = score_object(truth, predictor, site.results_html, core::html_label(),
-                          site.site.object(site.results_html).size, horizon);
-
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = meta.party_order[static_cast<std::size_t>(pos)];
-    const web::ObjectId id = site.emblems[static_cast<std::size_t>(party)];
-    sum.emblems_by_position[static_cast<std::size_t>(pos)] = score_object(
-        truth, predictor, id, core::party_label(party), site.site.object(id).size,
-        horizon);
-  }
-
-  // Sequence recovery + the per-position success overwrite, exactly as
-  // core::run_once does it after predict_sequence.
-  std::vector<std::string> party_labels;
-  party_labels.reserve(web::kPartyCount);
-  for (int p = 0; p < web::kPartyCount; ++p) {
-    party_labels.push_back(core::party_label(p));
-  }
-  for (const core::Identification& id :
-       predictor.predict_sequence(party_labels, horizon)) {
-    sum.predicted_sequence.push_back(id.label);
-  }
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = meta.party_order[static_cast<std::size_t>(pos)];
-    const bool position_ok =
-        pos < static_cast<int>(sum.predicted_sequence.size()) &&
-        sum.predicted_sequence[static_cast<std::size_t>(pos)] ==
-            core::party_label(party);
-    ObjectVerdict& v = sum.emblems_by_position[static_cast<std::size_t>(pos)];
-    v.attack_success = v.any_serialized_copy && position_ok;
-    sum.sequence_positions_correct += position_ok ? 1 : 0;
-  }
   return sum;
-}
-
-TraceSummary score_stored(const TraceFile& trace) {
-  const analysis::GroundTruth truth = trace.ground_truth();
-  const std::vector<analysis::RecordObservation> s2c =
-      trace.records(net::Direction::kServerToClient);
-  const std::vector<analysis::RecordObservation> c2s =
-      trace.records(net::Direction::kClientToServer);
-  const core::ObjectPredictor predictor(s2c, core::isidewith_catalog());
-  return score_with_predictor(trace.meta(), truth, predictor,
-                              trace.packet_count(), count_gets(c2s));
 }
 
 std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {

@@ -58,6 +58,75 @@ capture::TraceSummary summary_of(const RunResult& result) {
   return summary;
 }
 
+void score_run(const web::IsideWithSite& site,
+               const std::array<int, web::kPartyCount>& party_order,
+               const analysis::GroundTruth& truth, const ObjectPredictor& predictor,
+               util::TimePoint horizon, RunResult& result) {
+  const std::vector<Identification> found = predictor.identify_after(horizon);
+  const auto score_object = [&](web::ObjectId id, std::string label) {
+    ObjectOutcome o;
+    o.object_id = id;
+    o.true_size = site.site.object(id).size;
+    o.primary_dom = truth.object_dom(id);
+    if (o.primary_dom.has_value()) {
+      // The paper's per-object observable: DoM == 0 means fully serialized.
+      obs::sample(obs::Hist::kH2ObjectDomMilli,
+                  static_cast<std::uint64_t>(std::llround(*o.primary_dom * 1000.0)));
+    }
+    o.serialized_primary = o.primary_dom.has_value() && *o.primary_dom == 0.0;
+    o.any_serialized_copy = truth.any_serialized_instance(id);
+    o.identified = std::any_of(found.begin(), found.end(),
+                               [&](const Identification& f) { return f.label == label; });
+    o.attack_success = o.any_serialized_copy && o.identified;
+    o.label = std::move(label);
+    return o;
+  };
+
+  result.html = score_object(site.results_html, html_label());
+  std::vector<std::string> party_labels;
+  for (int p = 0; p < web::kPartyCount; ++p) party_labels.push_back(party_label(p));
+  for (std::size_t pos = 0; pos < party_order.size(); ++pos) {
+    const auto party = static_cast<std::size_t>(party_order[pos]);
+    result.emblems_by_position[pos] =
+        score_object(site.emblems[party], party_labels[party]);
+  }
+
+  // Sequence recovery: last occurrence per party, ordered by time.
+  std::vector<Identification> last;
+  for (const Identification& f : found) {
+    if (std::find(party_labels.begin(), party_labels.end(), f.label) ==
+        party_labels.end()) {
+      continue;
+    }
+    const auto seen = std::find_if(last.begin(), last.end(),
+                                   [&](const Identification& e) {
+      return e.label == f.label;
+    });
+    if (seen == last.end()) {
+      last.push_back(f);
+    } else {
+      *seen = f;
+    }
+  }
+  std::sort(last.begin(), last.end(),
+            [](const Identification& a, const Identification& b) {
+    return a.when < b.when;
+  });
+  result.predicted_sequence.clear();
+  for (Identification& f : last) result.predicted_sequence.push_back(std::move(f.label));
+
+  result.sequence_positions_correct = 0;
+  for (std::size_t pos = 0; pos < party_order.size(); ++pos) {
+    const bool position_ok =
+        pos < result.predicted_sequence.size() &&
+        result.predicted_sequence[pos] ==
+            party_labels[static_cast<std::size_t>(party_order[pos])];
+    ObjectOutcome& outcome = result.emblems_by_position[pos];
+    outcome.attack_success = outcome.any_serialized_copy && position_ok;
+    result.sequence_positions_correct += position_ok ? 1 : 0;
+  }
+}
+
 RunResult run_once(const RunConfig& config) {
   obs::Registry& reg = obs::current();
   if (config.obs_trace_capacity > 0) {
@@ -227,56 +296,16 @@ RunResult run_once(const RunConfig& config) {
   result.monitor_gets = monitor.get_count();
   result.true_party_order = plan.party_order;
 
-  ObjectPredictor predictor(monitor, isidewith_catalog());
+  const ObjectPredictor predictor(monitor.records(net::Direction::kServerToClient),
+                                  isidewith_catalog());
   const util::TimePoint horizon =
       config.attack_enabled && attack.timeline().drops_ended
           ? *attack.timeline().drops_ended
           : util::TimePoint{};
-
-  const auto score_object = [&](web::ObjectId id, const std::string& label) {
-    ObjectOutcome o;
-    o.object_id = id;
-    o.label = label;
-    o.true_size = site.site.object(id).size;
-    o.primary_dom = truth->object_dom(id);
-    if (o.primary_dom.has_value()) {
-      // The paper's per-object observable: DoM == 0 means fully serialized.
-      reg.sample(obs::Hist::kH2ObjectDomMilli,
-                 static_cast<std::uint64_t>(std::llround(*o.primary_dom * 1000.0)));
-    }
-    o.serialized_primary = o.primary_dom.has_value() && *o.primary_dom == 0.0;
-    o.any_serialized_copy = truth->any_serialized_instance(id);
-    o.identified = predictor.find(label, horizon).has_value();
-    o.attack_success = o.any_serialized_copy && o.identified;
-    return o;
-  };
-
-  result.html = score_object(site.results_html, html_label());
-
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = plan.party_order[static_cast<std::size_t>(pos)];
-    result.emblems_by_position[static_cast<std::size_t>(pos)] =
-        score_object(site.emblems[static_cast<std::size_t>(party)], party_label(party));
-  }
-
+  score_run(site, plan.party_order, *truth, predictor, horizon, result);
   result.attack_horizon_seconds = horizon.seconds();
   result.debug_bursts = predictor.bursts_after(horizon);
 
-  // Sequence recovery: last-occurrence-per-party ordering (noise-robust).
-  std::vector<std::string> party_labels;
-  for (int p = 0; p < web::kPartyCount; ++p) party_labels.push_back(party_label(p));
-  for (const Identification& id : predictor.predict_sequence(party_labels, horizon)) {
-    result.predicted_sequence.push_back(id.label);
-  }
-  for (int pos = 0; pos < web::kPartyCount; ++pos) {
-    const int party = plan.party_order[static_cast<std::size_t>(pos)];
-    const bool position_ok =
-        pos < static_cast<int>(result.predicted_sequence.size()) &&
-        result.predicted_sequence[static_cast<std::size_t>(pos)] == party_label(party);
-    auto& outcome = result.emblems_by_position[static_cast<std::size_t>(pos)];
-    outcome.attack_success = outcome.any_serialized_copy && position_ok;
-    result.sequence_positions_correct += position_ok ? 1 : 0;
-  }
   if (trace_writer) {
     for (const auto dir :
          {net::Direction::kClientToServer, net::Direction::kServerToClient}) {

@@ -201,6 +201,23 @@ struct RunResult {
 /// Executes one seeded page load and scores it.
 [[nodiscard]] RunResult run_once(const RunConfig& config);
 
+/// The attack scorer: the one verdict pass, run live by run_once and offline
+/// by capture::score_with_predictor. Fills `result`'s html,
+/// emblems_by_position (in `party_order`), predicted_sequence and
+/// sequence_positions_correct from a single predictor.identify_after(horizon)
+/// and samples each scored object's DoM into obs::Hist::kH2ObjectDomMilli.
+///   - identified: some identification after the horizon carries the label.
+///   - predicted_sequence: each party's LAST identification, ordered by time.
+///     The real serialized serving comes after any leftover retransmission
+///     bursts of the drop phase, which the adversary cannot tell apart
+///     (Section IV-D).
+///   - an emblem's attack_success: a serialized copy was served and its
+///     position in predicted_sequence is right.
+void score_run(const web::IsideWithSite& site,
+               const std::array<int, web::kPartyCount>& party_order,
+               const analysis::GroundTruth& truth, const ObjectPredictor& predictor,
+               util::TimePoint horizon, RunResult& result);
+
 /// A run's scored verdict in the shape a .h2t trace stores it — the one
 /// RunResult -> TraceSummary conversion, shared by run_once's capture path
 /// and the fleet trace merger.

@@ -1,18 +1,16 @@
 // ObjectPredictor — the adversary's Python scripts (Section V component (c)).
 //
-// Works purely on TrafficMonitor output: segments the serialized phase of
-// the server->client record stream into object bursts and matches each
-// burst's size estimate against the pre-compiled size->identity catalog
-// ("image size to political party mapping").
+// Works purely on the server->client TLS record stream (a TrafficMonitor's
+// or a stored trace's): segments the serialized phase into object bursts and
+// matches each burst's size estimate against the pre-compiled size->identity
+// catalog ("image size to political party mapping").
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "h2priv/analysis/estimator.hpp"
-#include "h2priv/core/monitor.hpp"
 
 namespace h2priv::core {
 
@@ -24,31 +22,15 @@ struct Identification {
 
 class ObjectPredictor {
  public:
-  ObjectPredictor(const TrafficMonitor& monitor, analysis::SizeCatalog catalog,
-                  analysis::BurstConfig burst_config = {});
-
-  /// Monitor-free construction over an already-extracted server->client
-  /// record sequence — the corpus scoring pipeline's path, which reads
-  /// records straight out of a stored .h2t section and never rebuilds a
-  /// TrafficMonitor. `s2c_records` must outlive the predictor.
+  /// Predicts over a finished server->client record sequence: a live run's
+  /// monitor.records(kServerToClient) once the simulation is over, or a
+  /// stored .h2t section. `s2c_records` must outlive the predictor.
   ObjectPredictor(std::span<const analysis::RecordObservation> s2c_records,
                   analysis::SizeCatalog catalog,
                   analysis::BurstConfig burst_config = {});
 
   /// All catalog matches among bursts starting at/after `from`, in order.
   [[nodiscard]] std::vector<Identification> identify_after(util::TimePoint from) const;
-
-  /// First burst at/after `from` matching `label`'s catalog size.
-  [[nodiscard]] std::optional<Identification> find(const std::string& label,
-                                                   util::TimePoint from) const;
-
-  /// Sequence recovery robust to stale-retransmission noise: for each
-  /// catalog label in `labels`, take its LAST match after `from` (the real
-  /// serialized serving comes after any leftover retransmission bursts of
-  /// the drop phase, which the adversary cannot distinguish — Section IV-D),
-  /// then order labels by that time.
-  [[nodiscard]] std::vector<Identification> predict_sequence(
-      const std::vector<std::string>& labels, util::TimePoint from) const;
 
   /// Raw bursts (diagnostics / examples).
   [[nodiscard]] std::vector<analysis::EstimatedObject> bursts_after(
@@ -60,12 +42,6 @@ class ObjectPredictor {
   double frac_tolerance = 0.012;
 
  private:
-  /// The server->client records under analysis: resolved per call when
-  /// monitor-backed (the monitor's vector may still reallocate), or the
-  /// caller's fixed span otherwise.
-  [[nodiscard]] std::span<const analysis::RecordObservation> s2c_records() const;
-
-  const TrafficMonitor* monitor_ = nullptr;
   std::span<const analysis::RecordObservation> records_;
   analysis::SizeCatalog catalog_;
   analysis::BurstConfig burst_config_;

@@ -1,13 +1,6 @@
 #include "h2priv/core/predictor.hpp"
 
-#include <algorithm>
-
 namespace h2priv::core {
-
-ObjectPredictor::ObjectPredictor(const TrafficMonitor& monitor,
-                                 analysis::SizeCatalog catalog,
-                                 analysis::BurstConfig burst_config)
-    : monitor_(&monitor), catalog_(std::move(catalog)), burst_config_(burst_config) {}
 
 ObjectPredictor::ObjectPredictor(
     std::span<const analysis::RecordObservation> s2c_records,
@@ -16,15 +9,10 @@ ObjectPredictor::ObjectPredictor(
       catalog_(std::move(catalog)),
       burst_config_(burst_config) {}
 
-std::span<const analysis::RecordObservation> ObjectPredictor::s2c_records() const {
-  return monitor_ != nullptr ? monitor_->records(net::Direction::kServerToClient)
-                             : records_;
-}
-
 std::vector<analysis::EstimatedObject> ObjectPredictor::bursts_after(
     util::TimePoint from) const {
   std::vector<analysis::EstimatedObject> all =
-      analysis::segment_bursts(s2c_records(), burst_config_);
+      analysis::segment_bursts(records_, burst_config_);
   std::vector<analysis::EstimatedObject> out;
   for (const auto& b : all) {
     if (b.first_record >= from) out.push_back(b);
@@ -41,37 +29,6 @@ std::vector<Identification> ObjectPredictor::identify_after(util::TimePoint from
     }
   }
   return out;
-}
-
-std::optional<Identification> ObjectPredictor::find(const std::string& label,
-                                                    util::TimePoint from) const {
-  for (const Identification& id : identify_after(from)) {
-    if (id.label == label) return id;
-  }
-  return std::nullopt;
-}
-
-std::vector<Identification> ObjectPredictor::predict_sequence(
-    const std::vector<std::string>& labels, util::TimePoint from) const {
-  std::vector<Identification> last;
-  for (const Identification& id : identify_after(from)) {
-    const auto wanted = std::find(labels.begin(), labels.end(), id.label);
-    if (wanted == labels.end()) continue;
-    const auto seen = std::find_if(last.begin(), last.end(),
-                                   [&](const Identification& e) {
-      return e.label == id.label;
-    });
-    if (seen == last.end()) {
-      last.push_back(id);
-    } else {
-      *seen = id;  // keep the latest occurrence
-    }
-  }
-  std::sort(last.begin(), last.end(),
-            [](const Identification& a, const Identification& b) {
-    return a.when < b.when;
-  });
-  return last;
 }
 
 }  // namespace h2priv::core

@@ -2,7 +2,7 @@
 // run at 10^5-trace scale without re-simulating anything.
 //
 // Phase A (parallel): every manifest entry streams through the records-direct
-// scorer (capture::score_stored's machinery) off an mmap'd TraceFile — no TCP
+// scorer (capture::score_with_predictor) off an mmap'd TraceFile — no TCP
 // reassembly, no packet materialization, bounded memory per worker. Each
 // trace yields its recomputed attack verdict, a stored-summary cross-check,
 // its post-horizon burst-size profile and its ground-truth label. Results

@@ -237,17 +237,23 @@ TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
                                 live_obs.records_s2c))
         << ctx;
 
-    // Full verdicts: chunked replay and the records-direct fast path must
-    // both reproduce the live run's verdict.
+    // Full verdicts: chunked replay and the records-direct fast path (the
+    // calls corpus::score_corpus makes per trace) must both reproduce the
+    // live run's verdict.
     const capture::TraceSummary live_summary = core::summary_of(live);
     const capture::ReplayResult replayed = capture::replay(trace);
     EXPECT_TRUE(replayed.records_match) << ctx;
     EXPECT_TRUE(replayed.summary_matches) << ctx;
     EXPECT_EQ(replayed.summary, live_summary) << ctx;
-    EXPECT_EQ(capture::score_stored(trace), live_summary) << ctx;
-    EXPECT_EQ(capture::count_gets(trace.records(net::Direction::kClientToServer)),
-              live.monitor_gets)
-        << ctx;
+    const std::vector<analysis::RecordObservation> s2c =
+        trace.records(net::Direction::kServerToClient);
+    const core::ObjectPredictor predictor(s2c, core::isidewith_catalog());
+    const std::int64_t gets =
+        capture::count_gets(trace.records(net::Direction::kClientToServer));
+    EXPECT_EQ(gets, live.monitor_gets) << ctx;
+    const capture::TraceSummary direct = capture::score_with_predictor(
+        trace.meta(), trace.ground_truth(), predictor, trace.packet_count(), gets);
+    EXPECT_EQ(direct, live_summary) << ctx;
     std::remove(path.c_str());
   }
 }

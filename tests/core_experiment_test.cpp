@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "h2priv/obs/metrics.hpp"
+#include "h2priv/tls/record.hpp"
+
 namespace h2priv::core {
 namespace {
 
@@ -199,6 +202,111 @@ TEST(Experiment, TruthAndDebugMaterialsExposed) {
   EXPECT_GT(r.truth->instances().size(), 40u);
   EXPECT_GT(r.attack_horizon_seconds, 0.0);
   EXPECT_FALSE(r.debug_bursts.empty());
+}
+
+// --- core::score_run on a hand-made record stream ---------------------------
+
+constexpr util::TimePoint kHorizon{100'000'000};  // phase 3 starts at 100 ms
+/// Emblem servings after the stale copy, in wire order: party 6 before 5.
+constexpr std::array<int, 7> kWireOrder = {0, 1, 2, 3, 4, 6, 5};
+
+/// One serialized response as the adversary sees it: a small HEADERS record
+/// opening the burst at `t_ms`, then DATA records carrying `body` bytes.
+void append_serving(std::vector<analysis::RecordObservation>& recs, std::int64_t t_ms,
+                    std::size_t body) {
+  analysis::RecordObservation rec;
+  rec.dir = net::Direction::kServerToClient;
+  rec.type = tls::ContentType::kApplicationData;
+  rec.time = util::TimePoint{t_ms * 1'000'000};
+  rec.ciphertext_len = 60 + tls::kAeadOverhead;
+  recs.push_back(rec);
+  for (std::size_t left = body; left > 0;) {
+    const std::size_t chunk = std::min<std::size_t>(left, 4'096);
+    rec.time.ns += 1'000;
+    rec.ciphertext_len = chunk + 9 + tls::kAeadOverhead;  // +9: DATA frame header
+    recs.push_back(rec);
+    left -= chunk;
+  }
+}
+
+/// Parties shown in order 0..7. On the wire: party 7's emblem only before the
+/// horizon; after it the HTML, a stale copy of party 3, parties 0-4 in order
+/// (party 3's real serving last among them), then party 6 before party 5.
+/// Every object is served exactly once, fully serialized, in ground truth.
+RunResult score_hand_made_run() {
+  const web::IsideWithSite site = web::build_isidewith_site(false);
+  const auto size_of = [&](web::ObjectId id) { return site.site.object(id).size; };
+  std::vector<analysis::RecordObservation> recs;
+  append_serving(recs, 10, size_of(site.emblems[7]));
+  append_serving(recs, 110, size_of(site.results_html));
+  append_serving(recs, 120, size_of(site.emblems[3]));  // stale retransmission
+  std::int64_t t_ms = 130;
+  for (const int party : kWireOrder) {
+    append_serving(recs, t_ms, size_of(site.emblems[static_cast<std::size_t>(party)]));
+    t_ms += 10;
+  }
+
+  analysis::GroundTruth truth;
+  std::uint64_t offset = 0;
+  std::uint32_t stream_id = 1;
+  const auto serve = [&](web::ObjectId id) {
+    const analysis::InstanceId inst = truth.register_instance(id, stream_id, false);
+    truth.record_data(inst, h2::WireSpan{offset, offset + size_of(id)});
+    truth.mark_complete(inst);
+    offset += size_of(id);
+    stream_id += 2;
+  };
+  serve(site.results_html);
+  for (const web::ObjectId id : site.emblems) serve(id);
+
+  const ObjectPredictor predictor(recs, isidewith_catalog());
+  RunResult result;
+  score_run(site, {0, 1, 2, 3, 4, 5, 6, 7}, truth, predictor, kHorizon, result);
+  return result;
+}
+
+TEST(ScoreRun, SequenceUsesEachPartysLastServingAfterTheHorizon) {
+  const RunResult r = score_hand_made_run();
+  EXPECT_TRUE(r.html.identified);
+  EXPECT_TRUE(r.emblems_by_position[3].identified);
+  // The stale copy of party 3 (at 120 ms) would put it first.
+  std::vector<std::string> expected;
+  for (const int party : kWireOrder) expected.push_back(party_label(party));
+  EXPECT_EQ(r.predicted_sequence, expected);
+  for (std::size_t pos = 0; pos < 5; ++pos) {
+    EXPECT_TRUE(r.emblems_by_position[pos].attack_success) << pos;
+  }
+  EXPECT_EQ(r.sequence_positions_correct, 5);
+}
+
+TEST(ScoreRun, PreHorizonServingIsNeitherIdentifiedNorSequenced) {
+  const RunResult r = score_hand_made_run();
+  const ObjectOutcome& last = r.emblems_by_position[7];
+  EXPECT_EQ(last.label, party_label(7));
+  EXPECT_TRUE(last.any_serialized_copy);
+  EXPECT_FALSE(last.identified);
+  EXPECT_FALSE(last.attack_success);
+  const std::vector<std::string>& seq = r.predicted_sequence;
+  EXPECT_EQ(std::find(seq.begin(), seq.end(), party_label(7)), seq.end());
+}
+
+TEST(ScoreRun, OutOfOrderPositionFailsDespiteASerializedCopy) {
+  const RunResult r = score_hand_made_run();
+  for (const std::size_t pos : {std::size_t{5}, std::size_t{6}}) {
+    const ObjectOutcome& o = r.emblems_by_position[pos];
+    EXPECT_TRUE(o.identified) << pos;
+    EXPECT_TRUE(o.any_serialized_copy) << pos;
+    EXPECT_FALSE(o.attack_success) << pos;
+  }
+}
+
+TEST(ScoreRun, SamplesDomOncePerScoredObject) {
+  obs::ScopedRegistry scoped;
+  const RunResult r = score_hand_made_run();
+  const obs::HistogramData& dom = obs::current().histogram(obs::Hist::kH2ObjectDomMilli);
+  EXPECT_EQ(dom.count, 1u + web::kPartyCount);
+  EXPECT_EQ(dom.sum, 0u);
+  EXPECT_TRUE(r.html.serialized_primary);
 }
 
 }  // namespace

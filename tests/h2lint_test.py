@@ -2,19 +2,20 @@
 """Tests for tools/h2lint (the semantic analysis suite, DESIGN.md §12).
 
 Runs h2lint as a subprocess (the same way CI and tools/run_h2lint.sh do)
-over one miniature fixture tree per whole-program rule, asserting the
-exact (path, line, rule) triples reported — positive, negative and
-`// lint:allow(<rule>)` suppression cases for each rule, mirroring
-lint_determinism_test.py.
+over one miniature fixture tree per rule family (the six determinism rules
+share one), asserting the exact (path, line, rule) triples reported —
+positive, negative and `// lint:allow(<rule>)` suppression cases for each.
 
 The AST-engine cases (typedef/alias and multi-line blind spots) need the
 libclang Python bindings and are skipped where they are absent; CI
 installs them and runs h2lint with --strict so they always execute there.
 """
 
+import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -69,6 +70,100 @@ def findings(stdout):
     return out
 
 
+def import_h2lint(module):
+    """Imports tools/h2lint/<module>.py in-process."""
+    sys.path.insert(0, str(TOOLS))
+    try:
+        return importlib.import_module(f"h2lint.{module}")
+    finally:
+        sys.path.remove(str(TOOLS))
+
+
+class DeterminismFixture(unittest.TestCase):
+    """The text engine over a tree that seeds one violation per rule plus
+    clean, suppressed, exempt and digit-separator files."""
+
+    ROOT = FIXTURES / "determinism"
+    EXPECTED = {
+        ("src/core/thread_local_violation.cpp", 5, "thread-local"),
+        ("src/h2/unordered_container_violation.cpp", 9, "unordered-container"),
+        ("src/net/pointer_keyed_violation.cpp", 10, "pointer-keyed-container"),
+        ("src/sim/digit_separator_violation.cpp", 9, "wall-clock"),
+        ("src/sim/wall_clock_violation.cpp", 8, "wall-clock"),
+        ("src/tcp/unseeded_rng_violation.cpp", 8, "unseeded-rng"),
+        ("src/web/float_merge_violation.cpp", 13, "float-merge-accum"),
+    }
+
+    def lint(self, *paths):
+        return run_h2lint(
+            "--root", str(self.ROOT), "--engine", "text",
+            "--rules", ",".join(DETERMINISM_RULES), *paths,
+        )
+
+    def test_each_seeded_violation_fires_at_its_line(self):
+        result = self.lint()
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertEqual(findings(result.stdout), self.EXPECTED)
+
+    def test_clean_file_produces_no_findings(self):
+        result = self.lint("src/sim/clean.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertEqual(findings(result.stdout), set())
+
+    def test_lint_allow_suppresses_the_annotated_line(self):
+        result = self.lint("src/hpack/suppressed_allow.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_exempt_dir_is_not_linted_for_thread_local(self):
+        result = self.lint("src/util/thread_local_exempt.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_single_file_scope_still_applies_rules(self):
+        result = self.lint("src/sim/wall_clock_violation.cpp")
+        self.assertEqual(result.returncode, 1)
+        self.assertEqual(
+            findings(result.stdout),
+            {("src/sim/wall_clock_violation.cpp", 8, "wall-clock")},
+        )
+
+    def test_digit_separator_does_not_hide_the_rest_of_the_line(self):
+        # `return 1'000 + time(nullptr);`: read as a char-literal quote, the
+        # ' would blank out the clock call.
+        result = self.lint("src/sim/digit_separator_violation.cpp")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertEqual(
+            findings(result.stdout),
+            {("src/sim/digit_separator_violation.cpp", 9, "wall-clock")},
+        )
+
+    def test_list_rules_prints_the_shared_table_messages(self):
+        determinism = import_h2lint("determinism")
+        result = run_h2lint("--list-rules")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        for rid in DETERMINISM_RULES:
+            self.assertIn(
+                f"{rid}: {determinism.RULES[rid]['message']} [ast/regex]",
+                result.stdout.splitlines(),
+            )
+
+    def test_injected_violation_fails(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            dst = root / "src" / "sim"
+            dst.mkdir(parents=True)
+            shutil.copy(self.ROOT / "src" / "sim" / "clean.cpp", dst / "clean.cpp")
+            rules = ("--rules", ",".join(DETERMINISM_RULES))
+            self.assertEqual(
+                run_h2lint("--root", str(root), "--engine", "text", *rules).returncode,
+                0,
+            )
+            with open(dst / "clean.cpp", "a") as f:
+                f.write("static int now_ms = time(nullptr);\n")
+            result = run_h2lint("--root", str(root), "--engine", "text", *rules)
+            self.assertEqual(result.returncode, 1)
+            self.assertIn("[wall-clock]", result.stdout)
+
+
 class LayeringFixture(unittest.TestCase):
     ROOT = FIXTURES / "layering"
 
@@ -102,20 +197,15 @@ class LayeringFixture(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def test_base_dag_spec_is_acyclic(self):
-        sys.path.insert(0, str(TOOLS))
+        layering = import_h2lint("layering")
+        layering.check_spec_acyclic()  # must not raise
+        saved = layering.BASE_DAG
+        layering.BASE_DAG = {"a": frozenset({"b"}), "b": frozenset({"a"})}
         try:
-            from h2lint import layering
-
-            layering.check_spec_acyclic()  # must not raise
-            saved = layering.BASE_DAG
-            layering.BASE_DAG = {"a": frozenset({"b"}), "b": frozenset({"a"})}
-            try:
-                with self.assertRaises(ValueError):
-                    layering.check_spec_acyclic()
-            finally:
-                layering.BASE_DAG = saved
+            with self.assertRaises(ValueError):
+                layering.check_spec_acyclic()
         finally:
-            sys.path.remove(str(TOOLS))
+            layering.BASE_DAG = saved
 
 
 class ObsRegistryFixture(unittest.TestCase):
@@ -214,6 +304,13 @@ class RealTree(unittest.TestCase):
         result = run_h2lint("--root", str(REPO))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
+    def test_repo_src_is_clean_under_the_text_engine(self):
+        result = run_h2lint(
+            "--root", str(REPO), "--engine", "text",
+            "--rules", ",".join(DETERMINISM_RULES),
+        )
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
     def test_list_rules_names_all_ten(self):
         result = run_h2lint("--list-rules")
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
@@ -238,25 +335,6 @@ class RealTree(unittest.TestCase):
             "--compile-db", "/nonexistent/compile_commands.json",
         )
         self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
-
-
-class FallbackEquivalence(unittest.TestCase):
-    """h2lint's regex fallback must reproduce the standalone determinism
-    linter verbatim over its own fixture tree: same rules, same lines."""
-
-    def test_determinism_rules_match_the_regex_linter_fixture_expectations(self):
-        sys.path.insert(0, str(REPO / "tests"))
-        try:
-            from lint_determinism_test import EXPECTED
-        finally:
-            sys.path.remove(str(REPO / "tests"))
-        result = run_h2lint(
-            "--root", str(REPO / "tests" / "lint" / "fixtures"),
-            "--engine", "text",
-            "--rules", ",".join(DETERMINISM_RULES),
-        )
-        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
-        self.assertEqual(findings(result.stdout), set(EXPECTED))
 
 
 class Injection(unittest.TestCase):

@@ -1,13 +1,11 @@
-"""h2lint: semantic + whole-program static analysis for the h2priv tree.
+"""h2lint: the h2priv tree's determinism and whole-program linter.
 
-The regex linter (tools/lint_determinism.py, DESIGN.md §7) guards single
-lines; h2lint guards the invariants a line-oriented tool cannot see:
-
-  - The six determinism rules re-implemented at the AST/type level via
-    libclang (canonical types kill the typedef/alias blind spot, cursor
+  - The six determinism rules (DESIGN.md §7), from one rule table
+    (determinism.py). They run at the AST/type level via libclang when it
+    is available (canonical types kill the typedef/alias blind spot, cursor
     extents kill the split-across-lines blind spot). When libclang is
-    absent, h2lint degrades gracefully to the regex engine so the rules
-    never go dark.
+    absent, h2lint falls back to the line-oriented text engine, so the
+    rules never go dark.
   - Whole-program invariant checks that need the entire tree at once and
     therefore run in pure Python with no toolchain dependency at all:
       layering       include-layering DAG between src/ modules
@@ -16,9 +14,9 @@ lines; h2lint guards the invariants a line-oriented tool cannot see:
       rng-fork       sim::Rng& parameters must be fork()ed into parallel work
 
 Entry point: ``python3 -m h2lint`` (see cli.py) or tools/run_h2lint.sh.
-Findings share the regex linter's output format and its
-``// lint:allow(<rule>)`` suppression syntax, so one escape hatch covers
-both tools. DESIGN.md §12 is the specification.
+Every rule prints ``path:line: [rule] message`` and honors one
+``// lint:allow(<rule>)`` suppression syntax. DESIGN.md §12 is the
+specification.
 """
 
 __all__ = ["__version__"]

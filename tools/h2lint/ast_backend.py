@@ -1,8 +1,8 @@
 """Optional libclang backend.
 
 Loads clang.cindex if the Python bindings and a libclang shared object are
-present; otherwise available() is False and the CLI degrades to the regex
-engine (tools/lint_determinism.py) for the six determinism rules. CI
+present; otherwise available() is False and the CLI degrades to the text
+engine (determinism.py) for the six determinism rules. CI
 installs the bindings and passes --strict, which makes a missing backend a
 hard error there — locally the degradation is silent-but-announced.
 

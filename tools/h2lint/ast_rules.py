@@ -1,15 +1,16 @@
 """The six determinism rules (DESIGN.md §7) at the AST/type level.
 
-Same rule ids, scopes and messages as tools/lint_determinism.py — what
-changes is *how* a violation is recognized:
+Rule ids, scopes and messages come from the one rule table,
+determinism.RULES, which the text engine also runs. What changes is *how*
+a violation is recognized:
 
   - Types are matched on their **canonical** spelling, so a typedef or
     alias of std::unordered_map is caught at the use site even when the
-    alias was declared in an exempt header (the regex engine's
+    alias was declared in an exempt header (the text engine's
     typedef/alias blind spot).
   - Calls and declarations are matched on **cursors**, whose extents span
     physical lines, so `std::chrono::\n  steady_clock::now()` is caught
-    (the regex engine's multi-line blind spot).
+    (the text engine's multi-line blind spot).
 
 Findings are attributed to the file and line of the cursor location, and
 honor the shared `// lint:allow(<rule>)` syntax by consulting the raw
@@ -25,28 +26,8 @@ import re
 from pathlib import Path
 
 from . import ast_backend
+from .determinism import RULES, SIM_CRITICAL, THREAD_LOCAL_EXEMPT, in_dirs
 from .source import Finding, SourceFile
-
-# Scopes mirror tools/lint_determinism.py (the regex engine remains the
-# source of truth for scope policy; keep these in sync — the unit tests
-# cross-check them).
-SIM_CRITICAL = (
-    "src/sim",
-    "src/tcp",
-    "src/tls",
-    "src/h2",
-    "src/hpack",
-    "src/net",
-    "src/core",
-    "src/web",
-    "src/capture",
-    "src/corpus",
-    "src/util",
-    "src/defense",
-    "src/analysis",
-    "src/fleet",
-)
-THREAD_LOCAL_EXEMPT = ("src/util", "src/obs")
 
 WALL_CLOCK_FNS = {
     "time",
@@ -69,24 +50,6 @@ UNORDERED = re.compile(r"std::(__\w+::)?unordered_(map|set|multimap|multiset)<")
 POINTER_KEYED = re.compile(
     r"std::(__\w+::)?(map|set|multimap|multiset)<[^<>,]*\*\s*[,>]"
 )
-
-MESSAGES = {
-    "wall-clock": "wall-clock read in simulation code (use sim::Simulator::now())",
-    "unseeded-rng": "ambient randomness (derive a sim::Rng from the run seed instead)",
-    "unordered-container": "unordered container in sim-critical code "
-    "(iteration order is implementation-defined)",
-    "pointer-keyed-container": "pointer-keyed ordered container (ASLR makes "
-    "iteration order differ per process)",
-    "thread-local": "thread_local outside util/obs (per-thread state breaks "
-    "--jobs invariance unless merged commutatively)",
-    "float-merge-accum": "floating point inside a merge function (FP addition is "
-    "not associative; merge order = worker count would change totals)",
-}
-
-
-def _in_dirs(rel: str, dirs: tuple[str, ...]) -> bool:
-    return any(rel == d or rel.startswith(d + "/") for d in dirs)
-
 
 class AstLinter:
     def __init__(self, root: Path, compile_db: Path):
@@ -116,7 +79,7 @@ class AstLinter:
         line = location.line
         if rule in self._source(rel).allowed(line):
             return
-        self._findings.add(Finding(rel, line, rule, MESSAGES[rule]))
+        self._findings.add(Finding(rel, line, rule, RULES[rule]["message"]))
 
     # --- per-cursor checks --------------------------------------------------
 
@@ -146,14 +109,14 @@ class AstLinter:
             ]
             if not args:
                 self._report("unseeded-rng", cursor.location)
-        if _in_dirs(rel, SIM_CRITICAL):
+        if in_dirs(rel, SIM_CRITICAL):
             if UNORDERED.search(canonical):
                 self._report("unordered-container", cursor.location)
             if POINTER_KEYED.search(canonical):
                 self._report("pointer-keyed-container", cursor.location)
 
     def _check_thread_local(self, cursor, rel: str) -> None:
-        if _in_dirs(rel, THREAD_LOCAL_EXEMPT):
+        if in_dirs(rel, THREAD_LOCAL_EXEMPT):
             return
         try:
             tokens = [t.spelling for t in cursor.get_tokens()]

@@ -5,28 +5,29 @@ Usage:
                     [--strict] [--rules LIST] [--list-rules] [--explain-dag]
                     [paths...]
 
+h2lint is the repo's one determinism linter, and it also runs the
+whole-program rules.
+
 Engines:
   - The six determinism rules run on the AST backend (libclang +
     compile_commands.json) when available; otherwise they fall back to the
-    regex engine, tools/lint_determinism.py, imported and executed
-    directly so scopes, messages and `lint:allow` semantics stay identical
-    to running it standalone.
+    text engine (determinism.py). Both engines take ids, scopes and
+    messages from the one rule table, determinism.RULES.
   - The four whole-program rules (layering, obs-registry, h2t-tags,
     rng-fork) are pure Python and always run.
 
 --strict makes a missing AST backend a hard error (exit 2) — CI passes it
-so the semantic rules can never silently degrade there. Exit codes match
-the regex linter: 0 clean, 1 findings, 2 setup error.
+so the semantic rules can never silently degrade there. Exit codes: 0
+clean, 1 findings, 2 setup error.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from pathlib import Path
 
-from . import ast_backend, layering, obs_registry, rng_fork, trace_tags
+from . import ast_backend, determinism, layering, obs_registry, rng_fork, trace_tags
 from .source import Finding, iter_source_files
 
 WHOLE_PROGRAM_RULES = {
@@ -38,35 +39,7 @@ WHOLE_PROGRAM_RULES = {
     "rng-fork": "sim::Rng& parameters must be fork()ed into parallel work",
 }
 
-DETERMINISM_RULES = (
-    "wall-clock",
-    "unseeded-rng",
-    "unordered-container",
-    "pointer-keyed-container",
-    "thread-local",
-    "float-merge-accum",
-)
-
-
-def load_regex_engine():
-    """Imports tools/lint_determinism.py as a module (the fallback engine)."""
-    path = Path(__file__).resolve().parent.parent / "lint_determinism.py"
-    spec = importlib.util.spec_from_file_location("lint_determinism", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def run_regex_determinism(
-    root: Path, rels: list[str], rules: set[str]
-) -> list[Finding]:
-    engine = load_regex_engine()
-    findings = []
-    for rel in rels:
-        for rid, lineno, message in engine.lint_file(root, rel):
-            if rid in rules:
-                findings.append(Finding(rel, lineno, rid, message))
-    return findings
+DETERMINISM_RULES = tuple(determinism.RULES)
 
 
 def run_ast_determinism(
@@ -102,7 +75,7 @@ def main(argv: list[str]) -> int:
         "--engine",
         choices=("auto", "ast", "text"),
         default="auto",
-        help="auto: AST when libclang is importable, else regex fallback",
+        help="auto: AST when libclang is importable, else the text engine",
     )
     parser.add_argument(
         "--strict",
@@ -127,9 +100,8 @@ def main(argv: list[str]) -> int:
     all_rules = dict.fromkeys(DETERMINISM_RULES)
     all_rules.update(dict.fromkeys(WHOLE_PROGRAM_RULES))
     if args.list_rules:
-        engine = load_regex_engine()
         for rid in DETERMINISM_RULES:
-            print(f"{rid}: {engine.RULES[rid]['message']} [ast/regex]")
+            print(f"{rid}: {determinism.RULES[rid]['message']} [ast/regex]")
         for rid, desc in WHOLE_PROGRAM_RULES.items():
             print(f"{rid}: {desc} [whole-program]")
         return 0
@@ -180,10 +152,10 @@ def main(argv: list[str]) -> int:
             )
             findings.extend(ast_findings)
             for rel in failures:
-                print(f"h2lint: parse failed, regex fallback for {rel}",
+                print(f"h2lint: parse failed, text fallback for {rel}",
                       file=sys.stderr)
             if failures:
-                findings.extend(run_regex_determinism(root, failures, det_rules))
+                findings.extend(determinism.check(root, failures, det_rules))
         else:
             if args.engine == "ast" or (args.strict and want_ast):
                 missing = (
@@ -194,7 +166,7 @@ def main(argv: list[str]) -> int:
                 print(f"h2lint: AST engine unavailable ({missing})",
                       file=sys.stderr)
                 return 2
-            findings.extend(run_regex_determinism(root, rels, det_rules))
+            findings.extend(determinism.check(root, rels, det_rules))
 
     if "layering" in rules:
         findings.extend(layering.check(root, rels))

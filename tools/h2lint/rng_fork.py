@@ -15,7 +15,7 @@ to the spawn, so capturing the parent by reference is also caught.
 
 This rule is textual but extent-based (brace/paren matching over
 comment-stripped code), so a lambda body split over many lines is still
-one extent — the multi-line blind spot the regex linter has does not
+one extent — the determinism text engine's multi-line blind spot does not
 apply here.
 """
 

@@ -1,10 +1,9 @@
 """Source-file model shared by every h2lint rule.
 
-Comment/string stripping matches tools/lint_determinism.py exactly (the
-two tools must agree on what counts as code so one `lint:allow` syntax
-serves both), with one addition the whole-program rules need: the joined
-view, where continuation whitespace is collapsed so patterns can match
-constructs split across physical lines.
+One comment/string stripper and one `lint:allow` parser serve the
+determinism text engine and the whole-program rules alike, so every rule
+agrees on what counts as code. The joined views let the whole-program rules
+match constructs split across physical lines.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ def strip_code(
     *contents*, from one line.
 
     A `'` directly after an alphanumeric character is a C++14 digit
-    separator (0x8000'0000u), not a char-literal quote — the regex
-    linter's stripper gets this wrong, which is one of the blind spots
-    h2lint exists to close."""
+    separator (0x8000'0000u, 1'000), not a char-literal quote: read as a
+    quote, it would blank out the rest of the line."""
     out = []
     i = 0
     n = len(line)

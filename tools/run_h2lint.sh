@@ -8,7 +8,7 @@
 #                compile_commands.json); exit 2 if either is missing. CI
 #                always passes --strict so the semantic rules can never
 #                silently degrade there. The default is to let h2lint fall
-#                back to the regex engine for the determinism rules — the
+#                back to the text engine for the determinism rules — the
 #                whole-program rules (layering, obs-registry, h2t-tags,
 #                rng-fork) run either way.
 #   --build-dir  compilation database location (default: build). Configured
@@ -54,7 +54,7 @@ if [[ "$strict" == 1 ]]; then
   args+=(--strict)
 elif [[ "$have_ast" == 0 ]]; then
   echo "run_h2lint.sh: libclang bindings not found; determinism rules fall" \
-       "back to the regex engine (pass --strict to fail instead)"
+       "back to the text engine (pass --strict to fail instead)"
 fi
 
 PYTHONPATH=tools python3 -m h2lint "${args[@]}" ${extra[@]+"${extra[@]}"}
