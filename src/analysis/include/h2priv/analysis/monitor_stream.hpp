@@ -4,10 +4,13 @@
 // The monitor reads cleartext TCP headers off transiting packets, reassembles
 // the byte stream (absorbing retransmissions exactly as tshark's TCP
 // dissector does), and scans the 5-byte TLS record headers to produce
-// RecordObservations. Payload bytes stay opaque — they are carried only far
-// enough to locate the next header.
+// RecordObservations. Payload bytes stay opaque and are never copied by the
+// scanner: it reads the in-order bytes where reassembly delivers them, keeps
+// at most the 5 header bytes of the current record, and counts that
+// record's body bytes down to zero.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -22,7 +25,8 @@ class MonitorStream {
   explicit MonitorStream(net::Direction dir) noexcept : dir_(dir) {}
 
   /// Feeds one observed packet (already peeked). Emits RecordObservations
-  /// for every record that became complete.
+  /// for every record whose last body byte this packet delivered. Throws
+  /// tls::TlsError on an invalid record header.
   void on_packet(const PacketObservation& pkt, util::BytesView payload,
                  util::TimePoint now);
 
@@ -32,16 +36,18 @@ class MonitorStream {
   [[nodiscard]] const std::vector<RecordObservation>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] std::uint64_t stream_bytes() const noexcept { return scan_offset_ +
-                                           pending_.size(); }
 
  private:
-  void scan(util::TimePoint now);
+  void scan(util::BytesView bytes, util::TimePoint now);
 
   net::Direction dir_;
   tcp::Reassembly reassembly_{1};  // data starts at seq 1 (SYN occupies 0)
-  util::Bytes pending_;            // in-order bytes not yet consumed by the scanner
-  std::uint64_t scan_offset_ = 0;  // stream offset of pending_[0]
+  std::array<std::uint8_t, tls::kHeaderBytes> header_{};  // current record's header
+  std::size_t header_len_ = 0;       // header bytes seen so far
+  bool in_body_ = false;             // header parsed into current_
+  tls::RecordHeader current_{};
+  std::size_t body_left_ = 0;        // current record's body bytes still to come
+  std::uint64_t record_offset_ = 0;  // stream offset of the current record
   std::vector<RecordObservation> records_;
 };
 

@@ -90,6 +90,12 @@ inline constexpr std::uint64_t kBlockBytes = 64 * 1024;
 /// decode buffer a hostile index can demand.
 inline constexpr std::uint64_t kMaxBlockBytes = 4 * 1024 * 1024;
 
+/// Largest payload_len a reader accepts for one packet: the IPv4 total-length
+/// ceiling (65,535) minus the 20 + 20 IPv4/TCP header bytes pcap export
+/// synthesizes. Replay materializes, and pcap export writes, each payload
+/// in full, so a larger value is hostile input, not a packet.
+inline constexpr std::uint64_t kMaxPacketPayload = 65'535 - 40;
+
 /// Canonical per-observation footprint used for the compression-ratio
 /// counters (capture.raw_bytes vs capture.bytes_written). Fixed widths, not
 /// sizeof(): struct padding is platform-dependent and the counters must be

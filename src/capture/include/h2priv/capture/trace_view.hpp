@@ -97,7 +97,8 @@ class PacketCursor {
                BlockDirectory& dir, std::uint64_t count);
 
   /// Decodes the next packet into `out`; false when the section is
-  /// exhausted. Throws TraceError on malformed input.
+  /// exhausted. Throws TraceError on malformed input, including a
+  /// payload_len above kMaxPacketPayload.
   bool next(analysis::PacketObservation& out);
 
   [[nodiscard]] std::uint64_t remaining() const noexcept { return left_; }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/obs/metrics.hpp"
@@ -405,6 +406,10 @@ bool PacketCursor::next(analysis::PacketObservation& out) {
       out.ack = d.ack + static_cast<std::uint64_t>(sv(4));
       out.payload_len =
           static_cast<std::size_t>(d.len + static_cast<std::uint64_t>(sv(5)));
+    }
+    if (out.payload_len > kMaxPacketPayload) {
+      throw TraceError("packet payload_len " + std::to_string(out.payload_len) +
+                       " exceeds " + std::to_string(kMaxPacketPayload));
     }
     prev_time_ns_ = out.time.ns;
     d.wire = out.wire_size;

@@ -237,7 +237,10 @@ RunResult run_once(const RunConfig& config) {
   }
 
   // --- adversary --------------------------------------------------------------
-  TrafficMonitor monitor(middlebox);
+  // Retained packets are read only through observations_out.
+  MonitorConfig monitor_config;
+  monitor_config.retain_packets = config.observations_out != nullptr;
+  TrafficMonitor monitor(middlebox, monitor_config);
   std::unique_ptr<capture::TraceWriter> trace_writer;
   if (config.capture.enabled()) {
     std::string trace_path = config.capture.path;

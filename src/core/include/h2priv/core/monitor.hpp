@@ -36,7 +36,8 @@ struct MonitorConfig {
 
   /// Keep a copy of every PacketObservation (packets() accessor). Chunked
   /// replay turns this off so monitoring a corpus-scale trace costs O(1)
-  /// memory in packets; packets_seen() stays exact either way.
+  /// memory in packets, and run_once keeps it on only when the caller asked
+  /// for RunConfig::observations_out; packets_seen() stays exact either way.
   bool retain_packets = true;
 };
 

@@ -525,14 +525,15 @@ void Connection::handle_data(const SegmentView& s) {
     out_of_order = s.seq > reassembly_.rcv_nxt();
     consumed_something = true;
     // In-order segments (the steady state) are delivered as a view into the
-    // packet's pooled buffer — no copy, no reassembly-map churn.
+    // packet's pooled buffer; out-of-order ones are copied into the
+    // reassembly window once and delivered from there.
     if (const auto fast = reassembly_.offer_in_order(s.seq, s.payload)) {
       if (!fast->empty()) {
         delivered_ += fast->size();
         if (on_data) on_data(*fast);
       }
     } else {
-      const util::Bytes delivered = reassembly_.offer(s.seq, s.payload);
+      const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
       if (!delivered.empty()) {
         delivered_ += delivered.size();
         if (on_data) on_data(delivered);

@@ -7,8 +7,9 @@
 // "cheat" by reading plaintext off a packet. An on-path observer sees exactly
 // what tshark's `ssl.record.content_type` filter sees: type and length. The
 // tag catches transport bugs (corrupted, reordered or replayed records), not
-// forgers; sealing or opening a record costs a few word-wide passes over its
-// bytes (record.cpp documents the construction).
+// forgers. Sealing or opening a record is one pass over its body: each
+// 8-byte word is XORed with one keystream word and folded into a keyed word
+// polynomial (record.cpp documents the construction).
 #pragma once
 
 #include <algorithm>
@@ -89,11 +90,14 @@ class OpenContext {
 
   struct Record {
     ContentType type;
-    util::Bytes plaintext;
+    /// Decrypted body in a buffer this context owns: valid until the next
+    /// open_one() on the same context.
+    util::BytesView plaintext;
   };
 
   /// Opens exactly one record from the front of `wire`; advances `consumed`.
-  /// Throws TlsError on authentication failure or truncation.
+  /// Throws TlsError on authentication failure or truncation. Decrypts into
+  /// the context's reusable buffer — no per-record allocation.
   [[nodiscard]] Record open_one(util::BytesView wire, std::size_t& consumed);
 
   /// Expect quantized application-data records (peer seals with a pad
@@ -107,6 +111,7 @@ class OpenContext {
   std::uint8_t domain_;
   std::uint64_t seq_ = 0;
   bool unpad_ = false;
+  util::Bytes plaintext_;  // open_one's output buffer; only ever grows
 };
 
 /// Incremental record-boundary scanner over a (possibly partial) byte

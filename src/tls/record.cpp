@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <string>
 
 #include "h2priv/obs/metrics.hpp"
@@ -20,58 +21,72 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x;
 }
 
-/// Keystream: byte i of a record is XORed with byte (i % 8) of
-/// mix(secret ^ domain<<56 ^ seq*golden ^ i/8), i.e. each 8-byte block of
-/// the record is XORed with one little-endian mix() word (records always
-/// start at block offset 0). src == dst is allowed.
-void keystream_xor(std::uint64_t secret, std::uint8_t domain, std::uint64_t seq,
-                   const std::uint8_t* src, std::uint8_t* dst, std::size_t n) noexcept {
-  const std::uint64_t base = secret ^ (static_cast<std::uint64_t>(domain) << 56) ^
-                             (seq * 0x9e3779b97f4a7c15ull);
+/// Odd multiplier of the tag's word polynomial, and its powers for the
+/// four-word unrolled step.
+constexpr std::uint64_t kK = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kK2 = kK * kK, kK3 = kK2 * kK, kK4 = kK3 * kK;
+
+/// The record body pass. Word k of a record (bytes 8k..8k+7, little-endian)
+/// is XORed with the keystream word mix(secret ^ domain<<56 ^ seq*golden ^ k)
+/// (the last, partial word with its low bytes), and the plaintext words fold
+/// into the keyed word polynomial h = h*K + w, the partial word zero-padded;
+/// then the body length folds in (h = h*K + n), so a zero-padded tail never
+/// matches a longer body. Sealing folds the input words, opening the output
+/// words. Four words per step keep one multiply per 32 bytes on the
+/// dependency chain: h*K^4 + w0*K^3 + w1*K^2 + w2*K + w3 is four steps of
+/// the recurrence. src == dst is allowed. Returns the polynomial.
+template <bool kSealing>
+std::uint64_t crypt_body(std::uint64_t keystream_base, std::uint64_t h,
+                         const std::uint8_t* src, std::uint8_t* dst,
+                         std::size_t n) noexcept {
+  const auto step = [&](std::size_t at) {
+    const std::uint64_t in = util::load_le64(src + at);
+    const std::uint64_t out = in ^ mix(keystream_base ^ (at / 8));
+    util::store_le64(dst + at, out);
+    return kSealing ? in : out;
+  };
   std::size_t i = 0;
-  for (; n - i >= 8; i += 8) {
-    util::store_le64(dst + i, util::load_le64(src + i) ^ mix(base ^ (i / 8)));
+  for (; n - i >= 32; i += 32) {
+    const std::uint64_t w0 = step(i), w1 = step(i + 8), w2 = step(i + 16),
+                        w3 = step(i + 24);
+    h = h * kK4 + (w0 * kK3 + w1 * kK2 + w2 * kK + w3);
   }
+  for (; n - i >= 8; i += 8) h = h * kK + step(i);
   if (i < n) {
-    std::uint64_t block = mix(base ^ (i / 8));
-    for (; i < n; ++i, block >>= 8) dst[i] = static_cast<std::uint8_t>(src[i] ^ block);
+    std::uint64_t block = mix(keystream_base ^ (i / 8));
+    std::uint64_t word = 0;
+    for (unsigned shift = 0; i < n; ++i, block >>= 8, shift += 8) {
+      const std::uint8_t out = static_cast<std::uint8_t>(src[i] ^ block);
+      word |= static_cast<std::uint64_t>(kSealing ? src[i] : out) << shift;
+      dst[i] = out;
+    }
+    h = h * kK + word;
   }
+  return h * kK + n;
 }
 
-/// Keyed polynomial checksum of the plaintext: h = h*31 + b over every byte,
-/// unrolled 8 bytes per step (the eight product terms are independent, so
-/// this runs at memory speed where the per-byte form is latency-bound on the
-/// multiply).
-std::uint64_t poly_checksum(std::uint64_t h, util::BytesView plaintext) noexcept {
-  constexpr std::uint64_t kP = 31;
-  constexpr std::uint64_t kP2 = kP * kP, kP3 = kP2 * kP, kP4 = kP3 * kP;
-  constexpr std::uint64_t kP5 = kP4 * kP, kP6 = kP5 * kP, kP7 = kP6 * kP, kP8 = kP7 * kP;
-  const std::uint8_t* b = plaintext.data();
-  std::size_t n = plaintext.size();
-  for (; n >= 8; n -= 8, b += 8) {
-    h = h * kP8 + b[0] * kP7 + b[1] * kP6 + b[2] * kP5 + b[3] * kP4 + b[4] * kP3 +
-        b[5] * kP2 + b[6] * kP + b[7];
-  }
-  while (n-- > 0) h = h * kP + *b++;
-  return h;
-}
+/// Per-record keys, all derived from the record sequence number.
+struct RecordKeys {
+  std::uint64_t keystream_base;  ///< keystream word k is mix(keystream_base ^ k)
+  std::uint64_t h1;              ///< tag bytes 0..7 are mix(h1 ^ poly)
+  std::uint64_t poly_seed;       ///< initial h of the word polynomial
+};
 
-/// 16-byte keyed tag over the plaintext. With h1 = mix(secret ^ "tag" ^ seq)
-/// and poly = the polynomial checksum seeded with mix(h1 ^ domain), bytes
-/// 8..15 are poly and bytes 0..7 are mix(h1 ^ poly), both little-endian.
-/// One pass over the bytes plus three mix() calls per record; open_one
-/// recomputes and compares all 16 bytes. A checksum, not a MAC — it catches
-/// corruption, reordering, replay and wrong keys, not a forger.
-std::array<std::uint8_t, kAeadOverhead> compute_tag(std::uint64_t secret,
-                                                    std::uint8_t domain,
-                                                    std::uint64_t seq,
-                                                    util::BytesView plaintext) noexcept {
+RecordKeys record_keys(std::uint64_t secret, std::uint8_t domain,
+                       std::uint64_t seq) noexcept {
   const std::uint64_t h1 = mix(secret ^ 0x746167u ^ seq);  // "tag"
-  const std::uint64_t poly = poly_checksum(mix(h1 ^ domain), plaintext);
-  std::array<std::uint8_t, kAeadOverhead> tag{};
-  util::store_le64(tag.data(), mix(h1 ^ poly));
-  util::store_le64(tag.data() + 8, poly);
-  return tag;
+  return {secret ^ (static_cast<std::uint64_t>(domain) << 56) ^
+              (seq * 0x9e3779b97f4a7c15ull),
+          h1, mix(h1 ^ domain)};
+}
+
+/// 16-byte tag: bytes 8..15 are the word polynomial crypt_body returned,
+/// bytes 0..7 are mix(h1 ^ poly), both little-endian. open_one recomputes
+/// and compares all 16 bytes. A checksum, not a MAC — it catches
+/// corruption, reordering, replay and wrong keys, not a forger.
+void store_tag(std::uint8_t* out, std::uint64_t h1, std::uint64_t poly) noexcept {
+  util::store_le64(out, mix(h1 ^ poly));
+  util::store_le64(out + 8, poly);
 }
 
 ContentType check_type(std::uint8_t raw) {
@@ -95,11 +110,9 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
   // Quantized chunks leave one byte of headroom for the content marker.
   const std::size_t chunk_limit = quantize ? kMaxPlaintext - 1 : kMaxPlaintext;
   std::size_t off = 0;
-  std::array<std::uint8_t, kMaxPlaintext> scratch;
-  std::array<std::uint8_t, kMaxPlaintext> padded;
   do {
     const std::size_t chunk = std::min(plaintext.size() - off, chunk_limit);
-    util::BytesView piece = plaintext.subspan(off, chunk);
+    const std::uint8_t* src = plaintext.data() + off;
     std::size_t content_len = chunk;
     if (quantize) {
       // TLS 1.3-style inner framing: content || 0x17 marker || zero filler,
@@ -107,22 +120,25 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
       const std::size_t rem = (chunk + 1) % pad_bucket_;
       content_len =
           std::min(chunk + 1 + (rem == 0 ? 0 : pad_bucket_ - rem), kMaxPlaintext);
-      std::copy(piece.begin(), piece.end(), padded.begin());
-      padded[chunk] = 0x17;
-      std::fill(padded.begin() + static_cast<std::ptrdiff_t>(chunk + 1),
-                padded.begin() + static_cast<std::ptrdiff_t>(content_len), 0);
-      piece = util::BytesView(padded.data(), content_len);
-      obs::count(obs::Counter::kTlsPadBytesSealed, content_len - chunk);
     }
     const std::uint64_t seq = seq_++;
 
     w.u8(static_cast<std::uint8_t>(type));
     w.u16(kVersionTls12);
     w.u16(util::narrow<std::uint16_t>(content_len + kAeadOverhead));
-    keystream_xor(secret_, domain_, seq, piece.data(), scratch.data(), content_len);
-    w.bytes(util::BytesView(scratch.data(), content_len));
-    const auto tag = compute_tag(secret_, domain_, seq, piece);
-    w.bytes(util::BytesView(tag.data(), tag.size()));
+    std::uint8_t* body = w.extend(content_len + kAeadOverhead);
+    if (quantize) {
+      // The padded plaintext is laid out in place and sealed there.
+      if (chunk > 0) std::memcpy(body, src, chunk);
+      body[chunk] = 0x17;
+      std::memset(body + chunk + 1, 0, content_len - chunk - 1);
+      src = body;
+      obs::count(obs::Counter::kTlsPadBytesSealed, content_len - chunk);
+    }
+    const RecordKeys keys = record_keys(secret_, domain_, seq);
+    const std::uint64_t poly =
+        crypt_body<true>(keys.keystream_base, keys.poly_seed, src, body, content_len);
+    store_tag(body + content_len, keys.h1, poly);
     obs::count(obs::Counter::kTlsRecordsSealed);
     obs::sample(obs::Hist::kTlsRecordBytes, content_len);
     off += chunk;
@@ -156,30 +172,35 @@ OpenContext::Record OpenContext::open_one(util::BytesView wire, std::size_t& con
 
   const std::uint64_t seq = seq_++;
   const std::size_t ptext_len = hdr.ciphertext_len - kAeadOverhead;
-  util::Bytes plaintext(ptext_len);
-  keystream_xor(secret_, domain_, seq, wire.data() + kHeaderBytes, plaintext.data(),
-                ptext_len);
+  // Grown once (a peer's record can exceed kMaxPlaintext by at most what a
+  // u16 length allows), then reused: no per-record allocation.
+  if (plaintext_.size() < ptext_len) plaintext_.resize(std::max(ptext_len, kMaxPlaintext));
+  const RecordKeys keys = record_keys(secret_, domain_, seq);
+  const std::uint64_t poly =
+      crypt_body<false>(keys.keystream_base, keys.poly_seed,
+                        wire.data() + kHeaderBytes, plaintext_.data(), ptext_len);
   // All 16 tag bytes are checked: corruption, reordering, replay, a wrong
   // secret or a wrong direction each fail here.
-  const auto expect = compute_tag(secret_, domain_, seq, plaintext);
+  std::array<std::uint8_t, kAeadOverhead> expect{};
+  store_tag(expect.data(), keys.h1, poly);
   if (!std::equal(expect.begin(), expect.end(), wire.begin() +
                   static_cast<std::ptrdiff_t>(kHeaderBytes + ptext_len))) {
     throw TlsError("open_one: authentication failure (corrupted or out-of-order record)");
   }
   consumed = kHeaderBytes + hdr.ciphertext_len;
   obs::count(obs::Counter::kTlsRecordsOpened);
+  std::size_t end = ptext_len;
   if (unpad_ && hdr.type == ContentType::kApplicationData) {
     // Quantized record: strip the zero filler down to the 0x17 marker. The
     // filler is authenticated, so a missing or wrong marker is hostile
     // input (a peer padding with garbage), not corruption.
-    std::size_t end = plaintext.size();
-    while (end > 0 && plaintext[end - 1] == 0) --end;
-    if (end == 0 || plaintext[end - 1] != 0x17) {
+    while (end > 0 && plaintext_[end - 1] == 0) --end;
+    if (end == 0 || plaintext_[end - 1] != 0x17) {
       throw TlsError("open_one: quantized record has no content marker");
     }
-    plaintext.resize(end - 1);
+    --end;
   }
-  return Record{hdr.type, std::move(plaintext)};
+  return Record{hdr.type, util::BytesView(plaintext_.data(), end)};
 }
 
 bool parse_header(util::BytesView buf, RecordHeader& out) {

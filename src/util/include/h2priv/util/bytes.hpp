@@ -77,6 +77,14 @@ class ByteWriter {
   void bytes(std::string_view v);
   /// Appends `n` copies of `fill`.
   void fill(std::size_t n, std::uint8_t fill_byte);
+  /// Appends `n` bytes for the caller to fill and returns where they start
+  /// (valid until the next write). Their initial contents are unspecified.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    ensure(n);
+    std::uint8_t* at = data_ + len_;
+    len_ += n;
+    return at;
+  }
 
   /// Guarantees room for `n` more bytes without reallocation.
   void reserve(std::size_t n) { ensure(n); }

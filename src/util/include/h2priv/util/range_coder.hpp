@@ -16,6 +16,8 @@
 // byte-identically on every platform and at any --jobs count.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,20 +41,37 @@ inline constexpr std::uint32_t kRcTopValue = 1u << 24;
 /// are the tree nodes), selected by the previous byte. ~128 KiB; reset()
 /// restores the uniform prior, which callers do at every block boundary so
 /// blocks stay independently decodable.
+///
+/// The reset is lazy: each tree carries the epoch it was last filled for,
+/// reset() starts a new epoch, and tree() refills a stale tree (512 B) on
+/// its first use in the block. A block that touches a few contexts pays for
+/// those, not for all 256; the coded bytes are the same as with a full fill.
 class RcModel {
  public:
   RcModel() : probs_(kContexts * kTreeSize, kRcProbInit) {}
 
-  void reset() { std::fill(probs_.begin(), probs_.end(), kRcProbInit); }
+  void reset() {
+    if (++epoch_ == 0) {  // wrapped: old stamps would look current again
+      std::fill(probs_.begin(), probs_.end(), kRcProbInit);
+      epochs_.fill(0);
+    }
+  }
 
   [[nodiscard]] RcProb* tree(unsigned context) noexcept {
-    return probs_.data() + static_cast<std::size_t>(context) * kTreeSize;
+    RcProb* t = probs_.data() + static_cast<std::size_t>(context) * kTreeSize;
+    if (epochs_[context] != epoch_) {
+      std::fill(t, t + kTreeSize, kRcProbInit);
+      epochs_[context] = epoch_;
+    }
+    return t;
   }
 
  private:
   static constexpr std::size_t kContexts = 256;
   static constexpr std::size_t kTreeSize = 256;
   std::vector<RcProb> probs_;
+  std::array<std::uint32_t, kContexts> epochs_{};  // per tree: epoch last filled for
+  std::uint32_t epoch_ = 0;
 };
 
 /// Encodes `raw` with `model` (caller resets the model per block) and

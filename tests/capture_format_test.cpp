@@ -213,7 +213,9 @@ TEST(TraceRoundTrip, MaxLengthPacketFields) {
   p.seq = ~0ULL;
   p.ack = ~0ULL;
   p.flags = 0x7f;
-  p.payload_len = std::numeric_limits<std::uint32_t>::max();
+  // The largest payload a reader accepts (one IPv4 packet's worth); above it
+  // a trace is hostile (capture_hardening_test).
+  p.payload_len = static_cast<std::size_t>(kMaxPacketPayload);
   {
     TraceWriter writer(path, TraceMeta{});
     writer.add_packet(p);

@@ -5,7 +5,10 @@
 // every section (tests/support decode_all) — with surgically corrupted
 // trailers (truncated tail, overlapping sections, offsets past EOF,
 // implausible counts) plus a seeded fuzz sweep of random byte flips and
-// truncations over an otherwise-valid image.
+// truncations over an otherwise-valid image. Packet payload lengths no IPv4
+// packet can carry are rejected before replay or pcap export sizes a buffer
+// by them.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/pcap_export.hpp"
+#include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/sim/rng.hpp"
@@ -386,6 +391,73 @@ TEST_F(TraceHardening, TraceFileOpenMapsAndMatchesInMemoryParse) {
   EXPECT_EQ(mapped.meta().seed, in_memory.meta().seed);
   EXPECT_EQ(mapped.sections().size(), in_memory.sections().size());
   EXPECT_THROW((void)TraceFile::open(temp_path("nonexistent")), TraceError);
+  std::remove(path.c_str());
+}
+
+/// A trace whose one packet claims a payload_len of 2^33 bytes, with
+/// application-data records tiling that whole stream (so replay can
+/// synthesize it), written through TraceWriter. `fleet` makes it a
+/// one-connection fleet trace.
+util::Bytes huge_payload_trace(const std::string& path, bool fleet) {
+  constexpr std::uint64_t kPayload = std::uint64_t{1} << 33;
+  TraceMeta meta;
+  meta.seed = 9;
+  meta.scenario = "hardening";
+  TraceWriter writer(path, meta);
+  if (fleet) writer.begin_fleet(std::vector<FleetConn>(1));
+  analysis::PacketObservation p;
+  p.time = util::TimePoint{1'000};
+  p.dir = net::Direction::kServerToClient;
+  p.seq = 1;
+  p.payload_len = static_cast<std::size_t>(kPayload);
+  p.wire_size = 40 + static_cast<std::int64_t>(kPayload);
+  writer.add_packet(p);
+  analysis::RecordObservation r;
+  r.time = p.time;
+  r.dir = p.dir;
+  for (std::uint64_t off = 0; off < kPayload;) {
+    r.stream_offset = off;
+    r.ciphertext_len = static_cast<std::size_t>(
+        std::min<std::uint64_t>(0xffff, kPayload - off - 5));
+    writer.add_record(r);
+    off += 5 + r.ciphertext_len;
+  }
+  if (!fleet) {
+    writer.set_ground_truth(analysis::GroundTruth{});
+    writer.set_summary(TraceSummary{});
+  }
+  writer.finish();
+  util::Bytes image = slurp(path);
+  std::remove(path.c_str());
+  return image;
+}
+
+TEST_F(TraceHardening, PayloadLengthBeyondIpv4IsRejectedBeforeAllocating) {
+  const util::Bytes single = huge_payload_trace(temp_path("huge"), false);
+  EXPECT_THROW((void)replay(TraceFile{single}), TraceError);
+  const std::string pcap = temp_path("huge_pcap");
+  EXPECT_THROW((void)export_pcap(TraceFile{single}.packets(), pcap), TraceError);
+  std::remove(pcap.c_str());
+
+  const util::Bytes fleet = huge_payload_trace(temp_path("huge_fleet"), true);
+  EXPECT_THROW((void)demux_fleet(TraceFile{fleet}), TraceError);
+}
+
+TEST_F(TraceHardening, PayloadLengthOnePastTheCeilingIsRejected) {
+  // The ceiling itself round-trips (TraceRoundTrip.MaxLengthPacketFields).
+  const std::string path = temp_path("ceiling");
+  {
+    TraceWriter writer(path, TraceMeta{});
+    analysis::PacketObservation p;
+    p.seq = 1;
+    p.payload_len = static_cast<std::size_t>(kMaxPacketPayload + 1);
+    writer.add_packet(p);
+    writer.finish();
+  }
+  const TraceFile trace = TraceFile::open(path);
+  PacketCursor cursor = trace.packets();
+  analysis::PacketObservation p;
+  EXPECT_THROW((void)cursor.next(p), TraceError);
   std::remove(path.c_str());
 }
 

@@ -215,7 +215,7 @@ TEST(DefenseQuantize, QuantizedRecordRoundTrip) {
   std::size_t consumed = 0;
   const auto rec = open.open_one(wire, consumed);
   EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(rec.plaintext, plaintext);
+  EXPECT_EQ(util::Bytes(rec.plaintext.begin(), rec.plaintext.end()), plaintext);
 }
 
 TEST(DefenseQuantize, EmptyPlaintextStillFillsOneBucket) {

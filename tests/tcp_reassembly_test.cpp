@@ -12,9 +12,12 @@ util::Bytes slice(const util::Bytes& all, std::size_t from, std::size_t len) {
                      all.begin() + static_cast<std::ptrdiff_t>(from + len));
 }
 
+/// offer() returns a view valid until the next offer; compare a copy.
+util::Bytes copy(util::BytesView v) { return util::Bytes(v.begin(), v.end()); }
+
 TEST(Reassembly, InOrderDeliversImmediately) {
   Reassembly r(0);
-  const util::Bytes out = r.offer(0, util::to_bytes("hello"));
+  const util::Bytes out = copy(r.offer(0, util::to_bytes("hello")));
   EXPECT_EQ(out, util::to_bytes("hello"));
   EXPECT_EQ(r.rcv_nxt(), 5u);
   EXPECT_FALSE(r.has_gaps());
@@ -25,7 +28,7 @@ TEST(Reassembly, OutOfOrderBuffersUntilGapFills) {
   EXPECT_TRUE(r.offer(5, util::to_bytes("world")).empty());
   EXPECT_TRUE(r.has_gaps());
   EXPECT_EQ(r.buffered_bytes(), 5u);
-  const util::Bytes out = r.offer(0, util::to_bytes("hello"));
+  const util::Bytes out = copy(r.offer(0, util::to_bytes("hello")));
   EXPECT_EQ(out, util::to_bytes("helloworld"));
   EXPECT_EQ(r.rcv_nxt(), 10u);
   EXPECT_EQ(r.buffered_bytes(), 0u);
@@ -41,7 +44,7 @@ TEST(Reassembly, DuplicateSegmentsAreAbsorbed) {
 TEST(Reassembly, PartiallyOldSegmentDeliversOnlyNewTail) {
   Reassembly r(0);
   (void)r.offer(0, util::to_bytes("abc"));
-  const util::Bytes out = r.offer(1, util::to_bytes("bcde"));
+  const util::Bytes out = copy(r.offer(1, util::to_bytes("bcde")));
   EXPECT_EQ(out, util::to_bytes("de"));
   EXPECT_EQ(r.rcv_nxt(), 5u);
 }
@@ -51,7 +54,7 @@ TEST(Reassembly, OverlapWithBufferedSegmentTrimsBothSides) {
   EXPECT_TRUE(r.offer(4, util::to_bytes("efgh")).empty());
   // Overlaps buffered [4,8) on its left edge and extends right.
   EXPECT_TRUE(r.offer(6, util::to_bytes("ghij")).empty());
-  const util::Bytes out = r.offer(0, util::to_bytes("abcd"));
+  const util::Bytes out = copy(r.offer(0, util::to_bytes("abcd")));
   EXPECT_EQ(out, util::to_bytes("abcdefghij"));
 }
 
@@ -61,7 +64,7 @@ TEST(Reassembly, SegmentBridgingTwoBufferedPieces) {
   EXPECT_TRUE(r.offer(6, util::to_bytes("gh")).empty());
   // Bridges both: covers [2,8).
   EXPECT_TRUE(r.offer(2, util::to_bytes("cdefgh")).empty());
-  const util::Bytes out = r.offer(0, util::to_bytes("ab"));
+  const util::Bytes out = copy(r.offer(0, util::to_bytes("ab")));
   EXPECT_EQ(out, util::to_bytes("abcdefgh"));
 }
 
@@ -75,7 +78,7 @@ TEST(Reassembly, FullyCoveredSegmentIsDropped) {
 TEST(Reassembly, NonZeroInitialSequence) {
   Reassembly r(1'000);
   EXPECT_TRUE(r.offer(500, util::to_bytes("old")).empty()) << "below rcv_nxt: ignored";
-  const util::Bytes out = r.offer(1'000, util::to_bytes("xy"));
+  const util::Bytes out = copy(r.offer(1'000, util::to_bytes("xy")));
   EXPECT_EQ(out, util::to_bytes("xy"));
   EXPECT_EQ(r.rcv_nxt(), 1'002u);
 }
@@ -84,6 +87,38 @@ TEST(Reassembly, EmptyOfferIsHarmless) {
   Reassembly r(0);
   EXPECT_TRUE(r.offer(0, util::BytesView{}).empty());
   EXPECT_EQ(r.rcv_nxt(), 0u);
+}
+
+TEST(Reassembly, DivergentRetransmissionKeepsFirstArrival) {
+  Reassembly r(0);
+  EXPECT_TRUE(r.offer(2, util::to_bytes("XY")).empty());
+  // Covers the buffered bytes with different ones: the buffered ones win.
+  EXPECT_EQ(copy(r.offer(0, util::to_bytes("abcdef"))), util::to_bytes("abXYef"));
+}
+
+TEST(Reassembly, SegmentFarPastTheWindowIsDroppedNotBuffered) {
+  Reassembly r(1);
+  (void)r.offer(3, util::to_bytes("cd"));  // a real gap, buffered
+  ASSERT_EQ(r.buffered_bytes(), 2u);
+  // A hostile sequence jump (e.g. a crafted .h2t): dropped without growing
+  // the window to reach it.
+  EXPECT_TRUE(r.offer(1 + (std::uint64_t{1} << 40), util::to_bytes("zz")).empty());
+  EXPECT_EQ(r.buffered_bytes(), 2u);
+  EXPECT_EQ(r.rcv_nxt(), 1u);
+  // Later in-order data still arrives, with the earlier gap's bytes.
+  EXPECT_EQ(copy(r.offer(1, util::to_bytes("ab"))), util::to_bytes("abcd"));
+  EXPECT_EQ(r.buffered_bytes(), 0u);
+  EXPECT_FALSE(r.has_gaps());
+}
+
+TEST(Reassembly, WindowBoundIsInclusive) {
+  Reassembly r(0);
+  // Ends exactly kMaxWindow past rcv_nxt: buffered.
+  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow - 1, util::to_bytes("x")).empty());
+  EXPECT_EQ(r.buffered_bytes(), 1u);
+  // One byte further: dropped.
+  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow, util::to_bytes("y")).empty());
+  EXPECT_EQ(r.buffered_bytes(), 1u);
 }
 
 // Property: any segmentation of a buffer, delivered in any order with
@@ -120,15 +155,19 @@ TEST_P(ReassemblyProperty, RandomSegmentationReassemblesExactly) {
   }
   rng.shuffle(pieces);
 
-  Reassembly r(0);
+  // Stream offsets start at a nonzero initial sequence number (1 for seed 0,
+  // past 2^32 from seed 1 on).
+  const std::uint64_t base = 1 + GetParam() * 0x1'0000'0001ull;
+  Reassembly r(base);
   util::Bytes out;
   for (const Piece& p : pieces) {
-    const util::Bytes delivered = r.offer(p.from, slice(data, p.from, p.len));
+    const util::BytesView delivered = r.offer(base + p.from, slice(data, p.from, p.len));
     out.insert(out.end(), delivered.begin(), delivered.end());
   }
   EXPECT_EQ(out, data);
-  EXPECT_EQ(r.rcv_nxt(), total);
+  EXPECT_EQ(r.rcv_nxt(), base + total);
   EXPECT_FALSE(r.has_gaps());
+  EXPECT_EQ(r.buffered_bytes(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyProperty,

@@ -20,7 +20,7 @@ TEST(TlsRecord, SealOpenRoundTrip) {
   const auto rec = open.open_one(wire, consumed);
   EXPECT_EQ(consumed, wire.size());
   EXPECT_EQ(rec.type, ContentType::kApplicationData);
-  EXPECT_EQ(rec.plaintext, plaintext);
+  EXPECT_EQ(util::Bytes(rec.plaintext.begin(), rec.plaintext.end()), plaintext);
 }
 
 TEST(TlsRecord, CiphertextIsScrambled) {
@@ -154,10 +154,11 @@ TEST(TlsRecord, EmptyPlaintextSealsOneRecord) {
   EXPECT_EQ(rec.type, ContentType::kAlert);
 }
 
-// Per-byte reference definitions of the record layer's keystream (one mix()
+// Scalar reference definitions of the record layer's keystream (one mix()
 // block per 8 bytes, applied a byte at a time) and of the tag's polynomial
-// half (h = h*31 + b). The word-wide implementation must produce exactly
-// these bytes.
+// half (h = h*K + w over the plaintext's little-endian 8-byte words, the last
+// one zero-padded, then h = h*K + length). The fused, unrolled
+// implementation must produce exactly these bytes.
 std::uint64_t ref_mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
@@ -182,9 +183,16 @@ util::Bytes ref_keystream_xor(std::uint8_t domain, std::uint64_t seq,
 std::uint64_t ref_h1(std::uint64_t seq) { return ref_mix(kSecret ^ 0x746167u ^ seq); }
 
 std::uint64_t ref_poly(std::uint8_t domain, std::uint64_t seq, util::BytesView in) {
+  constexpr std::uint64_t kK = 0xc2b2ae3d27d4eb4full;
   std::uint64_t h = ref_mix(ref_h1(seq) ^ domain);
-  for (const std::uint8_t b : in) h = h * 31 + b;
-  return h;
+  for (std::size_t at = 0; at < in.size(); at += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < 8 && at + i < in.size(); ++i) {
+      word |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
+    }
+    h = h * kK + word;
+  }
+  return h * kK + in.size();
 }
 
 std::uint64_t le64_at(util::BytesView b, std::size_t off) {
@@ -256,6 +264,51 @@ TEST(TlsRecord, QuantizedRecordMatchesPerByteReference) {
   inner.push_back(0x17);
   inner.resize(1'024, 0);
   EXPECT_EQ(expect_reference_record(wire, 1, 0, inner), wire.size());
+}
+
+// Opens one record on a fresh context (domain 0, sequence number 0).
+void open_fresh(const util::Bytes& wire) {
+  OpenContext open(kSecret, 0);
+  std::size_t consumed = 0;
+  (void)open.open_one(wire, consumed);
+}
+
+TEST(TlsRecord, SwappedAdjacentBodyWordsFailAuthentication) {
+  for (const std::size_t n : {std::size_t{64}, kMaxPlaintext}) {
+    SealContext seal(kSecret, 0);
+    const util::Bytes wire =
+        seal.seal(ContentType::kApplicationData, util::patterned_bytes(n, 6));
+    ASSERT_NO_THROW(open_fresh(wire));
+    for (std::size_t word = 0; word + 1 < n / 8; word += (n == 64 ? 1 : 97)) {
+      util::Bytes swapped = wire;
+      const auto at = static_cast<std::ptrdiff_t>(kHeaderBytes + word * 8);
+      std::swap_ranges(swapped.begin() + at, swapped.begin() + at + 8,
+                       swapped.begin() + at + 8);
+      EXPECT_THROW(open_fresh(swapped), TlsError)
+          << "n=" << n << " words " << word << "," << word + 1;
+    }
+  }
+}
+
+TEST(TlsRecord, TruncatedBodyWithFixedLengthFailsAuthentication) {
+  // A body ending in zero bytes: its zero-padded last word is the same
+  // with or without them, so only the folded-in length tells them apart.
+  util::Bytes plaintext = util::patterned_bytes(56, 7);
+  plaintext.resize(64, 0);
+  SealContext seal(kSecret, 0);
+  const util::Bytes wire = seal.seal(ContentType::kApplicationData, plaintext);
+  ASSERT_NO_THROW(open_fresh(wire));
+  for (std::size_t drop = 1; drop <= 8; ++drop) {
+    // Drop the last `drop` body bytes, keep the tag, fix the header length.
+    util::Bytes cut(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(
+                                                     kHeaderBytes + 64 - drop));
+    cut.insert(cut.end(), wire.end() - static_cast<std::ptrdiff_t>(kAeadOverhead),
+               wire.end());
+    const std::size_t body = cut.size() - kHeaderBytes;
+    cut[3] = static_cast<std::uint8_t>(body >> 8);
+    cut[4] = static_cast<std::uint8_t>(body);
+    EXPECT_THROW(open_fresh(cut), TlsError) << "dropped " << drop;
+  }
 }
 
 }  // namespace

@@ -160,3 +160,24 @@ TEST(RangeCoder, DecodeWithWrongDeclaredSizeStaysBounded) {
   EXPECT_LE(consumed, coded.size());
   EXPECT_TRUE(std::equal(small.begin(), small.end(), raw.begin()));
 }
+
+TEST(RangeCoder, ResetModelCodesLikeAFreshOne) {
+  // reset() is lazy (each context tree refills on its first use in a block),
+  // so a reused model must code every block exactly as a fresh one would —
+  // including contexts the previous block touched and this one does not.
+  sim::Rng rng(17);
+  Bytes every_context(8192);
+  for (auto& b : every_context) b = static_cast<std::uint8_t>(rng.next());
+  Bytes few_contexts(3000);
+  for (auto& b : few_contexts) b = static_cast<std::uint8_t>(rng.next() % 4);
+
+  RcModel reused;
+  for (int round = 0; round < 3; ++round) {
+    for (const Bytes* raw : {&every_context, &few_contexts}) {
+      RcModel fresh;
+      const Bytes want = compress(*raw, fresh);
+      EXPECT_EQ(compress(*raw, reused), want) << "round " << round;
+      EXPECT_EQ(decompress(want, raw->size(), reused), *raw) << "round " << round;
+    }
+  }
+}
