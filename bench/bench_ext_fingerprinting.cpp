@@ -14,6 +14,7 @@
 #include "h2priv/analysis/fingerprint.hpp"
 #include "h2priv/core/controller.hpp"
 #include "h2priv/core/monitor.hpp"
+#include "h2priv/core/topology.hpp"
 #include "h2priv/server/h2_server.hpp"
 
 using namespace h2priv;
@@ -61,42 +62,23 @@ analysis::SizeProfile load_and_profile(const web::Site& site,
   sim::Simulator sim;
   sim::Rng rng(seed);
 
-  tcp::TcpConfig ccfg, scfg;
-  ccfg.local_port = 40'000; ccfg.remote_port = 443;
-  if (client_rto_min.ns > 0) ccfg.rto.min = client_rto_min;
-  scfg.local_port = 443; scfg.remote_port = 40'000;
-  tcp::Connection ctcp(sim, ccfg, nullptr), stcp(sim, scfg, nullptr);
-  net::Middlebox mb(sim);
-  net::LinkConfig hop;
-  hop.propagation = util::milliseconds(10);
-  hop.jitter_sigma = util::microseconds(5);
-  net::Link c2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kClientToServer, std::move(p));
-  });
-  net::Link m2s(sim, hop, rng.fork(), [&](net::Packet&& p) { stcp.on_wire(p.segment); });
-  net::Link s2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kServerToClient, std::move(p));
-  });
-  net::Link m2c(sim, hop, rng.fork(), [&](net::Packet&& p) { ctcp.on_wire(p.segment); });
-  mb.set_output(net::Direction::kClientToServer,
-                [&](net::Packet&& p) { m2s.send(std::move(p)); });
-  mb.set_output(net::Direction::kServerToClient,
-                [&](net::Packet&& p) { m2c.send(std::move(p)); });
-  ctcp.set_segment_out([&](util::SharedBytes w) {
-    c2m.send(net::Packet{0, net::Direction::kClientToServer, std::move(w)});
-  });
-  stcp.set_segment_out([&](util::SharedBytes w) {
-    s2m.send(net::Packet{0, net::Direction::kServerToClient, std::move(w)});
-  });
+  const core::PathConfig path{.client_hop_delay = util::milliseconds(10),
+                              .server_hop_delay = util::milliseconds(10),
+                              .jitter_sigma = util::microseconds(5),
+                              .background_loss = 0.0,
+                              .egress_burst_capacity = 0};
+  tcp::TcpConfig client_tcp;
+  if (client_rto_min.ns > 0) client_tcp.rto.min = client_rto_min;
+  core::Topology topology(sim, path, rng, seed ^ 0x5a5a, client_tcp);
+  tls::Session& ctls = topology.client_tls();
 
-  tls::Session ctls(tls::Role::kClient, seed ^ 0x5a5a, ctcp);
-  tls::Session stls(tls::Role::kServer, seed ^ 0x5a5a, stcp);
   server::ServerConfig server_cfg;
   server_cfg.policy = policy;
-  server::H2Server server(sim, site, server_cfg, stls, rng.fork(), nullptr);
+  server::H2Server server(sim, site, server_cfg, topology.server_tls(), rng.fork(),
+                          nullptr);
 
-  core::TrafficMonitor monitor(mb);
-  core::NetworkController controller(sim, mb, rng.fork());
+  core::TrafficMonitor monitor(topology.middlebox());
+  core::NetworkController controller(sim, topology.middlebox(), rng.fork());
   if (spacing) controller.set_request_spacing(util::milliseconds(130));
 
   h2::ConnectionConfig client_cfg;
@@ -122,8 +104,7 @@ analysis::SizeProfile load_and_profile(const web::Site& site,
     }
   };
 
-  stcp.listen();
-  ctcp.connect();
+  topology.start();
   sim.run_until(util::TimePoint{} + util::seconds(30));
 
   const auto& records = monitor.records(net::Direction::kServerToClient);

@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "h2priv/core/controller.hpp"
 #include "h2priv/core/monitor.hpp"
+#include "h2priv/core/topology.hpp"
 #include "h2priv/server/h2_server.hpp"
 #include "h2priv/web/streaming.hpp"
 
@@ -36,41 +37,21 @@ StreamRun run_stream(bool prefetch, bool attack_spacing, std::uint64_t seed) {
 
   // Topology: client <-> middlebox <-> server, 12 ms one-way, 20 Mbps access
   // (so the ladder's top rung is sustainable but not trivial).
-  tcp::TcpConfig ccfg, scfg;
-  ccfg.local_port = 40'000; ccfg.remote_port = 443;
-  scfg.local_port = 443; scfg.remote_port = 40'000;
-  tcp::Connection ctcp(sim, ccfg, nullptr), stcp(sim, scfg, nullptr);
-  net::Middlebox mb(sim);
-  net::LinkConfig hop;
-  hop.propagation = util::milliseconds(12);
-  hop.rate = util::megabits_per_second(20);
-  net::Link c2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kClientToServer, std::move(p));
-  });
-  net::Link m2s(sim, hop, rng.fork(), [&](net::Packet&& p) { stcp.on_wire(p.segment); });
-  net::Link s2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kServerToClient, std::move(p));
-  });
-  net::Link m2c(sim, hop, rng.fork(), [&](net::Packet&& p) { ctcp.on_wire(p.segment); });
-  mb.set_output(net::Direction::kClientToServer,
-                [&](net::Packet&& p) { m2s.send(std::move(p)); });
-  mb.set_output(net::Direction::kServerToClient,
-                [&](net::Packet&& p) { m2c.send(std::move(p)); });
-  ctcp.set_segment_out([&](util::SharedBytes w) {
-    c2m.send(net::Packet{0, net::Direction::kClientToServer, std::move(w)});
-  });
-  stcp.set_segment_out([&](util::SharedBytes w) {
-    s2m.send(net::Packet{0, net::Direction::kServerToClient, std::move(w)});
-  });
+  const core::PathConfig path{.client_hop_delay = util::milliseconds(12),
+                              .server_hop_delay = util::milliseconds(12),
+                              .link_rate = util::megabits_per_second(20),
+                              .jitter_sigma = util::Duration{},
+                              .background_loss = 0.0,
+                              .egress_burst_capacity = 0};
+  core::Topology topology(sim, path, rng, seed ^ 0xabc);
+  tls::Session& ctls = topology.client_tls();
 
-  tls::Session ctls(tls::Role::kClient, seed ^ 0xabc, ctcp);
-  tls::Session stls(tls::Role::kServer, seed ^ 0xabc, stcp);
   analysis::GroundTruth truth;
-  server::H2Server server(sim, lib.site, server::ServerConfig{}, stls, rng.fork(),
-                          &truth);
+  server::H2Server server(sim, lib.site, server::ServerConfig{}, topology.server_tls(),
+                          rng.fork(), &truth);
 
-  core::TrafficMonitor monitor(mb);
-  core::NetworkController controller(sim, mb, rng.fork());
+  core::TrafficMonitor monitor(topology.middlebox());
+  core::NetworkController controller(sim, topology.middlebox(), rng.fork());
   if (attack_spacing) controller.set_request_spacing(util::milliseconds(800));
 
   // --- the player -----------------------------------------------------------
@@ -141,8 +122,7 @@ StreamRun run_stream(bool prefetch, bool attack_spacing, std::uint64_t seed) {
     if (prefetch) request_next();
   };
 
-  stcp.listen();
-  ctcp.connect();
+  topology.start();
   sim.run_until(util::TimePoint{} + util::seconds(120));
 
   // --- the adversary: burst sizes -> nearest rung ---------------------------

@@ -11,10 +11,8 @@
 #include "bench_common.hpp"
 #include "h2priv/analysis/estimator.hpp"
 #include "h2priv/core/monitor.hpp"
-#include "h2priv/net/middlebox.hpp"
+#include "h2priv/core/topology.hpp"
 #include "h2priv/server/h2_server.hpp"
-#include "h2priv/client/browser.hpp"
-#include "h2priv/tls/session.hpp"
 
 using namespace h2priv;
 
@@ -41,38 +39,19 @@ CaseResult run_case(server::InterleavePolicy policy) {
   const web::ObjectId o2 = site.add("/o2.bin", "image/png", kSizeO2,
                                     util::microseconds(200));
 
-  tcp::TcpConfig ccfg, scfg;
-  ccfg.local_port = 40'000; ccfg.remote_port = 443;
-  scfg.local_port = 443; scfg.remote_port = 40'000;
-  tcp::Connection ctcp(sim, ccfg, nullptr), stcp(sim, scfg, nullptr);
+  const core::PathConfig path{.client_hop_delay = util::milliseconds(5),
+                              .server_hop_delay = util::milliseconds(5),
+                              .jitter_sigma = util::Duration{},
+                              .background_loss = 0.0,
+                              .egress_burst_capacity = 0};
+  core::Topology topology(sim, path, rng, 77);
+  tls::Session& ctls = topology.client_tls();
 
-  net::Middlebox mb(sim);
-  net::LinkConfig hop;
-  hop.propagation = util::milliseconds(5);
-  net::Link c2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kClientToServer, std::move(p));
-  });
-  net::Link m2s(sim, hop, rng.fork(), [&](net::Packet&& p) { stcp.on_wire(p.segment); });
-  net::Link s2m(sim, hop, rng.fork(), [&](net::Packet&& p) {
-    mb.process(net::Direction::kServerToClient, std::move(p));
-  });
-  net::Link m2c(sim, hop, rng.fork(), [&](net::Packet&& p) { ctcp.on_wire(p.segment); });
-  mb.set_output(net::Direction::kClientToServer,
-                [&](net::Packet&& p) { m2s.send(std::move(p)); });
-  mb.set_output(net::Direction::kServerToClient,
-                [&](net::Packet&& p) { m2c.send(std::move(p)); });
-  ctcp.set_segment_out([&](util::SharedBytes w) {
-    c2m.send(net::Packet{0, net::Direction::kClientToServer, std::move(w)});
-  });
-  stcp.set_segment_out([&](util::SharedBytes w) {
-    s2m.send(net::Packet{0, net::Direction::kServerToClient, std::move(w)});
-  });
-
-  tls::Session ctls(tls::Role::kClient, 77, ctcp), stls(tls::Role::kServer, 77, stcp);
   analysis::GroundTruth truth;
   server::ServerConfig server_cfg;
   server_cfg.policy = policy;
-  server::H2Server server(sim, site, server_cfg, stls, rng.fork(), &truth);
+  server::H2Server server(sim, site, server_cfg, topology.server_tls(), rng.fork(),
+                          &truth);
 
   // The two GETs arrive back to back (Fig. 1 Case 2) — a raw h2 client.
   h2::ConnectionConfig client_cfg;
@@ -92,9 +71,8 @@ CaseResult run_case(server::InterleavePolicy policy) {
                                {":authority", "x"}, {":path", "/o2.bin"}});
   };
 
-  core::TrafficMonitor monitor(mb);
-  stcp.listen();
-  ctcp.connect();
+  core::TrafficMonitor monitor(topology.middlebox());
+  topology.start();
   sim.run_until(util::TimePoint{} + util::seconds(20));
 
   CaseResult out;

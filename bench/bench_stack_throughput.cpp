@@ -19,10 +19,10 @@
 #include <new>
 
 #include "h2priv/core/monitor.hpp"
+#include "h2priv/core/topology.hpp"
 #include "h2priv/net/link.hpp"
 #include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
-#include "h2priv/net/middlebox.hpp"
 #include "h2priv/sim/rng.hpp"
 #include "h2priv/sim/simulator.hpp"
 #include "h2priv/tcp/connection.hpp"
@@ -94,63 +94,12 @@ struct ScenarioResult {
   }
 };
 
-ScenarioResult run_scenario(bool mitm, std::uint64_t total_bytes, std::uint64_t seed) {
-  sim::Simulator sim;
-  sim::Rng rng(seed);
-
-  tcp::TcpConfig ccfg;
-  ccfg.local_port = 49'152;
-  ccfg.remote_port = 443;
-  tcp::TcpConfig scfg;
-  scfg.local_port = 443;
-  scfg.remote_port = 49'152;
-  tcp::Connection client_tcp(sim, ccfg, nullptr);
-  tcp::Connection server_tcp(sim, scfg, nullptr);
-
-  net::LinkConfig hop;
-  hop.propagation = util::milliseconds(2);
-  hop.rate = util::gigabits_per_second(10);
-  hop.jitter_sigma = util::Duration{0};
-  hop.loss_probability = 0.0;
-
-  net::Middlebox middlebox(sim);
-  std::unique_ptr<core::TrafficMonitor> monitor;
-  std::unique_ptr<net::Link> c2m, m2s, s2m, m2c;
-
-  if (mitm) {
-    c2m = std::make_unique<net::Link>(sim, hop, rng.fork(), [&](net::Packet&& p) {
-      middlebox.process(net::Direction::kClientToServer, std::move(p));
-    });
-    m2s = std::make_unique<net::Link>(
-        sim, hop, rng.fork(), [&](net::Packet&& p) { server_tcp.on_wire(p.segment); });
-    s2m = std::make_unique<net::Link>(sim, hop, rng.fork(), [&](net::Packet&& p) {
-      middlebox.process(net::Direction::kServerToClient, std::move(p));
-    });
-    m2c = std::make_unique<net::Link>(
-        sim, hop, rng.fork(), [&](net::Packet&& p) { client_tcp.on_wire(p.segment); });
-    middlebox.set_output(net::Direction::kClientToServer,
-                         [&](net::Packet&& p) { m2s->send(std::move(p)); });
-    middlebox.set_output(net::Direction::kServerToClient,
-                         [&](net::Packet&& p) { m2c->send(std::move(p)); });
-    monitor = std::make_unique<core::TrafficMonitor>(middlebox);
-  } else {
-    c2m = std::make_unique<net::Link>(
-        sim, hop, rng.fork(), [&](net::Packet&& p) { server_tcp.on_wire(p.segment); });
-    s2m = std::make_unique<net::Link>(
-        sim, hop, rng.fork(), [&](net::Packet&& p) { client_tcp.on_wire(p.segment); });
-  }
-
-  client_tcp.set_segment_out([&](auto wire) {
-    c2m->send(net::Packet{0, net::Direction::kClientToServer, std::move(wire)});
-  });
-  server_tcp.set_segment_out([&](auto wire) {
-    s2m->send(net::Packet{0, net::Direction::kServerToClient, std::move(wire)});
-  });
-
-  const std::uint64_t secret = seed * 0x9e3779b97f4a7c15ull + 17;
-  tls::Session client_tls(tls::Role::kClient, secret, client_tcp);
-  tls::Session server_tls(tls::Role::kServer, secret, server_tcp);
-
+/// Pumps `total_bytes` server->client over a started session pair and times
+/// the drive loop. `up` and `down` are the stats of each direction's first
+/// link.
+ScenarioResult drive(sim::Simulator& sim, tls::Session& client_tls,
+                     tls::Session& server_tls, const net::Link::Stats& up,
+                     const net::Link::Stats& down, std::uint64_t total_bytes) {
   const util::Bytes chunk = util::patterned_bytes(64 * 1024, 0xf00du);
   std::uint64_t remaining = total_bytes;
   std::uint64_t received = 0;
@@ -169,9 +118,6 @@ ScenarioResult run_scenario(bool mitm, std::uint64_t total_bytes, std::uint64_t 
   server_tls.on_writable = pump;
   client_tls.on_app_data = [&](util::BytesView bytes) { received += bytes.size(); };
 
-  server_tcp.listen();
-  client_tcp.connect();
-
   const std::uint64_t allocs_before = g_allocs;
   const std::uint64_t alloc_bytes_before = g_alloc_bytes;
   const auto t0 = std::chrono::steady_clock::now();
@@ -182,7 +128,7 @@ ScenarioResult run_scenario(bool mitm, std::uint64_t total_bytes, std::uint64_t 
   ScenarioResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.app_bytes = received;
-  r.packets = c2m->stats().sent + s2m->stats().sent;
+  r.packets = up.sent + down.sent;
   r.allocs = g_allocs - allocs_before;
   r.alloc_bytes = g_alloc_bytes - alloc_bytes_before;
   r.events = sim.executed();
@@ -192,6 +138,60 @@ ScenarioResult run_scenario(bool mitm, std::uint64_t total_bytes, std::uint64_t 
                  static_cast<unsigned long long>(total_bytes));
   }
   return r;
+}
+
+std::uint64_t session_secret(std::uint64_t seed) {
+  return seed * 0x9e3779b97f4a7c15ull + 17;
+}
+
+/// client <-> server over two links, no adversary.
+ScenarioResult run_direct(std::uint64_t total_bytes, std::uint64_t seed) {
+  sim::Simulator sim;
+  sim::Rng rng(seed);
+
+  tcp::Connection client_tcp(sim,
+                             tcp::TcpConfig{.local_port = 49'152, .remote_port = 443});
+  tcp::Connection server_tcp(sim,
+                             tcp::TcpConfig{.local_port = 443, .remote_port = 49'152});
+
+  net::LinkConfig hop;
+  hop.propagation = util::milliseconds(2);
+  hop.rate = util::gigabits_per_second(10);
+  net::Link c2s(sim, hop, rng.fork(),
+                [&](net::Packet&& p) { server_tcp.on_wire(p.segment); });
+  net::Link s2c(sim, hop, rng.fork(),
+                [&](net::Packet&& p) { client_tcp.on_wire(p.segment); });
+  client_tcp.set_segment_out([&](util::SharedBytes wire) {
+    c2s.send(net::Packet{0, net::Direction::kClientToServer, std::move(wire)});
+  });
+  server_tcp.set_segment_out([&](util::SharedBytes wire) {
+    s2c.send(net::Packet{0, net::Direction::kServerToClient, std::move(wire)});
+  });
+
+  tls::Session client_tls(tls::Role::kClient, session_secret(seed), client_tcp);
+  tls::Session server_tls(tls::Role::kServer, session_secret(seed), server_tcp);
+  server_tcp.listen();
+  client_tcp.connect();
+  return drive(sim, client_tls, server_tls, c2s.stats(), s2c.stats(), total_bytes);
+}
+
+/// The experiment topology: the gateway middlebox with the traffic monitor
+/// tapping and parsing every packet.
+ScenarioResult run_mitm(std::uint64_t total_bytes, std::uint64_t seed) {
+  sim::Simulator sim;
+  sim::Rng rng(seed);
+  const core::PathConfig path{.client_hop_delay = util::milliseconds(2),
+                              .server_hop_delay = util::milliseconds(2),
+                              .link_rate = util::gigabits_per_second(10),
+                              .jitter_sigma = util::Duration{},
+                              .background_loss = 0.0,
+                              .egress_burst_capacity = 0};
+  core::Topology topology(sim, path, rng, session_secret(seed));
+  core::TrafficMonitor monitor(topology.middlebox());
+  topology.start();
+  return drive(sim, topology.client_tls(), topology.server_tls(),
+               topology.link_stats(core::Hop::kClientToGateway),
+               topology.link_stats(core::Hop::kServerToGateway), total_bytes);
 }
 
 void print_row(const char* name, const ScenarioResult& r) {
@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
   std::printf("=========================================================================="
               "\n");
 
-  const ScenarioResult direct = run_scenario(/*mitm=*/false, total, /*seed=*/7);
-  const ScenarioResult mitm = run_scenario(/*mitm=*/true, total, /*seed=*/7);
+  const ScenarioResult direct = run_direct(total, /*seed=*/7);
+  const ScenarioResult mitm = run_mitm(total, /*seed=*/7);
   print_row("direct", direct);
   print_row("mitm", mitm);
 

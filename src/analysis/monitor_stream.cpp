@@ -9,9 +9,7 @@ void MonitorStream::on_packet(const PacketObservation& pkt, util::BytesView payl
   if (payload.empty()) return;
   // In-order segments are scanned in place; only out-of-order ones are
   // copied, once, into the reassembly window.
-  const auto in_order = reassembly_.offer_in_order(pkt.seq, payload);
-  const util::BytesView delivered =
-      in_order ? *in_order : reassembly_.offer(pkt.seq, payload);
+  const util::BytesView delivered = reassembly_.offer(pkt.seq, payload);
   if (delivered.empty()) return;
   scan(delivered, now);
 }

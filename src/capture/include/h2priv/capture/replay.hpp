@@ -51,13 +51,11 @@ struct ReplayResult {
 /// Throws TraceError if the trace's streams cannot be synthesized faithfully.
 void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 
-/// Applies TrafficMonitor's GET filter (application-data records whose
-/// plaintext estimate lies in [min,max], after the setup skip) to a stored
-/// client->server record sequence. Equals the live monitor's get_count()
-/// whenever the stored records match what reassembly would recompute.
+/// Counts a stored client->server record sequence through the live
+/// monitor's core::GetFilter. Equals the live monitor's get_count() whenever
+/// the stored records match what reassembly would recompute.
 [[nodiscard]] std::int64_t count_gets(
-    std::span<const analysis::RecordObservation> c2s_records,
-    const core::MonitorConfig& config = {});
+    std::span<const analysis::RecordObservation> c2s_records);
 
 /// run_once's verdict recomputed offline: core::score_run over the site and
 /// horizon `meta` describes, converted with core::summary_of. Shared by full

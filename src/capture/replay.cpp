@@ -187,24 +187,12 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor) {
   feed(for_each_packet, c2s, s2c, monitor);
 }
 
-std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records,
-                        const core::MonitorConfig& config) {
-  std::int64_t gets = 0;
-  int setup_skipped = 0;
-  for (const analysis::RecordObservation& rec : c2s_records) {
-    if (rec.type != tls::ContentType::kApplicationData) continue;
-    const std::size_t plaintext = rec.plaintext_estimate();
-    if (plaintext < config.min_get_record_bytes ||
-        plaintext > config.max_get_record_bytes) {
-      continue;
-    }
-    if (setup_skipped < config.setup_records_to_skip) {
-      ++setup_skipped;
-      continue;
-    }
-    ++gets;
-  }
-  return gets;
+std::int64_t count_gets(std::span<const analysis::RecordObservation> c2s_records) {
+  core::GetFilter filter;
+  return std::count_if(c2s_records.begin(), c2s_records.end(),
+                       [&filter](const analysis::RecordObservation& rec) {
+                         return filter.counts(rec);
+                       });
 }
 
 TraceSummary score_with_predictor(const TraceMeta& meta,

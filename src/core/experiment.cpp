@@ -12,11 +12,7 @@
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/metrics.hpp"
-#include "h2priv/net/link.hpp"
-#include "h2priv/net/middlebox.hpp"
 #include "h2priv/sim/simulator.hpp"
-#include "h2priv/tcp/connection.hpp"
-#include "h2priv/tls/session.hpp"
 
 namespace h2priv::core {
 
@@ -56,6 +52,28 @@ capture::TraceSummary summary_of(const RunResult& result) {
   summary.predicted_sequence = result.predicted_sequence;
   summary.sequence_positions_correct = result.sequence_positions_correct;
   return summary;
+}
+
+capture::TraceMeta capture_meta(const RunConfig& config) {
+  capture::TraceMeta meta;
+  meta.seed = config.seed;
+  meta.scenario = config.capture.scenario;
+  meta.attack_enabled = config.attack_enabled;
+  meta.pad_sensitive_objects = config.pad_sensitive_objects;
+  meta.push_emblems = config.push_emblems;
+  if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
+  if (config.manual_bandwidth) {
+    meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
+  }
+  meta.deadline_ns = config.deadline.ns;
+  meta.defense = config.server.defense;
+  return meta;
+}
+
+std::string capture_path(const RunConfig& config) {
+  if (!config.capture.path.empty()) return config.capture.path;
+  std::filesystem::create_directories(config.capture.corpus_dir);
+  return config.capture.corpus_dir + "/" + capture::trace_filename(config.seed);
 }
 
 void score_run(const web::IsideWithSite& site,
@@ -144,69 +162,11 @@ RunResult run_once(const RunConfig& config) {
   web::IsideWithPlan plan = web::build_isidewith_plan(site, plan_rng, config.tuning);
 
   // --- transport endpoints --------------------------------------------------
-  tcp::TcpConfig client_tcp_cfg;
-  client_tcp_cfg.local_port = 49'152;
-  client_tcp_cfg.remote_port = 443;
-  tcp::TcpConfig server_tcp_cfg;
-  server_tcp_cfg.local_port = 443;
-  server_tcp_cfg.remote_port = 49'152;
+  Topology topology(sim, config.path, link_rng, config.seed * 0x9e3779b97f4a7c15ull + 17);
+  tls::Session& client_tls = topology.client_tls();
+  tls::Session& server_tls = topology.server_tls();
 
-  net::Middlebox middlebox(sim);
-  std::uint64_t next_packet_id = 0;
-
-  // Links: client -> middlebox -> server and back. The middlebox sits at the
-  // gateway, so the client hop is short and the server hop is the WAN.
-  net::LinkConfig client_hop;
-  client_hop.propagation = config.path.client_hop_delay;
-  client_hop.rate = config.path.link_rate;
-  client_hop.jitter_sigma = config.path.jitter_sigma;
-  client_hop.loss_probability = config.path.background_loss;
-  net::LinkConfig server_hop = client_hop;
-  server_hop.propagation = config.path.server_hop_delay;
-  // The gateway's egress toward the client is the shared, contended hop.
-  net::LinkConfig egress_hop = client_hop;
-  egress_hop.burst_capacity_packets = config.path.egress_burst_capacity;
-  egress_hop.burst_window = config.path.egress_burst_window;
-  egress_hop.burst_excess_loss = config.path.egress_burst_loss;
-
-  tcp::Connection client_tcp(sim, client_tcp_cfg, nullptr);  // sink wired below
-  tcp::Connection server_tcp(sim, server_tcp_cfg, nullptr);
-
-  net::Link link_c2m(sim, client_hop, link_rng.fork(), [&](net::Packet&& p) {
-    middlebox.process(net::Direction::kClientToServer, std::move(p));
-  });
-  net::Link link_m2s(sim, server_hop, link_rng.fork(), [&](net::Packet&& p) {
-    server_tcp.on_wire(p.segment);
-  });
-  net::Link link_s2m(sim, server_hop, link_rng.fork(), [&](net::Packet&& p) {
-    middlebox.process(net::Direction::kServerToClient, std::move(p));
-  });
-  net::Link link_m2c(sim, egress_hop, link_rng.fork(), [&](net::Packet&& p) {
-    client_tcp.on_wire(p.segment);
-  });
-  middlebox.set_output(net::Direction::kClientToServer,
-                       [&](net::Packet&& p) { link_m2s.send(std::move(p)); });
-  middlebox.set_output(net::Direction::kServerToClient,
-                       [&](net::Packet&& p) { link_m2c.send(std::move(p)); });
-
-  // (segment sinks need the links, which needed the middlebox — wire now)
-  // NOTE: tcp::Connection exposes the sink only at construction, so the
-  // connections are constructed with null sinks above and rewired here via
-  // set_segment_out().
-  client_tcp.set_segment_out([&](util::SharedBytes wire) {
-    link_c2m.send(net::Packet{++next_packet_id, net::Direction::kClientToServer,
-                              std::move(wire)});
-  });
-  server_tcp.set_segment_out([&](util::SharedBytes wire) {
-    link_s2m.send(net::Packet{++next_packet_id, net::Direction::kServerToClient,
-                              std::move(wire)});
-  });
-
-  // --- TLS + application endpoints ------------------------------------------
-  const std::uint64_t session_secret = config.seed * 0x9e3779b97f4a7c15ull + 17;
-  tls::Session client_tls(tls::Role::kClient, session_secret, client_tcp);
-  tls::Session server_tls(tls::Role::kServer, session_secret, server_tcp);
-
+  // --- application endpoints ------------------------------------------------
   // Record quantization (src/defense): the server seals bucket-padded
   // application records; the client must strip the authenticated filler.
   const defense::DefenseConfig& defense_cfg = config.server.defense;
@@ -230,6 +190,7 @@ RunResult run_once(const RunConfig& config) {
   client::Browser browser(sim, site.site, plan.plan, config.browser, client_tls,
                           browser_rng.fork());
 
+  net::Middlebox& middlebox = topology.middlebox();
   if (config.packet_tap) {
     middlebox.add_tap([&config](net::Direction d, const net::Packet& p, util::TimePoint) {
       config.packet_tap(d, p);
@@ -243,27 +204,10 @@ RunResult run_once(const RunConfig& config) {
   TrafficMonitor monitor(middlebox, monitor_config);
   std::unique_ptr<capture::TraceWriter> trace_writer;
   if (config.capture.enabled()) {
-    std::string trace_path = config.capture.path;
-    if (trace_path.empty()) {
-      // Corpus mode: concurrent workers may race here; create_directories
-      // is idempotent, so whoever wins, everyone proceeds.
-      std::filesystem::create_directories(config.capture.corpus_dir);
-      trace_path = config.capture.corpus_dir + "/" + capture::trace_filename(config.seed);
-    }
-    capture::TraceMeta meta;
-    meta.seed = config.seed;
-    meta.scenario = config.capture.scenario;
-    meta.attack_enabled = config.attack_enabled;
-    meta.pad_sensitive_objects = config.pad_sensitive_objects;
-    meta.push_emblems = config.push_emblems;
-    if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
-    if (config.manual_bandwidth) {
-      meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
-    }
-    meta.deadline_ns = config.deadline.ns;
+    capture::TraceMeta meta = capture_meta(config);
     meta.party_order = plan.party_order;
-    meta.defense = defense_cfg;
-    trace_writer = std::make_unique<capture::TraceWriter>(trace_path, std::move(meta));
+    trace_writer =
+        std::make_unique<capture::TraceWriter>(capture_path(config), std::move(meta));
     monitor.on_packet_observed = [&](const analysis::PacketObservation& obs) {
       trace_writer->add_packet(obs);
     };
@@ -275,8 +219,7 @@ RunResult run_once(const RunConfig& config) {
   if (config.manual_bandwidth) controller.set_bandwidth(*config.manual_bandwidth);
 
   // --- go ---------------------------------------------------------------------
-  server_tcp.listen();
-  client_tcp.connect();
+  topology.start();
   const std::size_t events_executed =
       sim.run_until(util::TimePoint{} + config.deadline);
 
@@ -290,12 +233,12 @@ RunResult run_once(const RunConfig& config) {
   result.browser_rerequests = browser.stats().rerequests_sent;
   result.reset_episodes = browser.stats().reset_episodes;
   result.rst_streams_sent = browser.stats().rst_streams_sent;
-  result.tcp_retransmits =
-      client_tcp.stats().total_retransmits() + server_tcp.stats().total_retransmits();
+  result.tcp_retransmits = topology.client_tcp().stats().total_retransmits() +
+                           topology.server_tcp().stats().total_retransmits();
   result.duplicate_server_responses = server.stats().duplicate_requests;
   result.truth = truth;
   result.monitor_packets = monitor.packets_seen();
-  result.egress_burst_drops = link_m2c.stats().burst_dropped;
+  result.egress_burst_drops = topology.link_stats(Hop::kGatewayToClient).burst_dropped;
   result.monitor_gets = monitor.get_count();
   result.true_party_order = plan.party_order;
 

@@ -3,8 +3,10 @@
 // WAN link -> server), with the adversary optionally armed, and a scored
 // RunResult at the end.
 //
-// All benches and most examples are thin loops over run_once() with
-// different RunConfig fields — this is the single place topology lives.
+// The benches and most examples are thin loops over run_once() with
+// different RunConfig fields. The stack itself (links, gateway, TCP and TLS
+// endpoints) is core::Topology, which run_once shares with the benches that
+// drive their own sites and clients over it.
 #pragma once
 
 #include <array>
@@ -21,31 +23,11 @@
 #include "h2priv/client/browser.hpp"
 #include "h2priv/core/attack.hpp"
 #include "h2priv/core/predictor.hpp"
+#include "h2priv/core/topology.hpp"
 #include "h2priv/server/h2_server.hpp"
 #include "h2priv/web/isidewith.hpp"
 
 namespace h2priv::core {
-
-struct PathConfig {
-  /// Client <-> middlebox hop (the lab LAN to the gateway).
-  util::Duration client_hop_delay{util::milliseconds(2)};
-  /// Middlebox <-> server hop (gateway to a CDN-fronted webserver).
-  util::Duration server_hop_delay{util::milliseconds(18)};
-  util::BitRate link_rate{util::gigabits_per_second(1)};
-  /// Background propagation noise per packet.
-  util::Duration jitter_sigma{util::microseconds(100)};
-  /// Real paths lose the occasional packet; this also gives Table I a
-  /// non-zero retransmission baseline to report increases against.
-  double background_loss = 0.0004;
-
-  /// Gateway-egress contention (toward the client): bursts above this many
-  /// packets per window suffer drop-tail loss. Upstream shaping (the
-  /// adversary's bandwidth limit) smooths arrivals under the threshold —
-  /// the paper's Fig. 5 mechanism. 0 disables.
-  int egress_burst_capacity = 70;       // ~840 Mbps sustained in 1 ms windows
-  util::Duration egress_burst_window{util::milliseconds(1)};
-  double egress_burst_loss = 0.5;
-};
 
 /// Durable trace capture (src/capture): when enabled, run_once records the
 /// adversary's observations plus ground truth and the scored verdict into a
@@ -200,6 +182,17 @@ struct RunResult {
 
 /// Executes one seeded page load and scores it.
 [[nodiscard]] RunResult run_once(const RunConfig& config);
+
+/// The .h2t metadata a run of `config` records: seed, scenario label, the
+/// adversary and defense settings and the deadline. The writer fills in the
+/// rest (run_once the party order and horizon, the fleet merger its
+/// per-client entries).
+[[nodiscard]] capture::TraceMeta capture_meta(const RunConfig& config);
+
+/// Where `config.capture` puts this seed's trace: capture.path, or
+/// <corpus_dir>/run_<seed>.h2t, creating corpus_dir if need be (concurrent
+/// workers may race on that; creating a directory is idempotent).
+[[nodiscard]] std::string capture_path(const RunConfig& config);
 
 /// The attack scorer: the one verdict pass, run live by run_once and offline
 /// by capture::score_with_predictor. Fills `result`'s html,

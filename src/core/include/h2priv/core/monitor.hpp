@@ -18,22 +18,45 @@
 
 namespace h2priv::core {
 
+/// Minimum record plaintext for a client->server record to count as a GET.
+inline constexpr std::size_t kMinGetRecordBytes = 25;
+/// Maximum — request header blocks are small; bulkier uploads are not GETs.
+inline constexpr std::size_t kMaxGetRecordBytes = 512;
+/// Qualifying records to skip at session start (the client's SETTINGS
+/// flight rides in application-data records of GET-like size).
+inline constexpr int kSetupRecordsToSkip = 1;
+
+/// Stream-reset detection: a reset episode cancels dozens of streams
+/// back-to-back, so their tiny RST_STREAM records (13 bytes of plaintext
+/// each) coalesce into a single TCP segment. Tiny records that arrive one
+/// per packet (e.g. HPACK-compressed re-GETs) never trip this.
+inline constexpr std::size_t kResetRecordMaxBytes = 20;
+inline constexpr int kResetRecordsPerPacketThreshold = 8;
+
+/// The paper's GET filter over one direction's client->server records, in
+/// stream order: application data (`ssl.record.content_type == 23`) with a
+/// plaintext estimate in [kMinGetRecordBytes, kMaxGetRecordBytes], minus the
+/// first kSetupRecordsToSkip such records. The live monitor and offline
+/// scoring (capture::count_gets) both count through it.
+class GetFilter {
+ public:
+  /// True when `rec` is a GET. Call once per record, in stream order.
+  [[nodiscard]] bool counts(const analysis::RecordObservation& rec) noexcept {
+    if (rec.type != tls::ContentType::kApplicationData) return false;
+    const std::size_t plaintext = rec.plaintext_estimate();
+    if (plaintext < kMinGetRecordBytes || plaintext > kMaxGetRecordBytes) return false;
+    if (setup_skipped_ < kSetupRecordsToSkip) {
+      ++setup_skipped_;
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  int setup_skipped_ = 0;
+};
+
 struct MonitorConfig {
-  /// Minimum record plaintext for a client->server record to count as a GET.
-  std::size_t min_get_record_bytes = 25;
-  /// Maximum — request header blocks are small; bulkier uploads are not GETs.
-  std::size_t max_get_record_bytes = 512;
-  /// Qualifying records to skip at session start (the client's SETTINGS
-  /// flight rides in application-data records of GET-like size).
-  int setup_records_to_skip = 1;
-
-  /// Stream-reset detection: a reset episode cancels dozens of streams
-  /// back-to-back, so their tiny RST_STREAM records (13 bytes of plaintext
-  /// each) coalesce into a single TCP segment. Tiny records that arrive one
-  /// per packet (e.g. HPACK-compressed re-GETs) never trip this.
-  std::size_t reset_record_max_bytes = 20;
-  int reset_records_per_packet_threshold = 8;
-
   /// Keep a copy of every PacketObservation (packets() accessor). Chunked
   /// replay turns this off so monitoring a corpus-scale trace costs O(1)
   /// memory in packets, and run_once keeps it on only when the caller asked
@@ -89,8 +112,8 @@ class TrafficMonitor {
   std::uint64_t packets_seen_ = 0;
   int tiny_records_this_packet_ = 0;
   bool reset_reported_this_packet_ = false;
+  GetFilter get_filter_;
   int get_count_ = 0;
-  int setup_skipped_ = 0;
 };
 
 }  // namespace h2priv::core

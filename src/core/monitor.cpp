@@ -40,27 +40,19 @@ void TrafficMonitor::observe(const analysis::PacketObservation& obs,
 }
 
 void TrafficMonitor::on_record(const analysis::RecordObservation& rec) {
-  if (rec.type != tls::ContentType::kApplicationData) return;
-  const std::size_t plaintext = rec.plaintext_estimate();
-
   // Stream-reset flurry detection: many tiny records inside one segment.
-  if (plaintext >= 10 && plaintext <= config_.reset_record_max_bytes) {
+  const std::size_t plaintext = rec.plaintext_estimate();
+  if (rec.type == tls::ContentType::kApplicationData && plaintext >= 10 &&
+      plaintext <= kResetRecordMaxBytes) {
     ++tiny_records_this_packet_;
     if (!reset_reported_this_packet_ &&
-        tiny_records_this_packet_ >= config_.reset_records_per_packet_threshold) {
+        tiny_records_this_packet_ >= kResetRecordsPerPacketThreshold) {
       reset_reported_this_packet_ = true;
       if (on_reset_detected) on_reset_detected(rec.time);
     }
   }
 
-  if (plaintext < config_.min_get_record_bytes ||
-      plaintext > config_.max_get_record_bytes) {
-    return;
-  }
-  if (setup_skipped_ < config_.setup_records_to_skip) {
-    ++setup_skipped_;
-    return;
-  }
+  if (!get_filter_.counts(rec)) return;
   ++get_count_;
   if (on_get_request) on_get_request(get_count_, rec.time);
 }

@@ -107,31 +107,13 @@ CachePrepass run_prepass(const core::RunConfig& config,
   return pp;
 }
 
-std::string fleet_trace_path(const core::RunConfig& config) {
-  if (!config.capture.path.empty()) return config.capture.path;
-  std::filesystem::create_directories(config.capture.corpus_dir);
-  return config.capture.corpus_dir + "/" + capture::trace_filename(config.seed);
-}
-
 /// Serial merge of every client's observation streams into one fleet trace:
 /// begin_fleet first (provenance + per-client truth/verdict blobs), then
 /// k-way merges ordered by (client-local time + start offset, client index)
 /// — a pure function of the per-client results, so the bytes are identical
 /// for any job count.
 void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) {
-  capture::TraceMeta meta;
-  meta.seed = config.seed;
-  meta.scenario = config.capture.scenario;
-  meta.attack_enabled = config.attack_enabled;
-  meta.pad_sensitive_objects = config.pad_sensitive_objects;
-  meta.push_emblems = config.push_emblems;
-  if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
-  if (config.manual_bandwidth) {
-    meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
-  }
-  meta.deadline_ns = config.deadline.ns;
-  meta.defense = config.server.defense;
-  capture::TraceWriter writer(fleet_trace_path(config), std::move(meta));
+  capture::TraceWriter writer(core::capture_path(config), core::capture_meta(config));
 
   std::vector<capture::FleetConn> conns;
   conns.reserve(fleet.clients.size());

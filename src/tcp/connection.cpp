@@ -25,10 +25,9 @@ const char* to_string(State s) noexcept {
   return "?";
 }
 
-Connection::Connection(sim::Simulator& sim, TcpConfig config, SegmentOut out)
+Connection::Connection(sim::Simulator& sim, TcpConfig config)
     : sim_(sim),
       config_(config),
-      out_(std::move(out)),
       cc_(CongestionConfig{.mss = config.mss,
                            .initial_window_segments = config.initial_window_segments,
                            .min_window_segments = 1,
@@ -527,17 +526,10 @@ void Connection::handle_data(const SegmentView& s) {
     // In-order segments (the steady state) are delivered as a view into the
     // packet's pooled buffer; out-of-order ones are copied into the
     // reassembly window once and delivered from there.
-    if (const auto fast = reassembly_.offer_in_order(s.seq, s.payload)) {
-      if (!fast->empty()) {
-        delivered_ += fast->size();
-        if (on_data) on_data(*fast);
-      }
-    } else {
-      const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
-      if (!delivered.empty()) {
-        delivered_ += delivered.size();
-        if (on_data) on_data(delivered);
-      }
+    const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
+    if (!delivered.empty()) {
+      delivered_ += delivered.size();
+      if (on_data) on_data(delivered);
     }
   }
 

@@ -96,9 +96,10 @@ class Connection {
   /// and ref-counted; holders may keep it past the callback at no cost.
   using SegmentOut = std::function<void(util::SharedBytes)>;
 
-  /// `out` may be null at construction (topology wiring cycles); it must be
-  /// set via set_segment_out() before connect()/listen().
-  Connection(sim::Simulator& sim, TcpConfig config, SegmentOut out);
+  /// The segment sink is wired afterwards with set_segment_out() (the link
+  /// it feeds usually delivers to the peer, which must exist first); it must
+  /// be set before connect()/listen().
+  Connection(sim::Simulator& sim, TcpConfig config);
   ~Connection();
 
   void set_segment_out(SegmentOut out) { out_ = std::move(out); }

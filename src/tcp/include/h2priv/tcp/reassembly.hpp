@@ -5,18 +5,20 @@
 // which is exactly why the paper's "extra object copies" have to come from
 // the application layer (see DESIGN.md §2).
 //
-// Storage is one contiguous byte window that starts at rcv_nxt, plus a
-// sorted vector of the filled ranges above it. Each new byte is copied into
-// the window once; a drained prefix is handed out as a view into the window
-// and its dead bytes are reclaimed the way tcp::SendBuffer reclaims acked
-// ones (live bytes slide down once the dead prefix is at least as large).
+// A segment that arrives in order while nothing is buffered (the steady
+// state) is never copied: offer() hands back a view into the caller's bytes.
+// Storage for everything else is one contiguous byte window that starts at
+// rcv_nxt, plus a sorted vector of the filled ranges above it. Each new byte
+// is copied into the window once; a drained prefix is handed out as a view
+// into the window and its dead bytes are reclaimed the way tcp::SendBuffer
+// reclaims acked ones (live bytes slide down once the dead prefix is at
+// least as large).
 // The window never reaches further than kMaxWindow bytes past rcv_nxt: a
 // segment ending beyond that is dropped, so a hostile sequence jump costs
 // no allocation.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "h2priv/util/bytes.hpp"
@@ -32,29 +34,22 @@ class Reassembly {
   explicit Reassembly(std::uint64_t initial_rcv_nxt = 0) noexcept
       : rcv_nxt_(initial_rcv_nxt) {}
 
-  /// Zero-copy fast path for the common in-order case: with nothing
-  /// buffered, a segment at or below rcv_nxt is consumed in place —
-  /// rcv_nxt advances and the deliverable tail is returned as a view into
-  /// `data` (empty for a pure duplicate). Returns nullopt when the segment
-  /// needs the buffering slow path (gap ahead, or out-of-order segments
-  /// pending); the caller must then use offer(). Delivers byte-for-byte
-  /// what offer() would for the same input.
-  [[nodiscard]] std::optional<util::BytesView> offer_in_order(
-      std::uint64_t seq, util::BytesView data) noexcept {
-    if (!ranges_.empty() || seq > rcv_nxt_) return std::nullopt;
+  /// Offers a segment at absolute stream offset `seq` and returns the bytes
+  /// that became deliverable in order (possibly empty). With nothing
+  /// buffered and `seq <= rcv_nxt` (the steady state) the segment is
+  /// consumed in place and the view points into `data`; otherwise new bytes
+  /// are copied once into the window and the view points there. Either way
+  /// the view is valid until the next offer(), and never longer than `data`.
+  /// Bytes already buffered win over a diverging copy (first arrival wins).
+  /// A gapped segment ending more than kMaxWindow past rcv_nxt is dropped.
+  [[nodiscard]] util::BytesView offer(std::uint64_t seq, util::BytesView data) {
+    if (!ranges_.empty() || seq > rcv_nxt_) return buffer(seq, data);
     const std::uint64_t seg_end = seq + data.size();
-    if (seg_end <= rcv_nxt_) return util::BytesView{};  // already delivered
+    if (seg_end <= rcv_nxt_) return {};  // already delivered
     const auto skip = static_cast<std::size_t>(rcv_nxt_ - seq);
     rcv_nxt_ = seg_end;
     return data.subspan(skip);
   }
-
-  /// Offers a segment at absolute stream offset `seq`. Returns the bytes that
-  /// became deliverable in order (possibly empty), as a view into the window
-  /// that stays valid until the next offer(). Bytes already buffered win
-  /// over a diverging copy (first arrival wins). A segment ending more than
-  /// kMaxWindow past rcv_nxt is dropped.
-  [[nodiscard]] util::BytesView offer(std::uint64_t seq, util::BytesView data);
 
   [[nodiscard]] std::uint64_t rcv_nxt() const noexcept { return rcv_nxt_; }
   [[nodiscard]] std::size_t buffered_bytes() const noexcept { return buffered_; }
@@ -66,6 +61,10 @@ class Reassembly {
     std::uint64_t begin;
     std::uint64_t end;
   };
+
+  /// offer()'s slow path: buffers `data` in the window and drains the
+  /// contiguous prefix, if any.
+  [[nodiscard]] util::BytesView buffer(std::uint64_t seq, util::BytesView data);
 
   /// Reclaims the dead prefix and grows the window to reach stream offset
   /// `end` (at most kMaxWindow past rcv_nxt).

@@ -20,7 +20,7 @@ void Reassembly::make_room(std::uint64_t end) {
   }
 }
 
-util::BytesView Reassembly::offer(std::uint64_t seq, util::BytesView data) {
+util::BytesView Reassembly::buffer(std::uint64_t seq, util::BytesView data) {
   std::uint64_t begin = seq;
   const std::uint64_t seg_end = seq + data.size();
 

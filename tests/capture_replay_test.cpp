@@ -18,6 +18,7 @@
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
+#include "h2priv/tls/record.hpp"
 #include "h2priv/util/units.hpp"
 
 namespace h2priv {
@@ -256,6 +257,31 @@ TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
     EXPECT_EQ(direct, live_summary) << ctx;
     std::remove(path.c_str());
   }
+}
+
+TEST(CaptureReplay, CountGetsAppliesTheMonitorsGetFilter) {
+  // Stored records carry the ciphertext length; plaintext = it minus the tag.
+  const auto record = [](tls::ContentType type, std::size_t plaintext) {
+    analysis::RecordObservation rec;
+    rec.dir = net::Direction::kClientToServer;
+    rec.type = type;
+    rec.ciphertext_len = plaintext + tls::kAeadOverhead;
+    return rec;
+  };
+  constexpr auto kApp = tls::ContentType::kApplicationData;
+  constexpr auto kHandshake = tls::ContentType::kHandshake;
+  // The same sequence GetFilterBoundsAndSetupSkip sends through the monitor.
+  std::vector<analysis::RecordObservation> c2s = {
+      record(kApp, 24), record(kHandshake, 100), record(kApp, 513),
+      record(kApp, 25)};
+  EXPECT_EQ(capture::count_gets(c2s), 0);  // the 25 is the setup skip
+  c2s.push_back(record(kApp, 25));
+  c2s.push_back(record(kApp, 512));
+  EXPECT_EQ(capture::count_gets(c2s), 2);
+  c2s.push_back(record(kApp, 24));
+  c2s.push_back(record(kApp, 513));
+  c2s.push_back(record(kHandshake, 100));
+  EXPECT_EQ(capture::count_gets(c2s), 2);
 }
 
 TEST(CaptureReplay, ReplayCountsReadsIntoObs) {

@@ -77,6 +77,23 @@ TEST(TrafficMonitor, IgnoresHandshakeAndControlRecords) {
   EXPECT_EQ(f.monitor.get_count(), 0);
 }
 
+TEST(TrafficMonitor, GetFilterBoundsAndSetupSkip) {
+  MonitorFixture f;
+  f.client_records({24});          // one byte short: not a GET, no setup skip
+  f.client_handshake_record(100);  // GET-sized but not application data
+  f.client_records({513});         // one byte over
+  EXPECT_EQ(f.monitor.get_count(), 0);
+  f.client_records({25});  // the first match is the SETTINGS flight
+  EXPECT_EQ(f.monitor.get_count(), 0);
+  f.client_records({25});
+  f.client_records({512});
+  EXPECT_EQ(f.monitor.get_count(), 2);
+  f.client_records({24});
+  f.client_records({513});
+  f.client_handshake_record(100);
+  EXPECT_EQ(f.monitor.get_count(), 2);
+}
+
 TEST(TrafficMonitor, GetCallbackReportsIndexAndTime) {
   MonitorFixture f;
   f.client_records({45});  // setup

@@ -10,8 +10,8 @@ TcpPair::TcpPair(TcpPairConfig config) {
   config.server_tcp.local_port = 443;
   config.server_tcp.remote_port = 40'000;
 
-  client = std::make_unique<tcp::Connection>(sim, config.client_tcp, nullptr);
-  server = std::make_unique<tcp::Connection>(sim, config.server_tcp, nullptr);
+  client = std::make_unique<tcp::Connection>(sim, config.client_tcp);
+  server = std::make_unique<tcp::Connection>(sim, config.server_tcp);
 
   net::LinkConfig link_cfg;
   link_cfg.propagation = config.delay;

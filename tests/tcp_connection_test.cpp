@@ -21,7 +21,7 @@ TEST(TcpConnection, ThreeWayHandshake) {
 
 TEST(TcpConnection, ConnectWithoutSinkThrows) {
   sim::Simulator sim;
-  Connection conn(sim, TcpConfig{}, nullptr);
+  Connection conn(sim, TcpConfig{});
   EXPECT_THROW(conn.connect(), std::logic_error);
 }
 

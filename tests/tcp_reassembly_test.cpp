@@ -12,7 +12,8 @@ util::Bytes slice(const util::Bytes& all, std::size_t from, std::size_t len) {
                      all.begin() + static_cast<std::ptrdiff_t>(from + len));
 }
 
-/// offer() returns a view valid until the next offer; compare a copy.
+/// offer() returns a view valid until the next offer (and no longer than the
+/// offered bytes); compare a copy.
 util::Bytes copy(util::BytesView v) { return util::Bytes(v.begin(), v.end()); }
 
 TEST(Reassembly, InOrderDeliversImmediately) {
@@ -21,6 +22,22 @@ TEST(Reassembly, InOrderDeliversImmediately) {
   EXPECT_EQ(out, util::to_bytes("hello"));
   EXPECT_EQ(r.rcv_nxt(), 5u);
   EXPECT_FALSE(r.has_gaps());
+}
+
+TEST(Reassembly, InOrderOfferIsAViewIntoTheCallersBytes) {
+  Reassembly r(10);
+  const util::Bytes first = util::to_bytes("hello");
+  const util::BytesView out = r.offer(10, first);
+  EXPECT_EQ(out.data(), first.data());
+  EXPECT_EQ(out.size(), first.size());
+  // A retransmitted head ("lo") ahead of new bytes: the view starts at the
+  // first undelivered byte, still inside the caller's buffer.
+  const util::Bytes second = util::to_bytes("loworld");
+  const util::BytesView tail = r.offer(13, second);
+  EXPECT_EQ(tail.data(), second.data() + 2);
+  EXPECT_EQ(copy(tail), util::to_bytes("world"));
+  EXPECT_EQ(r.rcv_nxt(), 20u);
+  EXPECT_EQ(r.buffered_bytes(), 0u);
 }
 
 TEST(Reassembly, OutOfOrderBuffersUntilGapFills) {
@@ -161,7 +178,9 @@ TEST_P(ReassemblyProperty, RandomSegmentationReassemblesExactly) {
   Reassembly r(base);
   util::Bytes out;
   for (const Piece& p : pieces) {
-    const util::BytesView delivered = r.offer(base + p.from, slice(data, p.from, p.len));
+    // An in-order view may point into the segment: keep it alive.
+    const util::Bytes segment = slice(data, p.from, p.len);
+    const util::BytesView delivered = r.offer(base + p.from, segment);
     out.insert(out.end(), delivered.begin(), delivered.end());
   }
   EXPECT_EQ(out, data);
