@@ -13,7 +13,6 @@
 // cold corpus scan actually sees.
 //
 //   $ ./bench_codec [runs] [--jobs N]
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -21,6 +20,7 @@
 
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/trace_codec.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/corpus/store.hpp"
@@ -29,12 +29,6 @@
 using namespace h2priv;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// One coded block of one stream: enough to re-run either codec direction.
 struct BlockSample {
@@ -59,7 +53,7 @@ int main(int argc, char** argv) {
   cfg.seed = 1'000;
   cfg.capture.corpus_dir = root;
   cfg.capture.scenario = "table2";
-  (void)core::run_many(cfg, runs, bench::Harness::instance().jobs);
+  (void)capture::record_corpus(cfg, runs, bench::Harness::instance().jobs);
   const corpus::Corpus corpus = corpus::load_corpus(root);
 
   // Phase 2: recover every compressed section's raw column blocks by
@@ -131,7 +125,7 @@ int main(int argc, char** argv) {
   const int enc_reps = 20;
   bool deterministic = true;
   util::ByteWriter scratch;
-  const double e0 = now_s();
+  const double e0 = bench::now_s();
   for (int rep = 0; rep < enc_reps; ++rep) {
     for (BlockSample& s : samples) {
       if (s.stored) continue;
@@ -147,7 +141,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const double enc_wall = now_s() - e0;
+  const double enc_wall = bench::now_s() - e0;
   const double enc_mib_s =
       enc_wall > 0 ? static_cast<double>(coded_raw_bytes) * enc_reps /
                          (1024.0 * 1024.0) / enc_wall
@@ -161,23 +155,23 @@ int main(int argc, char** argv) {
   bool roundtrip_ok = true;
   util::Bytes decoded;
   double rc_wall = 0;
-  const double d0 = now_s();
+  const double d0 = bench::now_s();
   for (int rep = 0; rep < dec_reps; ++rep) {
     for (const BlockSample& s : samples) {
       decoded.resize(s.raw.size());
       if (s.stored) {
         std::copy(s.raw.begin(), s.raw.end(), decoded.begin());
       } else {
-        const double r0 = now_s();
+        const double r0 = bench::now_s();
         model.reset();
         (void)util::rc_decompress(util::BytesView{s.comp.data(), s.comp.size()},
                                   model, std::span<std::uint8_t>(decoded));
-        rc_wall += now_s() - r0;
+        rc_wall += bench::now_s() - r0;
       }
       if (rep == 0) roundtrip_ok &= decoded == s.raw;
     }
   }
-  const double dec_wall = now_s() - d0;
+  const double dec_wall = bench::now_s() - d0;
   const double dec_mib_s =
       rc_wall > 0 ? static_cast<double>(coded_raw_bytes) * dec_reps /
                         (1024.0 * 1024.0) / rc_wall
@@ -192,7 +186,7 @@ int main(int argc, char** argv) {
   // truth, summary.
   const int open_reps = 5;
   std::uint64_t decoded_packets = 0;
-  const double o0 = now_s();
+  const double o0 = bench::now_s();
   for (int rep = 0; rep < open_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
       const capture::TraceFile trace = capture::TraceFile::open(trace_path(corpus, e));
@@ -206,7 +200,7 @@ int main(int argc, char** argv) {
       (void)trace.summary();
     }
   }
-  const double open_wall = now_s() - o0;
+  const double open_wall = bench::now_s() - o0;
   const double open_traces_s =
       open_wall > 0 ? static_cast<double>(corpus.manifest.entries.size()) *
                           open_reps / open_wall

@@ -87,24 +87,42 @@ struct Batch {
   }
 };
 
-/// Runs seeds {base_seed .. base_seed+runs-1} across the harness's worker
-/// pool (see --jobs / H2PRIV_JOBS). Results are bit-identical to the serial
-/// loop for every job count; only the wall clock changes.
-inline Batch run_batch(core::RunConfig config, int runs,
-                       std::uint64_t base_seed = 1'000) {
+/// Monotonic wall-clock seconds, for timing a bench phase.
+inline double now_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// run_batch over a caller's batch runner: `run(config, runs, jobs)` returns
+/// one RunResult per seed, as core::run_many does (bench_replay passes one
+/// that records a corpus). Timed and totalled like run_batch.
+template <typename Run>
+inline Batch run_batch_with(core::RunConfig config, int runs, std::uint64_t base_seed,
+                            const Run& run) {
   Harness& h = Harness::instance();
   Batch b;
   b.jobs_used = core::effective_jobs(h.jobs, runs);
   config.seed = base_seed;
-  const auto t0 = std::chrono::steady_clock::now();
-  b.results = core::run_many(config, runs, h.jobs);
-  b.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double t0 = now_s();
+  b.results = run(config, runs, h.jobs);
+  b.wall_seconds = now_s() - t0;
   for (const auto& r : b.results) b.events_executed += r.events_executed;
   h.total_runs += b.n();
   h.batch_wall_s += b.wall_seconds;
   h.total_events += b.events_executed;
   return b;
+}
+
+/// Runs seeds {base_seed .. base_seed+runs-1} across the harness's worker
+/// pool (see --jobs / H2PRIV_JOBS). Results are bit-identical to the serial
+/// loop for every job count; only the wall clock changes.
+inline Batch run_batch(core::RunConfig config, int runs,
+                       std::uint64_t base_seed = 1'000) {
+  return run_batch_with(std::move(config), runs, base_seed,
+                        [](const core::RunConfig& c, int n, core::Parallelism jobs) {
+                          return core::run_many(c, n, jobs);
+                        });
 }
 
 inline void print_header(const char* id, const char* paper_ref, const char* what,

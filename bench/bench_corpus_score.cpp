@@ -10,7 +10,6 @@
 // along to keep the bounded-memory claim honest.
 //
 //   $ ./bench_corpus_score [runs] [--jobs N]
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -29,12 +28,6 @@
 using namespace h2priv;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Peak resident set size in MiB (0 where getrusage is unavailable).
 double peak_rss_mib() {
@@ -66,10 +59,10 @@ int main(int argc, char** argv) {
   cfg.seed = 1'000;
   cfg.capture.corpus_dir = root;
   cfg.capture.scenario = "table2";
-  const double gen0 = now_s();
+  const double gen0 = bench::now_s();
   (void)corpus::generate_sharded(cfg, runs, corpus::ShardOptions{5},
                                  bench::Harness::instance().jobs);
-  const double generate_wall = now_s() - gen0;
+  const double generate_wall = bench::now_s() - gen0;
   const corpus::Corpus corpus = corpus::load_corpus(root);
   std::uint64_t corpus_bytes = 0;
   for (const capture::ManifestEntry& e : corpus.manifest.entries) {
@@ -82,7 +75,7 @@ int main(int argc, char** argv) {
   // Phase 2: baseline — sequential open + full chunked replay per trace.
   const int baseline_reps = 2;
   int mismatches = 0;
-  const double b0 = now_s();
+  const double b0 = bench::now_s();
   for (int rep = 0; rep < baseline_reps; ++rep) {
     for (const capture::ManifestEntry& e : corpus.manifest.entries) {
       const capture::ReplayResult r =
@@ -90,7 +83,7 @@ int main(int argc, char** argv) {
       if (!r.records_match || !r.summary_matches) ++mismatches;
     }
   }
-  const double baseline_wall = now_s() - b0;
+  const double baseline_wall = bench::now_s() - b0;
   const double baseline_traces =
       static_cast<double>(corpus.manifest.entries.size()) * baseline_reps;
   const double baseline_traces_per_s =
@@ -103,13 +96,13 @@ int main(int argc, char** argv) {
   options.train_mod = 2;
   const int score_reps = 10;
   std::string report_text;
-  const double s0 = now_s();
+  const double s0 = bench::now_s();
   for (int rep = 0; rep < score_reps; ++rep) {
     const corpus::ScoreReport report = corpus::score_corpus(corpus, options);
     mismatches += static_cast<int>(report.summary_mismatches);
     if (rep == 0) report_text = corpus::format_report(report);
   }
-  const double score_wall = now_s() - s0;
+  const double score_wall = bench::now_s() - s0;
   const double scored_traces =
       static_cast<double>(corpus.manifest.entries.size()) * score_reps;
   const double score_traces_per_s = score_wall > 0 ? scored_traces / score_wall : 0.0;

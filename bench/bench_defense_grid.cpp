@@ -7,7 +7,6 @@
 // rows show overhead, no defended cell beats the undefended baseline).
 //
 //   $ ./bench_defense_grid [runs] [--jobs N]
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -19,12 +18,6 @@
 using namespace h2priv;
 
 namespace {
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 double row_metric(const defense::GridReport& report, const std::string& name,
                   double defense::DefenseRow::* field) {
@@ -50,9 +43,9 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(options.root);
 
   // Phase 1: the timed sweep at the harness job count.
-  const double g0 = now_s();
+  const double g0 = bench::now_s();
   const defense::GridReport report = defense::run_grid(options);
-  const double grid_wall = now_s() - g0;
+  const double grid_wall = bench::now_s() - g0;
   const std::string report_text = defense::format_grid_report(report);
   std::fputs(report_text.c_str(), stdout);
   const double cells = static_cast<double>(report.rows.size()) *

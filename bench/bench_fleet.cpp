@@ -10,7 +10,6 @@
 // throughput (clients/s) and the cache tier's hit rate.
 //
 //   $ ./bench_fleet [runs] [--jobs N]   # runs = fleet traces per corpus
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -39,12 +38,6 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,17 +61,17 @@ int main(int argc, char** argv) {
   // Phase 1: same corpus at 1 and 4 workers; manifests must be identical.
   core::RunConfig cfg1 = cfg;
   cfg1.capture.corpus_dir = dir1;
-  const double t0 = now_s();
+  const double t0 = bench::now_s();
   const std::vector<fleet::FleetResult> serial =
       fleet::run_fleet_corpus(cfg1, runs, core::Parallelism{1});
-  const double serial_wall = now_s() - t0;
+  const double serial_wall = bench::now_s() - t0;
 
   core::RunConfig cfg4 = cfg;
   cfg4.capture.corpus_dir = dir4;
-  const double t1 = now_s();
+  const double t1 = bench::now_s();
   const std::vector<fleet::FleetResult> parallel =
       fleet::run_fleet_corpus(cfg4, runs, core::Parallelism{4});
-  const double parallel_wall = now_s() - t1;
+  const double parallel_wall = bench::now_s() - t1;
 
   const bool manifests_identical =
       slurp(dir1 + "/manifest.txt") == slurp(dir4 + "/manifest.txt") &&

@@ -2,13 +2,12 @@
 // stack re-derives verdicts from stored .h2t traces, versus paying for a
 // full simulation per verdict.
 //
-// Phase 1 captures a small corpus (live runs, capture tap on); phase 2
-// replays every trace repeatedly and times only the offline pipeline. The
+// Phase 1 records a small corpus (live runs, each written as a .h2t);
+// phase 2 replays every trace repeatedly and times only the offline pipeline. The
 // headline metrics are replayed packets/s and the speedup over live, plus
 // the trace compression ratio (canonical raw footprint / .h2t bytes).
 //
 //   $ ./bench_replay [runs] [--jobs N]
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -17,6 +16,7 @@
 #include "bench_common.hpp"
 #include "h2priv/core/scenario.hpp"
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 
@@ -31,17 +31,22 @@ int main(int argc, char** argv) {
   // The corpus lives under the system temp dir, not the invoking cwd.
   const std::string corpus =
       (std::filesystem::temp_directory_path() / "bench_replay_corpus").string();
-  std::filesystem::create_directories(corpus);
   core::RunConfig cfg = core::scenario_config("table2");
   cfg.capture.corpus_dir = corpus;
   cfg.capture.scenario = "table2";
-  const bench::Batch live = bench::run_batch(cfg, runs);
+  capture::Manifest manifest;
+  const bench::Batch live = bench::run_batch_with(
+      cfg, runs, 1'000,
+      [&manifest](const core::RunConfig& c, int n, core::Parallelism jobs) {
+        capture::RecordedCorpus recorded = capture::record_corpus(c, n, jobs);
+        manifest = std::move(recorded.manifest);
+        return std::move(recorded.results);
+      });
   std::printf("capture:\n");
   bench::print_batch_perf(live);
 
   // Open (map + validate) once; replay timing should not include file I/O.
-  // Sizes come from the manifest run_many wrote beside the traces.
-  const capture::Manifest manifest = capture::read_manifest(corpus + "/manifest.txt");
+  // Sizes come from the manifest record_corpus wrote beside the traces.
   std::vector<capture::TraceFile> traces;
   std::uint64_t trace_bytes = 0, raw_bytes = 0, total_packets = 0;
   traces.reserve(manifest.entries.size());
@@ -55,15 +60,14 @@ int main(int argc, char** argv) {
   // Phase 2: replay each trace until the measurement is stable.
   const int reps = 5;
   int verdict_mismatches = 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = bench::now_s();
   for (int rep = 0; rep < reps; ++rep) {
     for (const capture::TraceFile& trace : traces) {
       const capture::ReplayResult r = capture::replay(trace);
       if (!r.records_match || !r.summary_matches) ++verdict_mismatches;
     }
   }
-  const double replay_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double replay_wall = bench::now_s() - t0;
 
   const double replayed_packets = static_cast<double>(total_packets) * reps;
   const double packets_per_s = replay_wall > 0 ? replayed_packets / replay_wall : 0.0;

@@ -33,8 +33,9 @@ std::uint64_t digest_file(const std::string& path) {
   return h;
 }
 
-TraceSizes trace_sizes(const std::string& path) {
-  const TraceFile trace = TraceFile::open(path);
+ManifestEntry manifest_entry(const std::string& dir, const std::string& file,
+                             std::uint64_t seed) {
+  const TraceFile trace = TraceFile::open(dir + "/" + file);
   std::uint64_t packets = 0, records = 0;
   for (const SectionInfo& s : trace.sections()) {
     if (s.id == Section::kPackets) packets += s.count;
@@ -42,8 +43,14 @@ TraceSizes trace_sizes(const std::string& path) {
       records += s.count;
     }
   }
-  return TraceSizes{packets * kRawPacketBytes + records * kRawRecordBytes,
-                    trace.file_size()};
+  ManifestEntry entry;
+  entry.file = file;
+  entry.seed = seed;
+  entry.packets = packets;
+  entry.digest = trace.digest();
+  entry.raw_bytes = packets * kRawPacketBytes + records * kRawRecordBytes;
+  entry.stored_bytes = trace.file_size();
+  return entry;
 }
 
 void write_manifest(const Manifest& m, const std::string& path) {

@@ -41,14 +41,12 @@ struct Manifest {
 /// Canonical per-run trace filename within a corpus directory.
 [[nodiscard]] std::string trace_filename(std::uint64_t seed);
 
-struct TraceSizes {
-  std::uint64_t raw_bytes = 0;     ///< fixed-width observation bytes
-  std::uint64_t stored_bytes = 0;  ///< file size on disk
-};
-
-/// Reads one trace's manifest byte counts from its trailer (mmap + skeleton
-/// validation only — no payload decode). Throws TraceError.
-[[nodiscard]] TraceSizes trace_sizes(const std::string& path);
+/// The manifest line of the trace at <dir>/<file> — the one way a
+/// ManifestEntry is built from a trace file. Opens the trace once (mmap +
+/// skeleton validation, no payload decode) and takes the digest, the packet
+/// count and the raw/stored byte counts from it. Throws TraceError.
+[[nodiscard]] ManifestEntry manifest_entry(const std::string& dir,
+                                           const std::string& file, std::uint64_t seed);
 
 /// FNV-1a 64 over a file's bytes. Throws TraceError on I/O failure.
 [[nodiscard]] std::uint64_t digest_file(const std::string& path);

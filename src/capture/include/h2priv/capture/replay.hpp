@@ -58,7 +58,7 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
     std::span<const analysis::RecordObservation> c2s_records);
 
 /// run_once's verdict recomputed offline: core::score_run over the site and
-/// horizon `meta` describes, converted with core::summary_of. Shared by full
+/// horizon `meta` describes, converted with summary_of (record.hpp). Shared by full
 /// replay and records-direct scoring, where the predictor runs straight over
 /// a stored server->client record section and count_gets recomputes the GET
 /// count from the client->server one; for every trace whose stored records
@@ -73,8 +73,8 @@ void replay_into(const TraceFile& trace, core::TrafficMonitor& monitor);
 /// Full offline pipeline: replay_into a fresh monitor, then score it with
 /// score_with_predictor against the stored ground truth and metadata.
 /// Requires ground truth (and uses the stored summary, when present, for the
-/// fidelity cross-check). The monitor runs with packet retention off, so
-/// peak memory stays bounded regardless of trace length.
+/// fidelity cross-check). The monitor stores no packets, so peak memory
+/// stays bounded regardless of trace length.
 [[nodiscard]] ReplayResult replay(const TraceFile& trace);
 
 /// One client connection demultiplexed out of a fleet trace. Observation

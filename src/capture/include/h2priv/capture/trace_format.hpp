@@ -17,8 +17,8 @@
 //                       trailer_offset(u64) end-magic(8)
 //
 // Sections carry no inline framing: offsets/lengths live only in the trailer
-// table, which is what lets the packets section stream to disk while the run
-// is still executing.
+// table, which is what lets the packets section stream to disk block by
+// block as packets are added, before their count is known.
 #pragma once
 
 #include <array>

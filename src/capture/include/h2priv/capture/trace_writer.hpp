@@ -2,11 +2,13 @@
 //
 // Each compressible section is written as per-field column streams (see
 // trace_codec.hpp). Packet columns compress and stream to disk one
-// kBlockBytes block at a time while the run is still executing, so memory
-// stays bounded no matter how long the run is; the smaller sections — TLS
+// kBlockBytes block at a time as packets are added, so the writer's memory
+// stays bounded however many packets it is fed; the smaller sections — TLS
 // records per direction, ground truth, summary — buffer their columns and
 // land after the packets section at finish(), followed by the uncompressed
-// meta and block-index sections and the trailer table.
+// meta and block-index sections and the trailer table. Its callers feed it
+// after the fact: capture::record_run from a finished run's observations,
+// the fleet merger from every client's, recompress from a v1 trace.
 //
 // Everything is deterministic: block boundaries depend only on the stream
 // byte counts, so re-encoding the same observations (live capture or a
@@ -67,12 +69,6 @@ class TraceWriter {
   /// bytes. Idempotent.
   std::uint64_t finish();
 
-  /// Mutable until finish(): fields learned late in a run (the attack
-  /// horizon, say) can be patched in before the meta section is encoded.
-  [[nodiscard]] TraceMeta& meta() noexcept { return meta_; }
-
-  [[nodiscard]] std::uint64_t packets_written() const noexcept { return n_packets_; }
-
  private:
   struct DirDeltas {
     std::int64_t prev_time_ns = 0;
@@ -96,7 +92,7 @@ class TraceWriter {
   std::uint64_t offset_ = 0;  ///< bytes written to the file so far
   bool finished_ = false;
 
-  BlockColumnWriter pkt_cols_;      // streams to disk while the run executes
+  BlockColumnWriter pkt_cols_;      // streams to disk block by block
   BlockColumnWriter rec_cols_c2s_;  // buffered until finish()
   BlockColumnWriter rec_cols_s2c_;
   BlockColumnWriter truth_cols_;

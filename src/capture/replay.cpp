@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "h2priv/capture/record.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/tls/record.hpp"
 
@@ -131,14 +132,6 @@ void feed(const ForEachPacket& for_each_packet,
   });
 }
 
-/// A fresh monitor for offline replay: packet retention off, so memory stays
-/// bounded regardless of trace length (packets_seen() is exact either way).
-[[nodiscard]] core::MonitorConfig replay_monitor_config() {
-  core::MonitorConfig config;
-  config.retain_packets = false;
-  return config;
-}
-
 [[nodiscard]] bool same_records(const std::vector<analysis::RecordObservation>& a,
                                 const std::vector<analysis::RecordObservation>& b) {
   if (a.size() != b.size()) return false;
@@ -204,7 +197,7 @@ TraceSummary score_with_predictor(const TraceMeta& meta,
   const util::TimePoint horizon{meta.attack_horizon_ns};
   core::RunResult scored;
   core::score_run(site, meta.party_order, truth, predictor, horizon, scored);
-  TraceSummary sum = core::summary_of(scored);
+  TraceSummary sum = summary_of(scored);
   sum.monitor_packets = monitor_packets;
   sum.monitor_gets = monitor_gets;
   return sum;
@@ -250,7 +243,7 @@ std::vector<DemuxedConn> demux_fleet(const TraceFile& trace) {
 }
 
 ReplayResult replay_conn(const DemuxedConn& conn) {
-  core::TrafficMonitor monitor(replay_monitor_config());
+  core::TrafficMonitor monitor;
   const auto for_each_packet = [&conn](const auto& fn) {
     for (const analysis::PacketObservation& p : conn.packets) fn(p);
   };
@@ -268,7 +261,7 @@ std::vector<ReplayResult> replay_fleet(const TraceFile& trace) {
 }
 
 ReplayResult replay(const TraceFile& trace) {
-  core::TrafficMonitor monitor(replay_monitor_config());
+  core::TrafficMonitor monitor;
   replay_into(trace, monitor);
   std::optional<TraceSummary> stored;
   if (trace.has_section(Section::kSummary)) stored = trace.summary();

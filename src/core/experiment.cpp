@@ -1,15 +1,10 @@
 #include "h2priv/core/experiment.hpp"
 
 #include <algorithm>
-
 #include <cmath>
-
-#include <filesystem>
-
 #include <memory>
+#include <stdexcept>
 
-#include "h2priv/capture/corpus.hpp"
-#include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/sim/simulator.hpp"
@@ -27,53 +22,6 @@ analysis::SizeCatalog isidewith_catalog() {
     catalog.add(party_label(p), web::kEmblemSizes[static_cast<std::size_t>(p)]);
   }
   return catalog;
-}
-
-capture::TraceSummary summary_of(const RunResult& result) {
-  const auto verdict_of = [](const ObjectOutcome& o) {
-    capture::ObjectVerdict v;
-    v.label = o.label;
-    v.true_size = o.true_size;
-    v.has_dom = o.primary_dom.has_value();
-    if (o.primary_dom) v.primary_dom = *o.primary_dom;
-    v.serialized_primary = o.serialized_primary;
-    v.any_serialized_copy = o.any_serialized_copy;
-    v.identified = o.identified;
-    v.attack_success = o.attack_success;
-    return v;
-  };
-  capture::TraceSummary summary;
-  summary.monitor_packets = result.monitor_packets;
-  summary.monitor_gets = result.monitor_gets;
-  summary.html = verdict_of(result.html);
-  for (std::size_t pos = 0; pos < static_cast<std::size_t>(web::kPartyCount); ++pos) {
-    summary.emblems_by_position[pos] = verdict_of(result.emblems_by_position[pos]);
-  }
-  summary.predicted_sequence = result.predicted_sequence;
-  summary.sequence_positions_correct = result.sequence_positions_correct;
-  return summary;
-}
-
-capture::TraceMeta capture_meta(const RunConfig& config) {
-  capture::TraceMeta meta;
-  meta.seed = config.seed;
-  meta.scenario = config.capture.scenario;
-  meta.attack_enabled = config.attack_enabled;
-  meta.pad_sensitive_objects = config.pad_sensitive_objects;
-  meta.push_emblems = config.push_emblems;
-  if (config.manual_spacing) meta.manual_spacing_ns = config.manual_spacing->ns;
-  if (config.manual_bandwidth) {
-    meta.manual_bandwidth_bps = config.manual_bandwidth->bits_per_sec;
-  }
-  meta.deadline_ns = config.deadline.ns;
-  meta.defense = config.server.defense;
-  return meta;
-}
-
-std::string capture_path(const RunConfig& config) {
-  if (!config.capture.path.empty()) return config.capture.path;
-  std::filesystem::create_directories(config.capture.corpus_dir);
-  return config.capture.corpus_dir + "/" + capture::trace_filename(config.seed);
 }
 
 void score_run(const web::IsideWithSite& site,
@@ -146,6 +94,10 @@ void score_run(const web::IsideWithSite& site,
 }
 
 RunResult run_once(const RunConfig& config) {
+  if (config.capture.enabled()) {
+    throw std::invalid_argument(
+        "run_once writes no trace: record one with capture::record_run");
+  }
   obs::Registry& reg = obs::current();
   if (config.obs_trace_capacity > 0) {
     reg.trace().set_capacity(config.obs_trace_capacity);
@@ -198,18 +150,12 @@ RunResult run_once(const RunConfig& config) {
   }
 
   // --- adversary --------------------------------------------------------------
-  // Retained packets are read only through observations_out.
-  MonitorConfig monitor_config;
-  monitor_config.retain_packets = config.observations_out != nullptr;
-  TrafficMonitor monitor(middlebox, monitor_config);
-  std::unique_ptr<capture::TraceWriter> trace_writer;
-  if (config.capture.enabled()) {
-    capture::TraceMeta meta = capture_meta(config);
-    meta.party_order = plan.party_order;
-    trace_writer =
-        std::make_unique<capture::TraceWriter>(capture_path(config), std::move(meta));
-    monitor.on_packet_observed = [&](const analysis::PacketObservation& obs) {
-      trace_writer->add_packet(obs);
+  TrafficMonitor monitor(middlebox);
+  RunObservations* const out = config.observations_out;
+  if (out != nullptr) {
+    out->packets.clear();
+    monitor.on_packet_observed = [out](const analysis::PacketObservation& obs) {
+      out->packets.push_back(obs);
     };
   }
   NetworkController controller(sim, middlebox, adversary_rng.fork());
@@ -252,25 +198,10 @@ RunResult run_once(const RunConfig& config) {
   result.attack_horizon_seconds = horizon.seconds();
   result.debug_bursts = predictor.bursts_after(horizon);
 
-  if (trace_writer) {
-    for (const auto dir :
-         {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
-      for (const analysis::RecordObservation& rec : monitor.records(dir)) {
-        trace_writer->add_record(rec);
-      }
-    }
-    trace_writer->meta().attack_horizon_ns = horizon.ns;
-    trace_writer->set_ground_truth(*truth);
-    trace_writer->set_summary(summary_of(result));
-    trace_writer->finish();
-  }
-
-  if (config.observations_out != nullptr) {
-    RunObservations& out = *config.observations_out;
-    out.packets = monitor.packets();
-    out.records_c2s = monitor.records(net::Direction::kClientToServer);
-    out.records_s2c = monitor.records(net::Direction::kServerToClient);
-    out.attack_horizon_ns = horizon.ns;
+  if (out != nullptr) {
+    out->records_c2s = monitor.records(net::Direction::kClientToServer);
+    out->records_s2c = monitor.records(net::Direction::kServerToClient);
+    out->attack_horizon_ns = horizon.ns;
   }
 
   reg.add(obs::Counter::kCoreRuns);

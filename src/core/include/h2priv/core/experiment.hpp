@@ -18,7 +18,6 @@
 
 #include "h2priv/analysis/ground_truth.hpp"
 #include "h2priv/analysis/observation.hpp"
-#include "h2priv/capture/trace_format.hpp"
 #include "h2priv/net/packet.hpp"
 #include "h2priv/client/browser.hpp"
 #include "h2priv/core/attack.hpp"
@@ -29,14 +28,15 @@
 
 namespace h2priv::core {
 
-/// Durable trace capture (src/capture): when enabled, run_once records the
-/// adversary's observations plus ground truth and the scored verdict into a
-/// binary .h2t trace as the run executes.
+/// Where a run's .h2t trace goes. run_once writes no file (it throws
+/// std::invalid_argument when one is set): capture::record_run and
+/// capture::record_corpus (src/capture) run it and write the trace afterwards
+/// from its RunObservations, and fleet::run_fleet writes the merged one.
 struct CaptureOptions {
   /// Explicit output path for a single run ("x.h2t").
   std::string path;
-  /// Corpus mode: write <corpus_dir>/run_<seed>.h2t instead. run_many also
-  /// drops a manifest.txt with per-trace digests beside the traces.
+  /// Corpus mode: write <corpus_dir>/run_<seed>.h2t instead. record_corpus
+  /// also drops a manifest.txt with per-trace digests beside the traces.
   std::string corpus_dir;
   /// Scenario label stored in the trace metadata (e.g. "fig2", "table2").
   std::string scenario;
@@ -70,9 +70,12 @@ struct FleetConfig {
   [[nodiscard]] bool enabled() const noexcept { return clients > 0; }
 };
 
-/// Raw observation streams of one run, exported for callers that multiplex
-/// several runs into one artifact (the fleet trace merger). Filled by
-/// run_once when RunConfig::observations_out points at an instance.
+/// Raw observation streams of one run: every packet the monitor saw (in
+/// arrival order, appended through TrafficMonitor::on_packet_observed as the
+/// run executes), both directions' TLS records and the attack horizon.
+/// Filled by run_once when RunConfig::observations_out points at an
+/// instance; capture::record_run writes a .h2t from it and the fleet merger
+/// multiplexes several into one.
 struct RunObservations {
   std::vector<analysis::PacketObservation> packets;
   std::vector<analysis::RecordObservation> records_c2s;
@@ -112,7 +115,7 @@ struct RunConfig {
   /// this run (0 = tracing stays off). The ring keeps the newest records.
   std::size_t obs_trace_capacity = 0;
 
-  /// Durable .h2t trace capture of this run (off unless a path is set).
+  /// Where capture::record_run puts this run's .h2t; run_once rejects it.
   CaptureOptions capture;
 
   /// Observer for every packet entering the middlebox (both directions, in
@@ -123,9 +126,9 @@ struct RunConfig {
   /// Fleet-mode parameters; consumed by fleet::run_fleet, inert in run_once.
   FleetConfig fleet{};
 
-  /// When non-null, run_once copies the monitor's packet/record observations
-  /// and the attack horizon here (the fleet merger's feed). Orthogonal to
-  /// `capture`, which writes a standalone .h2t instead.
+  /// When non-null, run_once fills it with the run's packet and record
+  /// observations and the attack horizon (the feed of capture::record_run
+  /// and the fleet merger). Its previous contents are replaced.
   RunObservations* observations_out = nullptr;
 };
 
@@ -180,19 +183,10 @@ struct RunResult {
 /// The adversary's pre-compiled catalog for the isidewith model.
 [[nodiscard]] analysis::SizeCatalog isidewith_catalog();
 
-/// Executes one seeded page load and scores it.
+/// Executes one seeded page load and scores it. Writes no trace: throws
+/// std::invalid_argument when config.capture is enabled (capture::record_run
+/// is the recording entry point).
 [[nodiscard]] RunResult run_once(const RunConfig& config);
-
-/// The .h2t metadata a run of `config` records: seed, scenario label, the
-/// adversary and defense settings and the deadline. The writer fills in the
-/// rest (run_once the party order and horizon, the fleet merger its
-/// per-client entries).
-[[nodiscard]] capture::TraceMeta capture_meta(const RunConfig& config);
-
-/// Where `config.capture` puts this seed's trace: capture.path, or
-/// <corpus_dir>/run_<seed>.h2t, creating corpus_dir if need be (concurrent
-/// workers may race on that; creating a directory is idempotent).
-[[nodiscard]] std::string capture_path(const RunConfig& config);
 
 /// The attack scorer: the one verdict pass, run live by run_once and offline
 /// by capture::score_with_predictor. Fills `result`'s html,
@@ -210,11 +204,6 @@ void score_run(const web::IsideWithSite& site,
                const std::array<int, web::kPartyCount>& party_order,
                const analysis::GroundTruth& truth, const ObjectPredictor& predictor,
                util::TimePoint horizon, RunResult& result);
-
-/// A run's scored verdict in the shape a .h2t trace stores it — the one
-/// RunResult -> TraceSummary conversion, shared by run_once's capture path
-/// and the fleet trace merger.
-[[nodiscard]] capture::TraceSummary summary_of(const RunResult& result);
 
 /// Convenience: run `n` seeds {base_seed .. base_seed+n-1}. Honors the
 /// H2PRIV_JOBS environment variable (defaults to all hardware threads; the

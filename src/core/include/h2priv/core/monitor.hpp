@@ -56,22 +56,14 @@ class GetFilter {
   int setup_skipped_ = 0;
 };
 
-struct MonitorConfig {
-  /// Keep a copy of every PacketObservation (packets() accessor). Chunked
-  /// replay turns this off so monitoring a corpus-scale trace costs O(1)
-  /// memory in packets, and run_once keeps it on only when the caller asked
-  /// for RunConfig::observations_out; packets_seen() stays exact either way.
-  bool retain_packets = true;
-};
-
 class TrafficMonitor {
  public:
-  TrafficMonitor(net::Middlebox& middlebox, MonitorConfig config = {});
+  explicit TrafficMonitor(net::Middlebox& middlebox);
 
   /// Standalone monitor with no live tap: observations are pushed through
   /// observe() — the offline-replay path (capture::replay_into feeds a
   /// stored .h2t trace through exactly the live analysis code).
-  explicit TrafficMonitor(MonitorConfig config = {});
+  TrafficMonitor();
 
   /// Feeds one packet observation plus the visible TCP payload bytes (what
   /// tcp::peek exposes). The live middlebox tap and the offline replayer
@@ -86,7 +78,9 @@ class TrafficMonitor {
   std::function<void(util::TimePoint when)> on_reset_detected;
 
   /// Fires on every packet observation, before stream analysis — the
-  /// capture tap (core::run_once streams these into a TraceWriter).
+  /// monitor's one packet export. It stores no packets itself: run_once
+  /// appends them to RunObservations::packets when the caller asks for
+  /// them, and offline replay keeps none, so its memory stays bounded.
   std::function<void(const analysis::PacketObservation& obs)> on_packet_observed;
 
   [[nodiscard]] int get_count() const noexcept { return get_count_; }
@@ -94,21 +88,15 @@ class TrafficMonitor {
       net::Direction dir) const noexcept {
     return streams_[static_cast<std::size_t>(dir)].records();
   }
-  /// Retained observations (empty when config.retain_packets is off).
-  [[nodiscard]] const std::vector<analysis::PacketObservation>& packets() const noexcept {
-    return packets_;
-  }
   [[nodiscard]] std::uint64_t packets_seen() const noexcept { return packets_seen_; }
 
  private:
   void on_packet(net::Direction dir, const net::Packet& packet, util::TimePoint now);
   void on_record(const analysis::RecordObservation& rec);
 
-  MonitorConfig config_;
   analysis::MonitorStream streams_[2] = {
       analysis::MonitorStream(net::Direction::kClientToServer),
       analysis::MonitorStream(net::Direction::kServerToClient)};
-  std::vector<analysis::PacketObservation> packets_;
   std::uint64_t packets_seen_ = 0;
   int tiny_records_this_packet_ = 0;
   bool reset_reported_this_packet_ = false;

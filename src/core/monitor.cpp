@@ -2,15 +2,14 @@
 
 namespace h2priv::core {
 
-TrafficMonitor::TrafficMonitor(net::Middlebox& middlebox, MonitorConfig config)
-    : TrafficMonitor(config) {
+TrafficMonitor::TrafficMonitor(net::Middlebox& middlebox) : TrafficMonitor() {
   middlebox.add_tap(
       [this](net::Direction dir, const net::Packet& p, util::TimePoint now) {
         on_packet(dir, p, now);
       });
 }
 
-TrafficMonitor::TrafficMonitor(MonitorConfig config) : config_(config) {
+TrafficMonitor::TrafficMonitor() {
   streams_[static_cast<std::size_t>(net::Direction::kClientToServer)].on_record =
       [this](const analysis::RecordObservation& rec) { on_record(rec); };
 }
@@ -32,7 +31,6 @@ void TrafficMonitor::on_packet(net::Direction dir, const net::Packet& packet,
 void TrafficMonitor::observe(const analysis::PacketObservation& obs,
                              util::BytesView payload) {
   ++packets_seen_;
-  if (config_.retain_packets) packets_.push_back(obs);
   if (on_packet_observed) on_packet_observed(obs);
   tiny_records_this_packet_ = 0;
   reset_reported_this_packet_ = false;

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "h2priv/capture/corpus.hpp"
 #include "h2priv/obs/metrics.hpp"
 
 namespace h2priv::core {
@@ -87,27 +86,6 @@ std::vector<RunResult> run_many(const RunConfig& config, int n,
     out[static_cast<std::size_t>(i)] = run_once(cfg);
   });
 
-  // Corpus mode: one .h2t per seed is already on disk; summarize them in a
-  // manifest whose content is a pure function of the traces (entries sorted
-  // by seed, digests over file bytes) — byte-identical for any --jobs count.
-  if (!config.capture.corpus_dir.empty()) {
-    capture::Manifest manifest;
-    manifest.scenario = config.capture.scenario;
-    manifest.base_seed = base;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      capture::ManifestEntry entry;
-      entry.seed = base + i;
-      entry.file = capture::trace_filename(entry.seed);
-      entry.packets = out[i].monitor_packets;
-      const std::string path = config.capture.corpus_dir + "/" + entry.file;
-      entry.digest = capture::digest_file(path);
-      const capture::TraceSizes sizes = capture::trace_sizes(path);
-      entry.raw_bytes = sizes.raw_bytes;
-      entry.stored_bytes = sizes.stored_bytes;
-      manifest.entries.push_back(std::move(entry));
-    }
-    capture::write_manifest(manifest, config.capture.corpus_dir + "/manifest.txt");
-  }
   return out;
 }
 

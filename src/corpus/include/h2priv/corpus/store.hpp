@@ -13,8 +13,8 @@
 // flat corpus one: entries sorted by seed, every field a pure function of
 // trace bytes and run parameters — so two generations of the same build are
 // byte-identical at any --jobs count and `cmp` stays a sufficient CI check.
-// A flat corpus (core::run_many's layout) is just the degenerate single-shard
-// case; load_corpus() reads both.
+// A flat corpus (capture::record_corpus's layout) is just the degenerate
+// single-shard case; load_corpus() reads both.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +39,9 @@ struct ShardOptions {
 
 /// Generates `n` seeded runs {config.seed .. config.seed+n-1} as a sharded
 /// corpus under `config.capture.corpus_dir`: each shard is produced by
-/// core::run_many (which writes the shard's traces and its own manifest),
-/// then the shard manifests are folded into `<root>/manifest.txt` with
-/// shard-relative file paths. Returns the merged manifest. Bit-identical
+/// capture::record_corpus (which writes the shard's traces and its own
+/// manifest), then the shard manifests are folded into `<root>/manifest.txt`
+/// with shard-relative file paths. Returns the merged manifest. Bit-identical
 /// output for any `parallelism` — the per-shard manifests are sorted by
 /// seed and the fold is a pure function of them.
 capture::Manifest generate_sharded(const core::RunConfig& config, int n,

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <map>
 
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/trace_format.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
@@ -34,10 +35,9 @@ capture::Manifest generate_sharded(const core::RunConfig& config, int n,
     core::RunConfig cfg = config;
     cfg.seed = config.seed + static_cast<std::uint64_t>(done);
     cfg.capture.corpus_dir = root + "/" + shard_name(shard);
-    // run_many writes the shard's traces and its manifest.txt, parallel
-    // across seeds within the shard.
-    (void)core::run_many(cfg, count, parallelism);
-    shards.push_back(capture::read_manifest(cfg.capture.corpus_dir + "/manifest.txt"));
+    // record_corpus writes the shard's traces and its manifest.txt, parallel
+    // across seeds within the shard, and returns that manifest.
+    shards.push_back(capture::record_corpus(cfg, count, parallelism).manifest);
     prefixes.push_back(shard_name(shard));
     obs::count(obs::Counter::kCorpusShardsWritten);
     done += count;
@@ -162,10 +162,7 @@ RecompressStats recompress_corpus(const std::string& dir,
       rewrite_trace(path);
       upgraded[at] = 1;
     }
-    entry.digest = capture::digest_file(path);
-    const capture::TraceSizes sizes = capture::trace_sizes(path);
-    entry.raw_bytes = sizes.raw_bytes;
-    entry.stored_bytes = sizes.stored_bytes;
+    entry = capture::manifest_entry(dir, entry.file, entry.seed);
   });
   for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
     stats.upgraded += upgraded[i];

@@ -77,13 +77,6 @@ const char* to_string(PaddingPolicy policy) noexcept {
   return "?";
 }
 
-std::optional<PaddingPolicy> padding_policy_from_name(std::string_view name) noexcept {
-  if (name == "none") return PaddingPolicy::kNone;
-  if (name == "random") return PaddingPolicy::kPerFrameRandom;
-  if (name == "bucket") return PaddingPolicy::kPadToBucket;
-  return std::nullopt;
-}
-
 std::optional<DefenseConfig> defense_from_name(std::string_view name) noexcept {
   for (const auto& [preset_name, make] : presets()) {
     if (name == preset_name) return make();

@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/core/scenario.hpp"
@@ -149,12 +150,12 @@ GridReport run_grid(const GridOptions& options) {
     rc.capture.corpus_dir = dir;
     rc.capture.scenario = options.scenario + "+" + name;
     // Workers fold their counters into this thread's registry, so the delta
-    // across run_many is the row's exact defense-injected byte count.
+    // across record_corpus is the row's exact defense-injected byte count.
     obs::Registry& reg = obs::current();
     const std::uint64_t pad_before = reg.get(obs::Counter::kH2PadBytesSent) +
                                      reg.get(obs::Counter::kTlsPadBytesSealed);
     const std::vector<core::RunResult> results =
-        core::run_many(rc, options.runs, options.parallelism);
+        capture::record_corpus(rc, options.runs, options.parallelism).results;
     const std::uint64_t pad_after = reg.get(obs::Counter::kH2PadBytesSent) +
                                     reg.get(obs::Counter::kTlsPadBytesSealed);
 

@@ -40,9 +40,6 @@ enum class PaddingPolicy : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(PaddingPolicy policy) noexcept;
-/// Parses "none" / "random" / "bucket"; nullopt otherwise.
-[[nodiscard]] std::optional<PaddingPolicy> padding_policy_from_name(
-    std::string_view name) noexcept;
 
 struct DefenseConfig {
   PaddingPolicy padding = PaddingPolicy::kNone;
@@ -100,14 +97,5 @@ struct DefenseConfig {
 /// deterministic policy never perturbs the rng stream.
 [[nodiscard]] std::uint8_t data_pad_length(const DefenseConfig& config,
                                            std::size_t payload_len, sim::Rng& rng);
-
-/// `len` rounded up to the next multiple of `bucket` (identity when bucket
-/// is 0 or len is already aligned).
-[[nodiscard]] constexpr std::size_t round_up_to_bucket(std::size_t len,
-                                                       std::size_t bucket) noexcept {
-  if (bucket == 0) return len;
-  const std::size_t rem = len % bucket;
-  return rem == 0 ? len : len + (bucket - rem);
-}
 
 }  // namespace h2priv::defense

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/web/isidewith.hpp"
@@ -113,7 +114,8 @@ CachePrepass run_prepass(const core::RunConfig& config,
 /// — a pure function of the per-client results, so the bytes are identical
 /// for any job count.
 void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) {
-  capture::TraceWriter writer(core::capture_path(config), core::capture_meta(config));
+  capture::TraceWriter writer(capture::capture_path(config),
+                              capture::capture_meta(config));
 
   std::vector<capture::FleetConn> conns;
   conns.reserve(fleet.clients.size());
@@ -130,7 +132,7 @@ void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) 
     fc.cache_misses = c.cache_misses;
     fc.cache_stale = c.cache_stale;
     fc.truth = *c.result.truth;
-    fc.summary = core::summary_of(c.result);
+    fc.summary = capture::summary_of(c.result);
     conns.push_back(std::move(fc));
   }
   writer.begin_fleet(conns);
@@ -307,21 +309,8 @@ std::vector<FleetResult> run_fleet_corpus(const core::RunConfig& config, int run
     cfg.seed = config.seed + static_cast<std::uint64_t>(r);
     cfg.capture.path.clear();
     out.push_back(run_fleet(cfg, parallelism));
-
-    capture::ManifestEntry entry;
-    entry.seed = cfg.seed;
-    entry.file = capture::trace_filename(entry.seed);
-    std::uint64_t packets = 0;
-    for (const FleetClientResult& c : out.back().clients) {
-      packets += c.obs.packets.size();
-    }
-    entry.packets = packets;
-    const std::string path = config.capture.corpus_dir + "/" + entry.file;
-    entry.digest = capture::digest_file(path);
-    const capture::TraceSizes sizes = capture::trace_sizes(path);
-    entry.raw_bytes = sizes.raw_bytes;
-    entry.stored_bytes = sizes.stored_bytes;
-    manifest.entries.push_back(std::move(entry));
+    manifest.entries.push_back(capture::manifest_entry(
+        config.capture.corpus_dir, capture::trace_filename(cfg.seed), cfg.seed));
   }
   capture::write_manifest(manifest, config.capture.corpus_dir + "/manifest.txt");
   return out;

@@ -79,9 +79,9 @@ struct FleetResult {
 
 /// Corpus mode: `runs` fleet traces for seeds {config.seed ..} into
 /// config.capture.corpus_dir plus a manifest.txt in the exact format
-/// core::run_many writes — entries sorted by seed, digests over file bytes —
-/// so the manifest is byte-identical for any job count and `cmp` is a
-/// sufficient CI check.
+/// capture::record_corpus writes — one capture::manifest_entry per trace,
+/// sorted by seed — so the manifest is byte-identical for any job count and
+/// `cmp` is a sufficient CI check.
 [[nodiscard]] std::vector<FleetResult> run_fleet_corpus(
     const core::RunConfig& config, int runs, core::Parallelism parallelism);
 

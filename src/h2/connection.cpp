@@ -106,14 +106,6 @@ Stream& Connection::require_stream(std::uint32_t id) {
   return it->second;
 }
 
-std::size_t Connection::open_stream_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(streams_.begin(), streams_.end(), [](const auto& kv) {
-        return kv.second.state != StreamState::kClosed &&
-               kv.second.state != StreamState::kIdle;
-      }));
-}
-
 std::size_t Connection::blocked_stream_count() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(streams_.begin(), streams_.end(),

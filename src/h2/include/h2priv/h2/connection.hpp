@@ -75,7 +75,6 @@ class Connection {
     return streams_.contains(id);
   }
   [[nodiscard]] const Stream& stream(std::uint32_t id) const;
-  [[nodiscard]] std::size_t open_stream_count() const noexcept;
   /// Streams with body bytes still queued behind flow control.
   [[nodiscard]] std::size_t blocked_stream_count() const noexcept;
   [[nodiscard]] std::int64_t connection_send_window() const noexcept {

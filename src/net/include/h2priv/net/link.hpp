@@ -56,7 +56,6 @@ class Link {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  void set_rate(util::BitRate rate) noexcept { config_.rate = rate; }
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }
 
  private:

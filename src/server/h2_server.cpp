@@ -165,12 +165,6 @@ void H2Server::schedule_pump() {
   });
 }
 
-H2Server::Handler* H2Server::pick_sequential() {
-  // Oldest started handler runs to completion first (head-of-line).
-  if (rr_order_.empty()) return nullptr;
-  return &handlers_.at(rr_order_.front());
-}
-
 bool H2Server::write_chunk(Handler& h, std::size_t chunk) {
   if (!h.headers_sent) {
     // Response headers ride immediately ahead of the first body bytes, as a

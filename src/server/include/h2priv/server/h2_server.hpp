@@ -131,7 +131,6 @@ class H2Server {
   void pump();
   /// Writes one chunk for the handler; returns true if the handler finished.
   bool write_chunk(Handler& h, std::size_t chunk);
-  [[nodiscard]] Handler* pick_sequential();
   [[nodiscard]] bool shaping() const noexcept { return config_.defense.shaping(); }
 
   sim::Simulator& sim_;

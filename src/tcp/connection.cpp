@@ -527,10 +527,7 @@ void Connection::handle_data(const SegmentView& s) {
     // packet's pooled buffer; out-of-order ones are copied into the
     // reassembly window once and delivered from there.
     const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
-    if (!delivered.empty()) {
-      delivered_ += delivered.size();
-      if (on_data) on_data(delivered);
-    }
+    if (!delivered.empty() && on_data) on_data(delivered);
   }
 
   if (s.fin()) {

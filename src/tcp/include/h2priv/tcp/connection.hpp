@@ -133,7 +133,6 @@ class Connection {
   [[nodiscard]] const TcpStats& stats() const noexcept { return stats_; }
   /// Total application bytes ever enqueued (== next send()'s stream offset).
   [[nodiscard]] std::uint64_t bytes_enqueued() const noexcept { return send_buf_.end(); }
-  [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return delivered_; }
   [[nodiscard]] const RenoCongestion& congestion() const noexcept { return cc_; }
   [[nodiscard]] const RtoEstimator& rto_estimator() const noexcept { return rto_; }
   [[nodiscard]] const TcpConfig& config() const noexcept { return config_; }
@@ -210,7 +209,6 @@ class Connection {
   bool peer_syn_seen_ = false;
   std::optional<std::uint64_t> peer_fin_seq_;
   bool peer_fin_consumed_ = false;
-  std::uint64_t delivered_ = 0;
   int pending_acks_ = 0;           // delayed-ACK accounting
   sim::EventId delack_timer_{};
 };

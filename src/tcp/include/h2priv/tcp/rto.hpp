@@ -32,7 +32,6 @@ class RtoEstimator {
   [[nodiscard]] util::Duration srtt() const noexcept { return srtt_; }
   [[nodiscard]] util::Duration rttvar() const noexcept { return rttvar_; }
   [[nodiscard]] bool has_sample() const noexcept { return has_sample_; }
-  [[nodiscard]] int backoff_shift() const noexcept { return backoff_shift_; }
 
  private:
   RtoConfig config_;

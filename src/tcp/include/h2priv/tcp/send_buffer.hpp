@@ -1,18 +1,17 @@
 // Sender-side byte stream: application bytes keyed by absolute stream
 // offset, with retransmission reads anywhere in the unacknowledged range.
 //
-// Storage is a single contiguous buffer with a dead-byte prefix: ack()
-// just advances the prefix (O(1)) and append() reclaims it by sliding the
-// live bytes down once the prefix is at least as large as the live region
-// (amortized O(1) per appended byte — each byte is memmoved at most once
-// per time it is acked). Keeping the live region contiguous is what lets
-// read_view() hand out zero-copy slices at any offset, which in turn keeps
-// segment boundaries — and therefore the wire bytes — identical to the old
-// deque implementation.
+// A util::ByteQueue of the unacknowledged bytes plus the stream offset of
+// its front: ack() pops the queue (O(1)), append() lets it reclaim the acked
+// prefix, and the queue's contiguous storage is what lets read_view() hand
+// out zero-copy slices at any offset, which in turn keeps segment
+// boundaries — and therefore the wire bytes — identical to the old deque
+// implementation.
 #pragma once
 
 #include <cstdint>
 
+#include "h2priv/util/byte_queue.hpp"
 #include "h2priv/util/bytes.hpp"
 
 namespace h2priv::tcp {
@@ -30,23 +29,17 @@ class SendBuffer {
   [[nodiscard]] util::BytesView read_view(std::uint64_t offset,
                                           std::size_t max_len) const;
 
-  /// Copying variant of read_view() (kept for tests and non-hot callers).
-  [[nodiscard]] util::Bytes read(std::uint64_t offset, std::size_t max_len) const;
-
   /// Releases bytes below `new_acked` (cumulative ACK advanced). O(1).
   void ack(std::uint64_t new_acked);
 
   [[nodiscard]] std::uint64_t acked() const noexcept { return base_; }
-  [[nodiscard]] std::uint64_t end() const noexcept { return base_ + live(); }
+  [[nodiscard]] std::uint64_t end() const noexcept { return base_ + queue_.size(); }
   /// Bytes enqueued and not yet acknowledged.
-  [[nodiscard]] std::uint64_t outstanding() const noexcept { return live(); }
+  [[nodiscard]] std::uint64_t outstanding() const noexcept { return queue_.size(); }
 
  private:
-  [[nodiscard]] std::size_t live() const noexcept { return buf_.size() - head_; }
-
-  std::uint64_t base_ = 0;  // stream offset of buf_[head_]
-  std::size_t head_ = 0;    // acked (dead) bytes still occupying the front
-  util::Bytes buf_;         // dead prefix + unacked/unsent bytes
+  util::ByteQueue queue_;   // unacked bytes (sent or not), front = base_
+  std::uint64_t base_ = 0;  // stream offset of the queue's front
 };
 
 }  // namespace h2priv::tcp

@@ -1,22 +1,12 @@
 #include "h2priv/tcp/send_buffer.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace h2priv::tcp {
 
 std::uint64_t SendBuffer::append(util::BytesView data) {
   const std::uint64_t offset = end();
-  // Reclaim the acked prefix once it dominates the live bytes; sliding at
-  // most `live()` bytes after at least as many were acked keeps the cost
-  // amortized O(1) and the live region always contiguous.
-  if (head_ > 0 && head_ >= live()) {
-    std::memmove(buf_.data(), buf_.data() + head_, live());
-    buf_.resize(live());
-    head_ = 0;
-  }
-  buf_.insert(buf_.end(), data.begin(), data.end());
+  queue_.append(data);
   return offset;
 }
 
@@ -25,20 +15,13 @@ util::BytesView SendBuffer::read_view(std::uint64_t offset,
   if (offset < base_ || offset > end()) {
     throw std::out_of_range("SendBuffer::read: offset outside buffered range");
   }
-  const std::size_t start = head_ + static_cast<std::size_t>(offset - base_);
-  const std::size_t n = std::min(max_len, buf_.size() - start);
-  return {buf_.data() + start, n};
-}
-
-util::Bytes SendBuffer::read(std::uint64_t offset, std::size_t max_len) const {
-  const util::BytesView v = read_view(offset, max_len);
-  return {v.begin(), v.end()};
+  return queue_.view(static_cast<std::size_t>(offset - base_), max_len);
 }
 
 void SendBuffer::ack(std::uint64_t new_acked) {
   if (new_acked <= base_) return;
   if (new_acked > end()) throw std::out_of_range("SendBuffer::ack: beyond enqueued data");
-  head_ += static_cast<std::size_t>(new_acked - base_);
+  queue_.pop(static_cast<std::size_t>(new_acked - base_));
   base_ = new_acked;
 }
 

@@ -4,8 +4,9 @@
 // reclaims the prefix by sliding the live bytes down once the prefix is at
 // least as large as the live region, so each byte is moved at most once
 // per time it is popped (amortized O(1)). Contiguity is the point:
-// front() hands out a zero-copy view that encoders can write straight to
-// the wire, where std::deque<uint8_t> forced a gather-copy per frame.
+// front() and view() hand out zero-copy views that encoders can write
+// straight to the wire, where std::deque<uint8_t> forced a gather-copy per
+// frame.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +29,13 @@ class ByteQueue {
   /// Zero-copy view of the first min(max_len, size()) queued bytes. Valid
   /// until the next append(); pop() does not invalidate it.
   [[nodiscard]] BytesView front(std::size_t max_len) const noexcept {
-    return {buf_.data() + head_, std::min(max_len, size())};
+    return view(0, max_len);
+  }
+
+  /// Zero-copy view of up to `max_len` queued bytes starting `pos` bytes
+  /// past the front (pos <= size()). Same lifetime as front().
+  [[nodiscard]] BytesView view(std::size_t pos, std::size_t max_len) const noexcept {
+    return {buf_.data() + head_ + pos, std::min(max_len, size() - pos)};
   }
 
   /// Discards the first min(n, size()) bytes.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -58,7 +59,7 @@ TEST(GoldenCorpus, TodaysSimulatorRegeneratesTheCommittedBytes) {
   cfg.seed = e.seed;
   cfg.capture.path = fresh;
   cfg.capture.scenario = manifest.scenario;
-  (void)core::run_once(cfg);
+  (void)capture::record_run(cfg);
 
   EXPECT_EQ(capture::digest_file(fresh), e.digest)
       << "live capture of seed " << e.seed

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -98,7 +99,7 @@ TEST(GoldenV1, RecompressProducesTheLiveV2Bytes) {
     cfg.seed = e.seed;
     cfg.capture.path = fresh;
     cfg.capture.scenario = manifest.scenario;
-    (void)core::run_once(cfg);
+    (void)capture::record_run(cfg);
     EXPECT_EQ(slurp(upgraded), slurp(fresh))
         << e.file << ": recompress diverged from a live v2 capture";
     fs::remove(fresh);

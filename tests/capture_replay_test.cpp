@@ -1,4 +1,4 @@
-// Capture→replay fidelity: a .h2t trace recorded during a live run must
+// Capture→replay fidelity: a .h2t trace recorded from a live run must
 // reproduce the exact attack verdict offline, the stored summary must match
 // the live RunResult, corpus generation must be byte-identical for any
 // --jobs value, and the obs export (METRICS_JSON content) must stay
@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -64,7 +66,7 @@ TEST(CaptureReplay, VerdictsBitIdenticalToLive) {
       core::RunConfig cfg = scenario(name);
       cfg.seed = seed;
       cfg.capture.path = path;
-      const core::RunResult live = core::run_once(cfg);
+      const core::RunResult live = capture::record_run(cfg);
 
       const capture::TraceFile trace = capture::TraceFile::open(path);
       EXPECT_EQ(trace.meta().seed, seed) << ctx;
@@ -101,7 +103,7 @@ TEST(CaptureReplay, GroundTruthSurvivesTheRoundTrip) {
   core::RunConfig cfg = scenario("table2");
   cfg.seed = 1000;
   cfg.capture.path = path;
-  const core::RunResult live = core::run_once(cfg);
+  const core::RunResult live = capture::record_run(cfg);
   ASSERT_NE(live.truth, nullptr);
 
   const capture::TraceFile trace = capture::TraceFile::open(path);
@@ -147,8 +149,9 @@ TEST(CaptureReplay, CorpusIsByteIdenticalForAnyJobCount) {
     core::RunConfig cfg = scenario("table2");
     cfg.seed = 1000;
     cfg.capture.corpus_dir = dir.string();
-    const auto results = core::run_many(cfg, runs, core::Parallelism{jobs});
-    ASSERT_EQ(static_cast<int>(results.size()), runs);
+    const capture::RecordedCorpus recorded =
+        capture::record_corpus(cfg, runs, core::Parallelism{jobs});
+    ASSERT_EQ(static_cast<int>(recorded.results.size()), runs);
   }
 
   EXPECT_EQ(file_bytes(dir1 / "manifest.txt"), file_bytes(dir4 / "manifest.txt"));
@@ -177,8 +180,9 @@ std::string capture_batch_json(const fs::path& dir, int jobs) {
   core::RunConfig cfg = scenario("fig2");
   cfg.seed = 1000;
   cfg.capture.corpus_dir = dir.string();
-  const auto results = core::run_many(cfg, 4, core::Parallelism{jobs});
-  EXPECT_EQ(results.size(), 4u);
+  const capture::RecordedCorpus recorded =
+      capture::record_corpus(cfg, 4, core::Parallelism{jobs});
+  EXPECT_EQ(recorded.results.size(), 4u);
   zero_scheduling_dependent(scoped.registry());
   return obs::to_json(scoped.registry());
 }
@@ -218,18 +222,15 @@ TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
     cfg.capture.path = path;
     core::RunObservations live_obs;
     cfg.observations_out = &live_obs;
-    const core::RunResult live = core::run_once(cfg);
+    const core::RunResult live = capture::record_run(cfg);
 
     // Monitor state: the replay engine (streaming cursor + per-packet
-    // payload synthesis, packet retention off) must land the analysis
-    // exactly where the live monitor ended up.
+    // payload synthesis) must land the analysis exactly where the live
+    // monitor ended up.
     const capture::TraceFile trace = capture::TraceFile::open(path);
-    core::MonitorConfig replay_cfg;
-    replay_cfg.retain_packets = false;
-    core::TrafficMonitor monitor(replay_cfg);
+    core::TrafficMonitor monitor;
     capture::replay_into(trace, monitor);
     EXPECT_EQ(monitor.packets_seen(), live.monitor_packets) << ctx;
-    EXPECT_TRUE(monitor.packets().empty()) << ctx;  // bounded-memory mode
     EXPECT_EQ(monitor.get_count(), live.monitor_gets) << ctx;
     EXPECT_TRUE(same_record_vec(monitor.records(net::Direction::kClientToServer),
                                 live_obs.records_c2s))
@@ -241,7 +242,7 @@ TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
     // Full verdicts: chunked replay and the records-direct fast path (the
     // calls corpus::score_corpus makes per trace) must both reproduce the
     // live run's verdict.
-    const capture::TraceSummary live_summary = core::summary_of(live);
+    const capture::TraceSummary live_summary = capture::summary_of(live);
     const capture::ReplayResult replayed = capture::replay(trace);
     EXPECT_TRUE(replayed.records_match) << ctx;
     EXPECT_TRUE(replayed.summary_matches) << ctx;
@@ -257,6 +258,48 @@ TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
     EXPECT_EQ(direct, live_summary) << ctx;
     std::remove(path.c_str());
   }
+}
+
+TEST(CaptureReplay, RecordRunFillsTheCallersObservations) {
+  // The trace is written from the run's observations after the run, so the
+  // bytes cannot depend on whose RunObservations holds them, and a caller
+  // that passes its own gets exactly what the trace stores.
+  const std::string own = ::testing::TempDir() + "record_own.h2t";
+  const std::string shared = ::testing::TempDir() + "record_shared.h2t";
+  core::RunConfig cfg = scenario("table2");
+  cfg.seed = 1000;
+  cfg.capture.path = own;
+  (void)capture::record_run(cfg);
+  core::RunObservations observations;
+  cfg.capture.path = shared;
+  cfg.observations_out = &observations;
+  const core::RunResult live = capture::record_run(cfg);
+  EXPECT_EQ(file_bytes(own), file_bytes(shared));
+
+  const capture::TraceFile trace = capture::TraceFile::open(shared);
+  ASSERT_EQ(observations.packets.size(), live.monitor_packets);
+  ASSERT_EQ(trace.packet_count(), live.monitor_packets);
+  analysis::PacketObservation p;
+  std::size_t i = 0;
+  for (capture::PacketCursor cursor = trace.packets(); cursor.next(p); ++i) {
+    const analysis::PacketObservation& o = observations.packets[i];
+    EXPECT_TRUE(p.time == o.time && p.dir == o.dir && p.wire_size == o.wire_size &&
+                p.seq == o.seq && p.ack == o.ack && p.flags == o.flags &&
+                p.payload_len == o.payload_len)
+        << "packet " << i;
+  }
+  EXPECT_TRUE(same_record_vec(trace.records(net::Direction::kClientToServer),
+                              observations.records_c2s));
+  EXPECT_TRUE(same_record_vec(trace.records(net::Direction::kServerToClient),
+                              observations.records_s2c));
+  EXPECT_EQ(trace.meta().attack_horizon_ns, observations.attack_horizon_ns);
+  EXPECT_GT(observations.attack_horizon_ns, 0);
+
+  // No trace named: nothing to record.
+  cfg.capture = core::CaptureOptions{};
+  EXPECT_THROW((void)capture::record_run(cfg), std::invalid_argument);
+  std::remove(own.c_str());
+  std::remove(shared.c_str());
 }
 
 TEST(CaptureReplay, CountGetsAppliesTheMonitorsGetFilter) {
@@ -289,7 +332,7 @@ TEST(CaptureReplay, ReplayCountsReadsIntoObs) {
   core::RunConfig cfg = scenario("fig2");
   cfg.seed = 1000;
   cfg.capture.path = path;
-  (void)core::run_once(cfg);
+  (void)capture::record_run(cfg);
 
   obs::ScopedRegistry scoped;
   const capture::TraceFile trace = capture::TraceFile::open(path);

@@ -2,8 +2,12 @@
 // paper's experiments run on.
 #include "h2priv/core/experiment.hpp"
 
+#include <filesystem>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/tls/record.hpp"
 
@@ -191,6 +195,21 @@ TEST(Experiment, RunManySweepsSeeds) {
   const auto results = run_many(cfg, 3);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].page_complete);
+}
+
+TEST(Experiment, RunOnceRejectsCaptureAndWritesNothing) {
+  // run_once simulates and scores only; capture::record_run writes traces.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "run_once_rejects_capture";
+  std::filesystem::remove_all(dir);
+  RunConfig cfg;
+  cfg.capture.path = (dir / "run.h2t").string();
+  EXPECT_THROW((void)run_once(cfg), std::invalid_argument);
+  cfg.capture = CaptureOptions{};
+  cfg.capture.corpus_dir = dir.string();
+  EXPECT_THROW((void)run_once(cfg), std::invalid_argument);
+  EXPECT_THROW((void)run_many(cfg, 2, Parallelism{1}), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(Experiment, TruthAndDebugMaterialsExposed) {

@@ -2,6 +2,8 @@
 // packets flowing through a middlebox.
 #include "h2priv/core/monitor.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "h2priv/tcp/segment.hpp"
@@ -133,9 +135,13 @@ TEST(TrafficMonitor, ResetThresholdIsEight) {
 
 TEST(TrafficMonitor, PacketLogCapturesHeaders) {
   MonitorFixture f;
+  std::vector<analysis::PacketObservation> observed;
+  f.monitor.on_packet_observed = [&](const analysis::PacketObservation& obs) {
+    observed.push_back(obs);
+  };
   f.client_records({45});
-  ASSERT_EQ(f.monitor.packets().size(), 1u);
-  const auto& p = f.monitor.packets()[0];
+  ASSERT_EQ(observed.size(), 1u);
+  const auto& p = observed[0];
   EXPECT_EQ(p.dir, net::Direction::kClientToServer);
   EXPECT_EQ(p.seq, 1u);
   EXPECT_GT(p.payload_len, 0u);

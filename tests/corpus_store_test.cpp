@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/trace_format.hpp"
 #include "h2priv/corpus/store.hpp"
 
@@ -151,7 +152,7 @@ TEST(CorpusStore, LoadCorpusReadsFlatLayoutToo) {
   const fs::path root = temp_dir("flat");
   fs::remove_all(root);
   core::RunConfig cfg = small_run(root);
-  (void)core::run_many(cfg, 2, core::Parallelism{1});
+  (void)capture::record_corpus(cfg, 2, core::Parallelism{1});
   const Corpus corpus = load_corpus(root.string());
   ASSERT_EQ(corpus.manifest.entries.size(), 2u);
   for (const capture::ManifestEntry& e : corpus.manifest.entries) {

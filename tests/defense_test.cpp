@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -330,8 +331,8 @@ TEST(DefenseIdentity, NoneLeavesWireBytesAndVerdictsBitIdentical) {
   // only written for an enabled config.
   baseline.capture.path = ::testing::TempDir() + "defense_identity_a.h2t";
   defended.capture.path = ::testing::TempDir() + "defense_identity_b.h2t";
-  (void)core::run_once(baseline);
-  (void)core::run_once(defended);
+  (void)capture::record_run(baseline);
+  (void)capture::record_run(defended);
   EXPECT_EQ(file_bytes(baseline.capture.path), file_bytes(defended.capture.path));
 }
 
@@ -345,7 +346,7 @@ TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
     cfg.server.defense = *defense::defense_from_name(preset);
     cfg.capture.path = ::testing::TempDir() + "defense_replay_" + preset + ".h2t";
     cfg.capture.scenario = "table2+" + preset;
-    (void)core::run_once(cfg);
+    (void)capture::record_run(cfg);
 
     const capture::TraceFile trace = capture::TraceFile::open(cfg.capture.path);
     EXPECT_EQ(trace.meta().defense, cfg.server.defense) << preset;

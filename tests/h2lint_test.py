@@ -361,6 +361,26 @@ class Injection(unittest.TestCase):
             self.assertIn("[layering]", result.stdout)
             self.assertIn("edge tls -> corpus", result.stdout)
 
+    def test_injected_core_capture_include_fails(self):
+        # core simulates and scores; the .h2t format sits below it and
+        # record/replay above it, so no core file may include capture.
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            dst = root / "src" / "core"
+            dst.mkdir(parents=True)
+            (dst / "probe.cpp").write_text(
+                "#include \"h2priv/analysis/observation.hpp\"\n"
+            )
+            self.assertEqual(
+                run_h2lint("--root", str(root), "--rules", "layering").returncode,
+                0,
+            )
+            with open(dst / "probe.cpp", "a") as f:
+                f.write("#include \"h2priv/capture/trace_writer.hpp\"\n")
+            result = run_h2lint("--root", str(root), "--rules", "layering")
+            self.assertEqual(result.returncode, 1)
+            self.assertIn("edge core -> capture", result.stdout)
+
     def test_injected_rng_fork_violation_fails(self):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)

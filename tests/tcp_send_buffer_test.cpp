@@ -20,7 +20,7 @@ TEST(SendBuffer, ReadReturnsCorrectSlices) {
   SendBuffer buf;
   const util::Bytes a = util::patterned_bytes(100, 7);
   buf.append(a);
-  const util::Bytes mid = buf.read(10, 20);
+  const util::BytesView mid = buf.read_view(10, 20);
   ASSERT_EQ(mid.size(), 20u);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(mid[static_cast<std::size_t>(i)], a[static_cast<std::size_t>(i) + 10]);
@@ -30,8 +30,8 @@ TEST(SendBuffer, ReadReturnsCorrectSlices) {
 TEST(SendBuffer, ReadClampsAtEnd) {
   SendBuffer buf;
   buf.append(util::patterned_bytes(10, 1));
-  EXPECT_EQ(buf.read(8, 100).size(), 2u);
-  EXPECT_EQ(buf.read(10, 100).size(), 0u);
+  EXPECT_EQ(buf.read_view(8, 100).size(), 2u);
+  EXPECT_EQ(buf.read_view(10, 100).size(), 0u);
 }
 
 TEST(SendBuffer, AckReleasesPrefix) {
@@ -42,7 +42,7 @@ TEST(SendBuffer, AckReleasesPrefix) {
   EXPECT_EQ(buf.outstanding(), 60u);
   // Data above the ack point still readable and correct.
   const util::Bytes a = util::patterned_bytes(100, 3);
-  const util::Bytes tail = buf.read(40, 60);
+  const util::BytesView tail = buf.read_view(40, 60);
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), a.begin() + 40));
 }
 
@@ -50,8 +50,8 @@ TEST(SendBuffer, ReadBelowAckedThrows) {
   SendBuffer buf;
   buf.append(util::patterned_bytes(100, 3));
   buf.ack(50);
-  EXPECT_THROW((void)buf.read(49, 1), std::out_of_range);
-  EXPECT_NO_THROW((void)buf.read(50, 1));
+  EXPECT_THROW((void)buf.read_view(49, 1), std::out_of_range);
+  EXPECT_NO_THROW((void)buf.read_view(50, 1));
 }
 
 TEST(SendBuffer, AckBeyondEndThrows) {
@@ -143,8 +143,8 @@ TEST(SendBuffer, OffsetsSurviveManyAckCycles) {
     const util::Bytes chunk =
         util::patterned_bytes(1'000, static_cast<std::uint32_t>(round));
     EXPECT_EQ(buf.append(chunk), offset);
-    const util::Bytes back = buf.read(offset, 1'000);
-    EXPECT_EQ(back, chunk);
+    const util::BytesView back = buf.read_view(offset, 1'000);
+    EXPECT_EQ(util::Bytes(back.begin(), back.end()), chunk);
     offset += 1'000;
     buf.ack(offset);
     EXPECT_EQ(buf.outstanding(), 0u);

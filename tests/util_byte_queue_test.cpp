@@ -33,6 +33,19 @@ TEST(ByteQueue, FrontViewSurvivesPop) {
   EXPECT_EQ(q.front(32).data(), v.data() + 32);
 }
 
+TEST(ByteQueue, ViewReadsPastTheFrontAndClamps) {
+  ByteQueue q;
+  const Bytes a = patterned_bytes(100, 4);
+  q.append(a);
+  q.pop(30);
+  const BytesView mid = q.view(20, 30);  // queue bytes [20, 50) = a[50, 80)
+  ASSERT_EQ(mid.size(), 30u);
+  EXPECT_TRUE(std::equal(mid.begin(), mid.end(), a.begin() + 50));
+  EXPECT_EQ(q.view(60, 99).size(), 10u);  // clamped at the end
+  EXPECT_EQ(q.view(70, 5).size(), 0u);    // pos == size(): empty
+  EXPECT_EQ(q.view(0, 7).data(), q.front(7).data());
+}
+
 TEST(ByteQueue, PopPastEndClampsAndClearResets) {
   ByteQueue q;
   q.append(patterned_bytes(10, 3));

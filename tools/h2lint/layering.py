@@ -71,11 +71,6 @@ LEGALIZED: dict[tuple[str, str], str] = {
         ".h2t kMeta stores the DefenseConfig a trace was generated under so "
         "replay reproduces defended verdicts without re-running"
     ),
-    ("core", "capture"): (
-        "RunConfig carries the capture sink and run_once taps the monitor "
-        "into a TraceWriter; pairs with capture->core (replay re-drives the "
-        "scoring stack) — a documented two-way seam, not an accident"
-    ),
 }
 
 INCLUDE_RE = re.compile(r"#include\s+\"h2priv/([A-Za-z0-9_]+)/")
@@ -88,7 +83,7 @@ def allowed_deps(module: str) -> frozenset[str]:
 
 def check_spec_acyclic() -> None:
     """Raises ValueError if the *base* DAG has a cycle (legalized edges are
-    exempt: core<->capture is a known two-way seam)."""
+    exempt: each one is argued for in LEGALIZED)."""
     state: dict[str, int] = {}  # 0 visiting, 1 done
 
     def visit(node: str, stack: tuple[str, ...]) -> None:

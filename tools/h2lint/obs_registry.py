@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .source import Finding, SourceFile, iter_source_files
+from .source import Finding, SourceFile, iter_source_files, matching_bracket
 
 RULE = "obs-registry"
 
@@ -76,25 +76,13 @@ def canonical_name(member: str, kind: str) -> str:
     return name + "_max" if kind == "Gauge" else name
 
 
-def _matching_brace(text: str, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(text)
-
-
 def parse_enums(sf: SourceFile) -> dict[str, list[tuple[str, int]]]:
     """kind -> ordered [(member, line)] excluding the kCount sentinel."""
     code = sf.code()
     enums: dict[str, list[tuple[str, int]]] = {}
     for m in ENUM_RE.finditer(code):
         open_idx = m.end() - 1
-        body = code[open_idx : _matching_brace(code, open_idx) + 1]
+        body = code[open_idx : matching_bracket(code, open_idx) + 1]
         members = [
             (mm.group(1), sf.line_of(open_idx + mm.start(1)))
             for mm in MEMBER_RE.finditer(body)
@@ -110,7 +98,7 @@ def parse_name_arrays(sf: SourceFile) -> dict[str, tuple[int, list[tuple[str, in
     arrays: dict[str, tuple[int, list[tuple[str, int]]]] = {}
     for m in ARRAY_RE.finditer(code):
         open_idx = m.end() - 1
-        body = code[open_idx : _matching_brace(code, open_idx) + 1]
+        body = code[open_idx : matching_bracket(code, open_idx) + 1]
         names = [
             (mm.group(1), sf.line_of_text(open_idx + mm.start(1)))
             for mm in STRING_RE.finditer(body)
@@ -133,7 +121,7 @@ def block_covered(sf: SourceFile, enums: dict[str, list[tuple[str, int]]]) -> se
     covered: set[str] = set()
     for h in HELPER_BODY_RE.finditer(code):
         open_idx = h.end() - 1
-        body = code[open_idx : _matching_brace(code, open_idx) + 1]
+        body = code[open_idx : matching_bracket(code, open_idx) + 1]
         anchors = [
             index[m.group(1)]
             for m in COUNTER_REF_RE.finditer(body)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .source import Finding, SourceFile, iter_source_files
+from .source import Finding, SourceFile, iter_source_files, matching_bracket
 
 RULE = "rng-fork"
 
@@ -38,18 +38,6 @@ SPAWN_RE = re.compile(
     r"\s*(?:\w+\s*)?[({]"
 )
 FN_OPEN_RE = re.compile(r"\)\s*(?:const\s*)?(?:noexcept\s*)?(?:->\s*[\w:<>,\s&*]+)?\{")
-
-
-def _matching(text: str, open_idx: int, open_ch: str, close_ch: str) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(text)
 
 
 def _param_extents(code: str) -> list[tuple[int, int, int]]:
@@ -69,7 +57,7 @@ def _param_extents(code: str) -> list[tuple[int, int, int]]:
                 if depth == 0:
                     start = i
                     break
-        out.append((start, body_open, _matching(code, body_open, "{", "}")))
+        out.append((start, body_open, matching_bracket(code, body_open)))
     return out
 
 
@@ -84,9 +72,7 @@ def check_file(sf: SourceFile) -> list[Finding]:
         body = code[body_open:body_end]
         for spawn in SPAWN_RE.finditer(body):
             open_idx = body_open + spawn.end() - 1
-            open_ch = code[open_idx]
-            close_ch = ")" if open_ch == "(" else "}"
-            extent_end = _matching(code, open_idx, open_ch, close_ch)
+            extent_end = matching_bracket(code, open_idx)
             extent = code[open_idx : extent_end + 1]
             for name in rng_names:
                 for use in re.finditer(r"\b" + re.escape(name) + r"\b", extent):

@@ -15,6 +15,26 @@ from pathlib import Path
 ALLOW_RE = re.compile(r"//.*lint:allow\(([a-z0-9-]+(?:\s*,\s*[a-z0-9-]+)*)\)")
 
 
+BRACKETS = {"{": "}", "(": ")"}
+
+
+def matching_bracket(text: str, open_idx: int) -> int:
+    """Index of the bracket closing the `{` or `(` at text[open_idx],
+    counting nesting of that bracket kind only; len(text) if it never
+    closes. The one brace matcher every whole-program rule shares."""
+    open_ch = text[open_idx]
+    close_ch = BRACKETS[open_ch]
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
 def strip_code(
     line: str, in_block_comment: bool, keep_strings: bool = False
 ) -> tuple[str, bool]:

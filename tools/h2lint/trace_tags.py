@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .source import Finding, SourceFile
+from .source import Finding, SourceFile, matching_bracket
 
 RULE = "h2t-tags"
 
@@ -45,18 +45,6 @@ def _int(literal: str) -> int:
     return int(literal.replace("'", "").rstrip("uUlL"), 0)
 
 
-def _matching_brace(text: str, open_idx: int) -> int:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return len(text)
-
-
 def parse_sections(sf: SourceFile) -> list[tuple[str, int, int]]:
     """[(member, value, line)] of the Section enum (implicit values count
     up from the previous explicit one, as in C++)."""
@@ -65,7 +53,7 @@ def parse_sections(sf: SourceFile) -> list[tuple[str, int, int]]:
     if m is None:
         return []
     open_idx = m.end() - 1
-    body = code[open_idx : _matching_brace(code, open_idx) + 1]
+    body = code[open_idx : matching_bracket(code, open_idx) + 1]
     out: list[tuple[str, int, int]] = []
     next_value = 0
     for mm in ENUMERATOR_RE.finditer(body):

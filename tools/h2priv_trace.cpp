@@ -15,15 +15,22 @@
 //   h2priv_trace replay --corpus DIR          # hard-fails on any mismatch
 //   h2priv_trace score --corpus DIR --jobs 4 --classifier knn --out report.txt
 //   h2priv_trace grid --root DIR --runs 20 --gate --out grid.txt
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/capture/pcap_export.hpp"
+#include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -89,38 +96,101 @@ void print_summary(const capture::TraceSummary& s, const char* heading) {
   std::printf("\n");
 }
 
-int cmd_generate(const std::vector<std::string>& args) {
-  std::string out, corpus, scenario, defense_arg;
-  std::uint64_t seed = 1000;
-  int runs = 1, jobs = 0, shard_capacity = 0, fleet_clients = 0;
-  std::size_t cache_mb = 0;
+/// Where one `--flag value` argument lands, parsed as the target's type:
+/// text as is, int with atoi, uint64 with strtoull.
+using FlagTarget = std::variant<std::string*, int*, std::uint64_t*>;
+
+/// The one flag reader: walks `args` in order, storing each `--flag value`
+/// pair into its target and setting each bare switch; a repeated flag keeps
+/// its last value. Any other argument, or a flag without its value, prints
+/// "<cmd>: bad argument X" and returns false.
+bool read_flags(const char* cmd, const std::vector<std::string>& args,
+                std::initializer_list<std::pair<std::string_view, FlagTarget>> flags,
+                std::initializer_list<std::pair<std::string_view, bool*>> switches = {}) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--out" && has_next) {
-      out = args[++i];
-    } else if (a == "--corpus" && has_next) {
-      corpus = args[++i];
-    } else if (a == "--scenario" && has_next) {
-      scenario = args[++i];
-    } else if (a == "--defense" && has_next) {
-      defense_arg = args[++i];
-    } else if (a == "--seed" && has_next) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (a == "--runs" && has_next) {
-      runs = std::atoi(args[++i].c_str());
-    } else if (a == "--jobs" && has_next) {
-      jobs = std::atoi(args[++i].c_str());
-    } else if (a == "--shard-capacity" && has_next) {
-      shard_capacity = std::atoi(args[++i].c_str());
-    } else if (a == "--fleet" && has_next) {
-      fleet_clients = std::atoi(args[++i].c_str());
-    } else if (a == "--cache-mb" && has_next) {
-      cache_mb = static_cast<std::size_t>(std::strtoull(args[++i].c_str(), nullptr, 10));
-    } else {
-      std::fprintf(stderr, "generate: bad argument %s\n", a.c_str());
-      return 2;
+    const auto named = [&a](const auto& entry) { return entry.first == a; };
+    if (const auto* sw = std::find_if(switches.begin(), switches.end(), named);
+        sw != switches.end()) {
+      *sw->second = true;
+      continue;
     }
+    const auto* flag = std::find_if(flags.begin(), flags.end(), named);
+    if (flag == flags.end() || i + 1 == args.size()) {
+      std::fprintf(stderr, "%s: bad argument %s\n", cmd, a.c_str());
+      return false;
+    }
+    const std::string& value = args[++i];
+    if (auto* const* text = std::get_if<std::string*>(&flag->second)) {
+      **text = value;
+    } else if (auto* const* number = std::get_if<int*>(&flag->second)) {
+      **number = std::atoi(value.c_str());
+    } else {
+      *std::get<std::uint64_t*>(flag->second) = std::strtoull(value.c_str(), nullptr, 10);
+    }
+  }
+  return true;
+}
+
+/// The items of a comma-separated list, in order, empty items dropped.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    const std::size_t end = comma == std::string::npos ? list.size() : comma;
+    if (end > start) items.push_back(list.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return items;
+}
+
+/// Writes a report to `out`, or to stdout when `out` is empty. Returns false
+/// after "<cmd>: cannot write <out>" when the file cannot be written.
+bool write_report(const char* cmd, const std::string& text, const std::string& out) {
+  if (out.empty()) {
+    std::fputs(text.c_str(), stdout);
+    return true;
+  }
+  std::ofstream os(out, std::ios::binary | std::ios::trunc);
+  os << text;
+  os.flush();
+  if (!os) std::fprintf(stderr, "%s: cannot write %s\n", cmd, out.c_str());
+  return static_cast<bool>(os);
+}
+
+struct CorpusWalk {
+  std::size_t traces = 0;
+  int failures = 0;
+};
+
+/// The one manifest walk: calls `visit(entry, path, digest)` for every entry
+/// of <dir>/manifest.txt with its trace path and the file's FNV-1a digest,
+/// and sums the failures `visit` returns.
+CorpusWalk walk_corpus(
+    const std::string& dir,
+    const std::function<int(const capture::ManifestEntry&, const std::string& path,
+                            std::uint64_t digest)>& visit) {
+  const capture::Manifest manifest = capture::read_manifest(dir + "/manifest.txt");
+  CorpusWalk walk{manifest.entries.size(), 0};
+  for (const capture::ManifestEntry& e : manifest.entries) {
+    const std::string path = dir + "/" + e.file;
+    walk.failures += visit(e, path, capture::digest_file(path));
+  }
+  return walk;
+}
+
+int cmd_generate(const std::vector<std::string>& args) {
+  std::string out, corpus, scenario, defense_arg;
+  std::uint64_t seed = 1000, cache_mb = 0;
+  int runs = 1, jobs = 0, shard_capacity = 0, fleet_clients = 0;
+  if (!read_flags("generate", args,
+                  {{"--out", &out}, {"--corpus", &corpus}, {"--scenario", &scenario},
+                   {"--defense", &defense_arg}, {"--seed", &seed}, {"--runs", &runs},
+                   {"--jobs", &jobs}, {"--shard-capacity", &shard_capacity},
+                   {"--fleet", &fleet_clients}, {"--cache-mb", &cache_mb}})) {
+    return 2;
   }
   if (out.empty() == corpus.empty()) {
     std::fprintf(stderr, "generate: exactly one of --out / --corpus required\n");
@@ -145,7 +215,7 @@ int cmd_generate(const std::vector<std::string>& args) {
       return 2;
     }
     cfg.fleet.clients = fleet_clients;
-    cfg.fleet.cache_mb = cache_mb;
+    cfg.fleet.cache_mb = static_cast<std::size_t>(cache_mb);
     if (!out.empty()) {
       cfg.capture.path = out;
       const fleet::FleetResult r = fleet::run_fleet(cfg, core::Parallelism{jobs});
@@ -169,7 +239,7 @@ int cmd_generate(const std::vector<std::string>& args) {
   }
   if (!out.empty()) {
     cfg.capture.path = out;
-    const core::RunResult r = core::run_once(cfg);
+    const core::RunResult r = capture::record_run(cfg);
     std::printf("wrote %s (%llu packets, %d GETs)\n", out.c_str(),
                 static_cast<unsigned long long>(r.monitor_packets), r.monitor_gets);
     return 0;
@@ -184,49 +254,40 @@ int cmd_generate(const std::vector<std::string>& args) {
                 (runs + shard_capacity - 1) / shard_capacity, corpus.c_str());
     return 0;
   }
-  const std::vector<core::RunResult> results =
-      core::run_many(cfg, runs, core::Parallelism{jobs});
-  std::printf("wrote %zu traces + manifest.txt to %s\n", results.size(),
+  const capture::RecordedCorpus recorded =
+      capture::record_corpus(cfg, runs, core::Parallelism{jobs});
+  std::printf("wrote %zu traces + manifest.txt to %s\n", recorded.results.size(),
               corpus.c_str());
   return 0;
 }
 
 int cmd_score(const std::vector<std::string>& args) {
-  std::string dir, out;
+  std::string dir, out, classifier, features;
   corpus::ScoreOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--corpus" && has_next) {
-      dir = args[++i];
-    } else if (a == "--jobs" && has_next) {
-      options.parallelism = core::Parallelism{std::atoi(args[++i].c_str())};
-    } else if (a == "--classifier" && has_next) {
-      const auto parsed = corpus::classifier_from_name(args[++i]);
-      if (!parsed) {
-        std::fprintf(stderr, "score: unknown classifier %s\n", args[i].c_str());
-        return 2;
-      }
-      options.classifier = *parsed;
-    } else if (a == "--features" && has_next) {
-      const auto parsed = corpus::features_from_names(args[++i]);
-      if (!parsed) {
-        std::fprintf(stderr, "score: bad feature list %s\n", args[i].c_str());
-        return 2;
-      }
-      options.features = *parsed;
-    } else if (a == "--k" && has_next) {
-      options.knn_k = static_cast<std::size_t>(std::atoi(args[++i].c_str()));
-    } else if (a == "--train-mod" && has_next) {
-      options.train_mod = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (a == "--replay-verify") {
-      options.replay_verify = true;
-    } else if (a == "--out" && has_next) {
-      out = args[++i];
-    } else {
-      std::fprintf(stderr, "score: bad argument %s\n", a.c_str());
+  int knn_k = static_cast<int>(options.knn_k);
+  if (!read_flags("score", args,
+                  {{"--corpus", &dir}, {"--jobs", &options.parallelism.jobs},
+                   {"--classifier", &classifier}, {"--features", &features},
+                   {"--k", &knn_k}, {"--train-mod", &options.train_mod}, {"--out", &out}},
+                  {{"--replay-verify", &options.replay_verify}})) {
+    return 2;
+  }
+  options.knn_k = static_cast<std::size_t>(knn_k);
+  if (!classifier.empty()) {
+    const auto parsed = corpus::classifier_from_name(classifier);
+    if (!parsed) {
+      std::fprintf(stderr, "score: unknown classifier %s\n", classifier.c_str());
       return 2;
     }
+    options.classifier = *parsed;
+  }
+  if (!features.empty()) {
+    const auto parsed = corpus::features_from_names(features);
+    if (!parsed) {
+      std::fprintf(stderr, "score: bad feature list %s\n", features.c_str());
+      return 2;
+    }
+    options.features = *parsed;
   }
   if (dir.empty()) {
     std::fprintf(stderr, "score: --corpus DIR required\n");
@@ -234,17 +295,8 @@ int cmd_score(const std::vector<std::string>& args) {
   }
   const corpus::ScoreReport report =
       corpus::score_corpus(corpus::load_corpus(dir), options);
-  const std::string text = corpus::format_report(report);
-  if (out.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream os(out, std::ios::binary | std::ios::trunc);
-    os << text;
-    os.flush();
-    if (!os) {
-      std::fprintf(stderr, "score: cannot write %s\n", out.c_str());
-      return 1;
-    }
+  if (!write_report("score", corpus::format_report(report), out)) return 1;
+  if (!out.empty()) {
     std::printf("wrote %s (%zu traces, %zu curve points)\n", out.c_str(),
                 report.traces.size(), report.curve.size());
   }
@@ -255,59 +307,24 @@ int cmd_score(const std::vector<std::string>& args) {
 
 int cmd_grid(const std::vector<std::string>& args) {
   defense::GridOptions options;
-  std::string out;
+  std::string out, defenses;
   bool gate = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--root" && has_next) {
-      options.root = args[++i];
-    } else if (a == "--runs" && has_next) {
-      options.runs = std::atoi(args[++i].c_str());
-    } else if (a == "--seed" && has_next) {
-      options.base_seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (a == "--jobs" && has_next) {
-      options.parallelism = core::Parallelism{std::atoi(args[++i].c_str())};
-    } else if (a == "--scenario" && has_next) {
-      options.scenario = args[++i];
-    } else if (a == "--defenses" && has_next) {
-      // Comma-separated preset names, in row order.
-      std::string list = args[++i];
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        if (end > start) options.defenses.push_back(list.substr(start, end - start));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (a == "--train-mod" && has_next) {
-      options.train_mod = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (a == "--out" && has_next) {
-      out = args[++i];
-    } else if (a == "--gate") {
-      gate = true;
-    } else {
-      std::fprintf(stderr, "grid: bad argument %s\n", a.c_str());
-      return 2;
-    }
+  if (!read_flags("grid", args,
+                  {{"--root", &options.root}, {"--runs", &options.runs},
+                   {"--seed", &options.base_seed}, {"--jobs", &options.parallelism.jobs},
+                   {"--scenario", &options.scenario}, {"--defenses", &defenses},
+                   {"--train-mod", &options.train_mod}, {"--out", &out}},
+                  {{"--gate", &gate}})) {
+    return 2;
   }
+  options.defenses = split_list(defenses);  // preset names, in row order
   if (options.root.empty()) {
     std::fprintf(stderr, "grid: --root DIR required\n");
     return 2;
   }
   const defense::GridReport report = defense::run_grid(options);
-  const std::string text = defense::format_grid_report(report);
-  if (out.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream os(out, std::ios::binary | std::ios::trunc);
-    os << text;
-    os.flush();
-    if (!os) {
-      std::fprintf(stderr, "grid: cannot write %s\n", out.c_str());
-      return 1;
-    }
+  if (!write_report("grid", defense::format_grid_report(report), out)) return 1;
+  if (!out.empty()) {
     std::printf("wrote %s (%zu defenses x %zu attacks)\n", out.c_str(),
                 report.rows.size(), report.attacks.size());
   }
@@ -501,21 +518,18 @@ int replay_one(const std::string& path, bool print) {
 
 int cmd_replay(const std::vector<std::string>& args) {
   if (args.size() == 2 && args[0] == "--corpus") {
-    const capture::Manifest manifest =
-        capture::read_manifest(args[1] + "/manifest.txt");
-    int failures = 0;
-    for (const capture::ManifestEntry& e : manifest.entries) {
-      const std::string path = args[1] + "/" + e.file;
-      if (capture::digest_file(path) != e.digest) {
-        std::fprintf(stderr, "%s: FAIL — digest mismatch vs manifest\n", path.c_str());
-        ++failures;
-        continue;
-      }
-      failures += replay_one(path, /*print=*/false);
-    }
-    std::printf("corpus replay: %zu traces, %d failures\n", manifest.entries.size(),
-                failures);
-    return failures == 0 ? 0 : 1;
+    const CorpusWalk walk = walk_corpus(
+        args[1], [](const capture::ManifestEntry& e, const std::string& path,
+                    std::uint64_t digest) {
+          if (digest != e.digest) {
+            std::fprintf(stderr, "%s: FAIL — digest mismatch vs manifest\n",
+                         path.c_str());
+            return 1;
+          }
+          return replay_one(path, /*print=*/false);
+        });
+    std::printf("corpus replay: %zu traces, %d failures\n", walk.traces, walk.failures);
+    return walk.failures == 0 ? 0 : 1;
   }
   if (args.size() != 1) return usage();
   return replay_one(args[0], /*print=*/true);
@@ -524,18 +538,7 @@ int cmd_replay(const std::vector<std::string>& args) {
 int cmd_recompress(const std::vector<std::string>& args) {
   std::string dir;
   int jobs = 0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--corpus" && has_next) {
-      dir = args[++i];
-    } else if (a == "--jobs" && has_next) {
-      jobs = std::atoi(args[++i].c_str());
-    } else {
-      std::fprintf(stderr, "recompress: bad argument %s\n", a.c_str());
-      return 2;
-    }
-  }
+  if (!read_flags("recompress", args, {{"--corpus", &dir}, {"--jobs", &jobs}})) return 2;
   if (dir.empty()) {
     std::fprintf(stderr, "recompress: --corpus DIR required\n");
     return 2;
@@ -556,42 +559,16 @@ int cmd_recompress(const std::vector<std::string>& args) {
 }
 
 int cmd_fleet_sweep(const std::vector<std::string>& args) {
-  std::string out;
+  std::string out, cache_sizes;
   std::string scenario = "table2";  // attack on: verdicts per cache size
   std::uint64_t seed = 1000;
   int clients = 0;
-  std::vector<std::size_t> cache_sizes;
   core::Parallelism parallelism{};
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const bool has_next = i + 1 < args.size();
-    if (a == "--clients" && has_next) {
-      clients = std::atoi(args[++i].c_str());
-    } else if (a == "--cache-sizes" && has_next) {
-      std::string list = args[++i];
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        if (end > start) {
-          cache_sizes.push_back(static_cast<std::size_t>(
-              std::strtoull(list.substr(start, end - start).c_str(), nullptr, 10)));
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (a == "--seed" && has_next) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (a == "--jobs" && has_next) {
-      parallelism = core::Parallelism{std::atoi(args[++i].c_str())};
-    } else if (a == "--scenario" && has_next) {
-      scenario = args[++i];
-    } else if (a == "--out" && has_next) {
-      out = args[++i];
-    } else {
-      std::fprintf(stderr, "fleet-sweep: bad argument %s\n", a.c_str());
-      return 2;
-    }
+  if (!read_flags("fleet-sweep", args,
+                  {{"--clients", &clients}, {"--cache-sizes", &cache_sizes},
+                   {"--seed", &seed}, {"--jobs", &parallelism.jobs},
+                   {"--scenario", &scenario}, {"--out", &out}})) {
+    return 2;
   }
   if (clients <= 0) {
     std::fprintf(stderr, "fleet-sweep: --clients N required\n");
@@ -603,19 +580,14 @@ int cmd_fleet_sweep(const std::vector<std::string>& args) {
   options.config.capture.scenario = scenario;
   options.config.fleet.clients = clients;
   options.parallelism = parallelism;
-  if (!cache_sizes.empty()) options.cache_sizes_mb = std::move(cache_sizes);
+  std::vector<std::size_t> sizes_mb;
+  for (const std::string& mb : split_list(cache_sizes)) {
+    sizes_mb.push_back(static_cast<std::size_t>(std::strtoull(mb.c_str(), nullptr, 10)));
+  }
+  if (!sizes_mb.empty()) options.cache_sizes_mb = std::move(sizes_mb);
   const fleet::SweepResult result = fleet::run_sweep(options);
-  const std::string text = fleet::format_report(result);
-  if (out.empty()) {
-    std::fputs(text.c_str(), stdout);
-  } else {
-    std::ofstream os(out, std::ios::binary | std::ios::trunc);
-    os << text;
-    os.flush();
-    if (!os) {
-      std::fprintf(stderr, "fleet-sweep: cannot write %s\n", out.c_str());
-      return 1;
-    }
+  if (!write_report("fleet-sweep", fleet::format_report(result), out)) return 1;
+  if (!out.empty()) {
     std::printf("wrote %s (%zu cache sizes x %d clients)\n", out.c_str(),
                 result.points.size(), result.fleet_clients);
   }
@@ -624,17 +596,15 @@ int cmd_fleet_sweep(const std::vector<std::string>& args) {
 
 int cmd_digest(const std::vector<std::string>& args) {
   if (args.size() == 2 && args[0] == "--corpus") {
-    const capture::Manifest manifest =
-        capture::read_manifest(args[1] + "/manifest.txt");
-    int failures = 0;
-    for (const capture::ManifestEntry& e : manifest.entries) {
-      const std::uint64_t got = capture::digest_file(args[1] + "/" + e.file);
-      const bool ok = got == e.digest;
-      std::printf("%016llx %s%s\n", static_cast<unsigned long long>(got),
-                  e.file.c_str(), ok ? "" : "  MISMATCH");
-      failures += ok ? 0 : 1;
-    }
-    return failures == 0 ? 0 : 1;
+    const CorpusWalk walk = walk_corpus(
+        args[1], [](const capture::ManifestEntry& e, const std::string&,
+                    std::uint64_t digest) {
+          const bool ok = digest == e.digest;
+          std::printf("%016llx %s%s\n", static_cast<unsigned long long>(digest),
+                      e.file.c_str(), ok ? "" : "  MISMATCH");
+          return ok ? 0 : 1;
+        });
+    return walk.failures == 0 ? 0 : 1;
   }
   if (args.empty()) return usage();
   for (const std::string& path : args) {
