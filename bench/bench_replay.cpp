@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   // The corpus lives under the system temp dir, not the invoking cwd.
   const std::string corpus =
       (std::filesystem::temp_directory_path() / "bench_replay_corpus").string();
+  std::filesystem::remove_all(corpus);
   core::RunConfig cfg = core::scenario_config("table2");
   cfg.capture.corpus_dir = corpus;
   cfg.capture.scenario = "table2";
@@ -91,5 +92,7 @@ int main(int argc, char** argv) {
                  {"replay_speedup_vs_live", speedup},
                  {"trace_compression_ratio", compression},
                  {"verdict_mismatches", static_cast<double>(verdict_mismatches)}});
+  traces.clear();
+  std::filesystem::remove_all(corpus);
   return verdict_mismatches == 0 ? 0 : 1;
 }

@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   std::printf("\n\n");
 
   std::printf("paper (one at a time):  100 across the board\n");
-  std::printf("paper (all at a time):  90 | 90 | 90 | 85 | 81 | 80 | 62 | 64 | 78(,64)"
-              "\n");
+  std::printf("paper (all at a time):  90 | 90 | 85 | 81 | 80 | 62 | 64 | 78 | 64\n");
   std::printf("aggregate: %.1f%% of runs complete, %.1f%% broken, "
               "avg %.1f re-GETs, avg %.2f reset episodes, avg %.1f positions correct\n",
               batch.pct([](const core::RunResult& r) { return r.page_complete; }),

@@ -21,6 +21,11 @@ std::optional<ByteInterval> ResponseInstance::span() const noexcept {
   return s;
 }
 
+GroundTruth::GroundTruth(std::vector<ResponseInstance> instances)
+    : instances_(std::move(instances)) {
+  for (std::size_t i = 0; i < instances_.size(); ++i) instances_[i].id = i + 1;
+}
+
 InstanceId GroundTruth::register_instance(web::ObjectId object, std::uint32_t stream_id,
                                           bool duplicate) {
   ResponseInstance inst;
@@ -70,51 +75,67 @@ std::vector<const ResponseInstance*> GroundTruth::instances_of(
 }
 
 double GroundTruth::degree_of_multiplexing(InstanceId id) const {
-  const ResponseInstance& self = instance(id);
-  const std::uint64_t total = self.data_bytes();
-  if (total == 0) return 0.0;
-
-  // Union of the other instances' spans.
-  std::vector<ByteInterval> spans;
-  for (const ResponseInstance& other : instances_) {
-    if (other.id == id) continue;
-    if (const auto s = other.span()) spans.push_back(*s);
-  }
-  if (spans.empty()) return 0.0;
-  std::sort(spans.begin(), spans.end(),
-            [](const ByteInterval& a,
-               const ByteInterval& b) { return a.begin < b.begin; });
-  std::vector<ByteInterval> merged;
-  for (const ByteInterval& s : spans) {
-    if (!merged.empty() && s.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, s.end);
-    } else {
-      merged.push_back(s);
-    }
-  }
-
-  // Bytes of `self` covered by the union.
-  std::uint64_t covered = 0;
-  for (const ByteInterval& iv : self.data) {
-    for (const ByteInterval& m : merged) {
-      const std::uint64_t lo = std::max(iv.begin, m.begin);
-      const std::uint64_t hi = std::min(iv.end, m.end);
-      if (hi > lo) covered += hi - lo;
-    }
-  }
-  return static_cast<double>(covered) / static_cast<double>(total);
+  return MultiplexingIndex(*this).degree_of_multiplexing(id);
 }
 
 std::optional<double> GroundTruth::object_dom(web::ObjectId object) const {
-  const ResponseInstance* primary = primary_instance(object);
+  return MultiplexingIndex(*this).object_dom(object);
+}
+
+bool GroundTruth::any_serialized_instance(web::ObjectId object) const {
+  return MultiplexingIndex(*this).any_serialized_instance(object);
+}
+
+MultiplexingIndex::MultiplexingIndex(const GroundTruth& truth) : truth_(truth) {
+  spans_.reserve(truth.instances().size());
+  for (const ResponseInstance& inst : truth.instances()) {
+    if (const auto s = inst.span()) spans_.push_back(Span{*s, inst.id});
+  }
+  std::sort(spans_.begin(), spans_.end(), [](const Span& a, const Span& b) {
+    return a.bytes.begin < b.bytes.begin;
+  });
+}
+
+double MultiplexingIndex::degree_of_multiplexing(InstanceId id) const {
+  const ResponseInstance& self = truth_.instance(id);
+  const std::uint64_t total = self.data_bytes();
+  if (total == 0) return 0.0;
+
+  // Bytes of `self` covered by the union of the other instances' spans. The
+  // spans merge in start order (touching ones join); each maximal run is
+  // charged as it closes.
+  std::uint64_t covered = 0;
+  const auto charge = [&](const ByteInterval& run) {
+    for (const ByteInterval& iv : self.data) {
+      const std::uint64_t lo = std::max(iv.begin, run.begin);
+      const std::uint64_t hi = std::min(iv.end, run.end);
+      if (hi > lo) covered += hi - lo;
+    }
+  };
+  std::optional<ByteInterval> run;
+  for (const Span& s : spans_) {
+    if (s.id == id) continue;
+    if (run && s.bytes.begin <= run->end) {
+      run->end = std::max(run->end, s.bytes.end);
+      continue;
+    }
+    if (run) charge(*run);
+    run = s.bytes;
+  }
+  if (run) charge(*run);
+  return static_cast<double>(covered) / static_cast<double>(total);
+}
+
+std::optional<double> MultiplexingIndex::object_dom(web::ObjectId object) const {
+  const ResponseInstance* primary = truth_.primary_instance(object);
   if (primary == nullptr || primary->data.empty()) return std::nullopt;
   return degree_of_multiplexing(primary->id);
 }
 
-bool GroundTruth::any_serialized_instance(web::ObjectId object) const {
-  for (const ResponseInstance* inst : instances_of(object)) {
-    if (inst->complete && !inst->data.empty() &&
-        degree_of_multiplexing(inst->id) == 0.0) {
+bool MultiplexingIndex::any_serialized_instance(web::ObjectId object) const {
+  for (const ResponseInstance& inst : truth_.instances()) {
+    if (inst.object_id == object && inst.complete && !inst.data.empty() &&
+        degree_of_multiplexing(inst.id) == 0.0) {
       return true;
     }
   }

@@ -42,6 +42,11 @@ struct ResponseInstance {
 
 class GroundTruth {
  public:
+  GroundTruth() = default;
+  /// Adopts fully built instances (a decoded trace's), numbering their ids
+  /// 1..n in order, as register_instance would have.
+  explicit GroundTruth(std::vector<ResponseInstance> instances);
+
   InstanceId register_instance(web::ObjectId object, std::uint32_t stream_id,
                                bool duplicate);
   void record_data(InstanceId id, h2::WireSpan span);
@@ -59,9 +64,30 @@ class GroundTruth {
   [[nodiscard]] std::vector<const ResponseInstance*> instances_of(
       web::ObjectId object) const;
 
-  /// The paper's metric: the fraction of this instance's DATA bytes that lie
-  /// within the transmission span of some *other* instance on the same TCP
-  /// stream. 0 == fully serialized; ~1 == thoroughly interleaved.
+  /// The three DoM queries below each build a MultiplexingIndex for one
+  /// answer. A caller asking many of them (a scoring pass) builds the index
+  /// once and asks it instead.
+  [[nodiscard]] double degree_of_multiplexing(InstanceId id) const;
+  [[nodiscard]] std::optional<double> object_dom(web::ObjectId object) const;
+  [[nodiscard]] bool any_serialized_instance(web::ObjectId object) const;
+
+ private:
+  std::vector<ResponseInstance> instances_;
+};
+
+/// The paper's degree of multiplexing (DoM) over one ground truth: each
+/// instance's data span is computed once and the spans are sorted by start.
+/// A query merges every span except the queried instance's own and counts
+/// the instance's DATA bytes the merged runs cover. `truth` must outlive the
+/// index and not change while it is in use.
+class MultiplexingIndex {
+ public:
+  explicit MultiplexingIndex(const GroundTruth& truth);
+  explicit MultiplexingIndex(GroundTruth&&) = delete;  // the index would dangle
+
+  /// The fraction of this instance's DATA bytes that lie within the
+  /// transmission span of some *other* instance on the same TCP stream.
+  /// 0 == fully serialized; ~1 == thoroughly interleaved.
   [[nodiscard]] double degree_of_multiplexing(InstanceId id) const;
 
   /// DoM of the object's primary instance; nullopt if never served.
@@ -72,7 +98,12 @@ class GroundTruth {
   [[nodiscard]] bool any_serialized_instance(web::ObjectId object) const;
 
  private:
-  std::vector<ResponseInstance> instances_;
+  struct Span {
+    ByteInterval bytes;
+    InstanceId id = 0;
+  };
+  const GroundTruth& truth_;
+  std::vector<Span> spans_;  // instances with data, by bytes.begin
 };
 
 }  // namespace h2priv::analysis

@@ -50,7 +50,8 @@ struct RecordedCorpus {
 
 /// record_run for seeds {config.seed .. config.seed+n-1} into
 /// config.capture.corpus_dir across `parallelism` workers, then
-/// <corpus_dir>/manifest.txt with one manifest_entry() per trace. Entries
+/// <corpus_dir>/manifest.txt with one manifest_entry() per trace (creating
+/// corpus_dir, so n = 0 writes an empty corpus). Entries
 /// are in seed order and every field comes from the trace files, so the
 /// corpus is byte-identical for any job count. Throws std::invalid_argument
 /// when corpus_dir is empty.

@@ -99,6 +99,7 @@ RecordedCorpus record_corpus(const core::RunConfig& config, int n,
     const std::uint64_t seed = config.seed + i;
     corpus.manifest.entries.push_back(manifest_entry(dir, trace_filename(seed), seed));
   }
+  std::filesystem::create_directories(dir);  // exists already unless n <= 0
   write_manifest(corpus.manifest, dir + "/manifest.txt");
   return corpus;
 }

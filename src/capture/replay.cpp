@@ -193,7 +193,10 @@ TraceSummary score_with_predictor(const TraceMeta& meta,
                                   const core::ObjectPredictor& predictor,
                                   std::uint64_t monitor_packets,
                                   std::int64_t monitor_gets) {
-  const web::IsideWithSite site = web::build_isidewith_site(meta.pad_sensitive_objects);
+  // The site model is a pure function of the padding flag; build each once.
+  static const web::IsideWithSite kPlainSite = web::build_isidewith_site(false);
+  static const web::IsideWithSite kPaddedSite = web::build_isidewith_site(true);
+  const web::IsideWithSite& site = meta.pad_sensitive_objects ? kPaddedSite : kPlainSite;
   const util::TimePoint horizon{meta.attack_horizon_ns};
   core::RunResult scored;
   core::score_run(site, meta.party_order, truth, predictor, horizon, scored);

@@ -46,24 +46,24 @@ auto decode_guard(Fn&& fn) -> decltype(fn()) {
   return v;
 }
 
-[[nodiscard]] std::vector<analysis::ByteInterval> get_intervals(util::ByteReader& r) {
+/// Decodes one interval list straight onto `out`. Empty intervals are
+/// dropped, as GroundTruth::record_data drops them when a run records.
+void get_intervals(util::ByteReader& r, std::vector<analysis::ByteInterval>& out) {
   const std::uint64_t n = get_varint(r);
   // Each interval costs at least 2 bytes (one svarint + one varint), so a
   // count the payload cannot hold is corruption — refuse before reserving.
   if (n > r.remaining() / 2) {
     throw std::invalid_argument("interval count exceeds payload");
   }
-  std::vector<analysis::ByteInterval> spans;
-  spans.reserve(static_cast<std::size_t>(n));
+  out.reserve(static_cast<std::size_t>(n));
   std::uint64_t prev_end = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     analysis::ByteInterval iv;
     iv.begin = prev_end + static_cast<std::uint64_t>(get_svarint(r));
     iv.end = iv.begin + get_varint(r);
     prev_end = iv.end;
-    spans.push_back(iv);
+    if (iv.size() != 0) out.push_back(iv);
   }
-  return spans;
 }
 
 /// Two's-complement addition without signed-overflow UB. Hostile delta
@@ -287,23 +287,24 @@ std::vector<analysis::RecordObservation> decode_records(util::BytesView payload,
 analysis::GroundTruth decode_ground_truth(util::BytesView payload) {
   return decode_guard([&] {
     util::ByteReader r(payload);
-    analysis::GroundTruth truth;
     const std::uint64_t n = get_varint(r);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto object_id = static_cast<web::ObjectId>(get_varint(r));
-      const auto stream_id = static_cast<std::uint32_t>(get_varint(r));
-      const std::uint8_t flags = r.u8();
-      const analysis::InstanceId id =
-          truth.register_instance(object_id, stream_id, (flags & 0x01) != 0);
-      for (const analysis::ByteInterval& iv : get_intervals(r)) {
-        truth.record_data(id, h2::WireSpan{iv.begin, iv.end});
-      }
-      for (const analysis::ByteInterval& iv : get_intervals(r)) {
-        truth.record_headers(id, h2::WireSpan{iv.begin, iv.end});
-      }
-      if ((flags & 0x02) != 0) truth.mark_complete(id);
+    // Each instance costs at least 5 bytes (object id, stream id, flags and
+    // two interval counts); refuse a count the payload cannot hold before
+    // reserving.
+    if (n > r.remaining() / 5) {
+      throw std::invalid_argument("instance count exceeds payload");
     }
-    return truth;
+    std::vector<analysis::ResponseInstance> instances(static_cast<std::size_t>(n));
+    for (analysis::ResponseInstance& inst : instances) {
+      inst.object_id = static_cast<web::ObjectId>(get_varint(r));
+      inst.stream_id = static_cast<std::uint32_t>(get_varint(r));
+      const std::uint8_t flags = r.u8();
+      inst.duplicate = (flags & 0x01) != 0;
+      get_intervals(r, inst.data);
+      get_intervals(r, inst.headers);
+      inst.complete = (flags & 0x02) != 0;
+    }
+    return analysis::GroundTruth(std::move(instances));
   });
 }
 

@@ -29,18 +29,19 @@ void score_run(const web::IsideWithSite& site,
                const analysis::GroundTruth& truth, const ObjectPredictor& predictor,
                util::TimePoint horizon, RunResult& result) {
   const std::vector<Identification> found = predictor.identify_after(horizon);
+  const analysis::MultiplexingIndex dom(truth);
   const auto score_object = [&](web::ObjectId id, std::string label) {
     ObjectOutcome o;
     o.object_id = id;
     o.true_size = site.site.object(id).size;
-    o.primary_dom = truth.object_dom(id);
+    o.primary_dom = dom.object_dom(id);
     if (o.primary_dom.has_value()) {
       // The paper's per-object observable: DoM == 0 means fully serialized.
       obs::sample(obs::Hist::kH2ObjectDomMilli,
                   static_cast<std::uint64_t>(std::llround(*o.primary_dom * 1000.0)));
     }
     o.serialized_primary = o.primary_dom.has_value() && *o.primary_dom == 0.0;
-    o.any_serialized_copy = truth.any_serialized_instance(id);
+    o.any_serialized_copy = dom.any_serialized_instance(id);
     o.identified = std::any_of(found.begin(), found.end(),
                                [&](const Identification& f) { return f.label == label; });
     o.attack_success = o.any_serialized_copy && o.identified;

@@ -192,7 +192,8 @@ struct RunResult {
 /// by capture::score_with_predictor. Fills `result`'s html,
 /// emblems_by_position (in `party_order`), predicted_sequence and
 /// sequence_positions_correct from a single predictor.identify_after(horizon)
-/// and samples each scored object's DoM into obs::Hist::kH2ObjectDomMilli.
+/// and one analysis::MultiplexingIndex over `truth`, and samples each scored
+/// object's DoM into obs::Hist::kH2ObjectDomMilli.
 ///   - identified: some identification after the horizon carries the label.
 ///   - predicted_sequence: each party's LAST identification, ordered by time.
 ///     The real serialized serving comes after any leftover retransmission

@@ -24,7 +24,8 @@ class ObjectPredictor {
  public:
   /// Predicts over a finished server->client record sequence: a live run's
   /// monitor.records(kServerToClient) once the simulation is over, or a
-  /// stored .h2t section. `s2c_records` must outlive the predictor.
+  /// stored .h2t section. The records are segmented into bursts here, once;
+  /// the queries below filter that list.
   ObjectPredictor(std::span<const analysis::RecordObservation> s2c_records,
                   analysis::SizeCatalog catalog,
                   analysis::BurstConfig burst_config = {});
@@ -42,9 +43,8 @@ class ObjectPredictor {
   double frac_tolerance = 0.012;
 
  private:
-  std::span<const analysis::RecordObservation> records_;
+  std::vector<analysis::EstimatedObject> bursts_;
   analysis::SizeCatalog catalog_;
-  analysis::BurstConfig burst_config_;
 };
 
 }  // namespace h2priv::core

@@ -109,16 +109,6 @@ const char* counter_name(Counter c) noexcept {
   return i < kCounterNames.size() ? kCounterNames[i] : "?";
 }
 
-const char* gauge_name(Gauge g) noexcept {
-  const auto i = static_cast<std::size_t>(g);
-  return i < kGaugeNames.size() ? kGaugeNames[i] : "?";
-}
-
-const char* hist_name(Hist h) noexcept {
-  const auto i = static_cast<std::size_t>(h);
-  return i < kHistNames.size() ? kHistNames[i] : "?";
-}
-
 const char* to_string(TraceLayer layer) noexcept {
   const auto i = static_cast<std::size_t>(layer);
   return i < kLayerNames.size() ? kLayerNames[i] : "?";

@@ -18,10 +18,8 @@
 
 namespace h2priv::obs {
 
-/// Stable dotted metric names ("sim.events_executed", ...).
+/// Stable dotted counter names ("sim.events_executed", ...).
 [[nodiscard]] const char* counter_name(Counter c) noexcept;
-[[nodiscard]] const char* gauge_name(Gauge g) noexcept;
-[[nodiscard]] const char* hist_name(Hist h) noexcept;
 
 /// One-line JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
 /// Zero counters/gauges and empty histograms are skipped; histogram buckets

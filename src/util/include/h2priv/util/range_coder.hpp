@@ -19,8 +19,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "h2priv/util/bytes.hpp"
 
@@ -46,19 +46,21 @@ inline constexpr std::uint32_t kRcTopValue = 1u << 24;
 /// reset() starts a new epoch, and tree() refills a stale tree (512 B) on
 /// its first use in the block. A block that touches a few contexts pays for
 /// those, not for all 256; the coded bytes are the same as with a full fill.
+/// A new model starts with every tree stale, so constructing one fills
+/// nothing either.
 class RcModel {
  public:
-  RcModel() : probs_(kContexts * kTreeSize, kRcProbInit) {}
+  RcModel() : probs_(std::make_unique_for_overwrite<RcProb[]>(kContexts * kTreeSize)) {}
 
   void reset() {
     if (++epoch_ == 0) {  // wrapped: old stamps would look current again
-      std::fill(probs_.begin(), probs_.end(), kRcProbInit);
+      std::fill_n(probs_.get(), kContexts * kTreeSize, kRcProbInit);
       epochs_.fill(0);
     }
   }
 
   [[nodiscard]] RcProb* tree(unsigned context) noexcept {
-    RcProb* t = probs_.data() + static_cast<std::size_t>(context) * kTreeSize;
+    RcProb* t = probs_.get() + static_cast<std::size_t>(context) * kTreeSize;
     if (epochs_[context] != epoch_) {
       std::fill(t, t + kTreeSize, kRcProbInit);
       epochs_[context] = epoch_;
@@ -69,9 +71,9 @@ class RcModel {
  private:
   static constexpr std::size_t kContexts = 256;
   static constexpr std::size_t kTreeSize = 256;
-  std::vector<RcProb> probs_;
+  std::unique_ptr<RcProb[]> probs_;  // uninitialized until a tree is filled
   std::array<std::uint32_t, kContexts> epochs_{};  // per tree: epoch last filled for
-  std::uint32_t epoch_ = 0;
+  std::uint32_t epoch_ = 1;  // no tree has been filled for it yet
 };
 
 /// Encodes `raw` with `model` (caller resets the model per block) and

@@ -1,7 +1,10 @@
-// Degree-of-multiplexing metric on synthetic wire intervals.
+// Degree-of-multiplexing metric on synthetic wire intervals, and
+// MultiplexingIndex against a byte-by-byte reference on random instance sets.
 #include "h2priv/analysis/ground_truth.hpp"
 
 #include <gtest/gtest.h>
+
+#include "h2priv/sim/rng.hpp"
 
 namespace h2priv::analysis {
 namespace {
@@ -130,6 +133,117 @@ TEST(GroundTruth, ThreeWayInterleaving) {
   EXPECT_GT(gt.degree_of_multiplexing(a), 0.0);
   EXPECT_EQ(gt.degree_of_multiplexing(b), 1.0);
   EXPECT_GT(gt.degree_of_multiplexing(c), 0.0);
+}
+
+/// The DoM definition, byte by byte: a DATA byte of `self` counts as covered
+/// when it lies in the span of any other instance that carried data.
+double brute_force_dom(const GroundTruth& gt, InstanceId self_id) {
+  const ResponseInstance& self = gt.instance(self_id);
+  std::uint64_t total = 0, covered = 0;
+  for (const ByteInterval& iv : self.data) {
+    for (std::uint64_t at = iv.begin; at < iv.end; ++at) {
+      ++total;
+      for (const ResponseInstance& other : gt.instances()) {
+        const auto span = other.span();
+        if (other.id != self_id && span && span->begin <= at && at < span->end) {
+          ++covered;
+          break;
+        }
+      }
+    }
+  }
+  return total == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(total);
+}
+
+/// Checks every query of a MultiplexingIndex (and GroundTruth's delegates)
+/// against the byte-by-byte reference, bit for bit.
+void expect_index_matches_reference(const GroundTruth& gt, const std::string& ctx) {
+  const MultiplexingIndex index(gt);
+  for (const ResponseInstance& inst : gt.instances()) {
+    const double want = brute_force_dom(gt, inst.id);
+    EXPECT_EQ(index.degree_of_multiplexing(inst.id), want) << ctx << " id " << inst.id;
+    EXPECT_EQ(gt.degree_of_multiplexing(inst.id), want) << ctx << " id " << inst.id;
+  }
+  for (web::ObjectId object = 0; object < 4; ++object) {
+    const ResponseInstance* primary = nullptr;
+    bool any_serialized = false;
+    for (const ResponseInstance& inst : gt.instances()) {
+      if (inst.object_id != object) continue;
+      if (primary == nullptr && !inst.duplicate) primary = &inst;
+      if (inst.complete && !inst.data.empty() && brute_force_dom(gt, inst.id) == 0.0) {
+        any_serialized = true;
+      }
+    }
+    std::optional<double> dom;
+    if (primary != nullptr && !primary->data.empty()) {
+      dom = brute_force_dom(gt, primary->id);
+    }
+    EXPECT_EQ(index.object_dom(object), dom) << ctx << " object " << object;
+    EXPECT_EQ(gt.object_dom(object), dom) << ctx << " object " << object;
+    EXPECT_EQ(index.any_serialized_instance(object), any_serialized)
+        << ctx << " object " << object;
+    EXPECT_EQ(gt.any_serialized_instance(object), any_serialized)
+        << ctx << " object " << object;
+  }
+}
+
+TEST(MultiplexingIndex, EdgeCasesMatchTheReference) {
+  GroundTruth empty;
+  expect_index_matches_reference(empty, "no instances");
+  EXPECT_EQ(MultiplexingIndex(empty).object_dom(1), std::nullopt);
+
+  GroundTruth no_data;
+  no_data.register_instance(1, 1, false);
+  no_data.register_instance(2, 3, false);
+  expect_index_matches_reference(no_data, "instances without data");
+
+  GroundTruth one;
+  add_instance(one, 1, {{0, 100}, {150, 200}});
+  expect_index_matches_reference(one, "one instance");
+  EXPECT_EQ(MultiplexingIndex(one).object_dom(1), 0.0);
+
+  GroundTruth identical;
+  add_instance(identical, 1, {{0, 50}, {80, 100}});
+  add_instance(identical, 2, {{0, 50}, {80, 100}});
+  expect_index_matches_reference(identical, "identical spans");
+  EXPECT_EQ(MultiplexingIndex(identical).object_dom(1), 1.0);
+
+  GroundTruth touching;
+  add_instance(touching, 1, {{0, 10}});
+  add_instance(touching, 2, {{10, 20}, {20, 30}});
+  add_instance(touching, 3, {{30, 40}});
+  add_instance(touching, 1, {{40, 45}, {50, 60}}, /*dup=*/true);
+  add_instance(touching, 2, {{45, 50}}, /*dup=*/true);
+  expect_index_matches_reference(touching, "touching intervals");
+}
+
+TEST(MultiplexingIndex, RandomInstanceSetsMatchTheReference) {
+  sim::Rng rng(21);
+  for (int round = 0; round < 300; ++round) {
+    GroundTruth gt;
+    const auto n = rng.uniform_int(0, 7);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto object = static_cast<web::ObjectId>(rng.uniform_int(0, 3));
+      const InstanceId id = gt.register_instance(object, 1, rng.chance(0.3));
+      if (i > 0 && rng.chance(0.15)) {
+        // An identical copy of the previous instance's data.
+        for (const ByteInterval& iv : gt.instance(id - 1).data) {
+          gt.record_data(id, h2::WireSpan{iv.begin, iv.end});
+        }
+      } else {
+        // 0-4 intervals in [0, 120); some touch the one before.
+        auto at = static_cast<std::uint64_t>(rng.uniform_int(0, 60));
+        for (std::int64_t k = rng.uniform_int(0, 4); k > 0; --k) {
+          if (!rng.chance(0.3)) at += static_cast<std::uint64_t>(rng.uniform_int(0, 20));
+          const auto len = static_cast<std::uint64_t>(rng.uniform_int(1, 15));
+          gt.record_data(id, h2::WireSpan{at, at + len});
+          at += len;
+        }
+      }
+      if (rng.chance(0.8)) gt.mark_complete(id);
+    }
+    expect_index_matches_reference(gt, "round " + std::to_string(round));
+  }
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
+#include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
 #include "trace_decode.hpp"
 
@@ -459,6 +460,41 @@ TEST_F(TraceHardening, PayloadLengthOnePastTheCeilingIsRejected) {
   analysis::PacketObservation p;
   EXPECT_THROW((void)cursor.next(p), TraceError);
   std::remove(path.c_str());
+}
+
+/// A ground-truth section payload: `fields` as varints, then `tail` zero
+/// bytes (every field here fits one byte, so a flags field is its u8).
+util::Bytes truth_payload(std::initializer_list<std::uint64_t> fields, std::size_t tail) {
+  util::ByteWriter w;
+  for (const std::uint64_t v : fields) put_varint(w, v);
+  for (std::size_t i = 0; i < tail; ++i) w.u8(0);
+  return w.take();
+}
+
+TEST_F(TraceHardening, GroundTruthCountsBeyondThePayloadAreRejectedBeforeReserving) {
+  // An instance costs >= 5 bytes and an interval >= 2. Counts past what the
+  // payload holds must be a TraceError before the decoder reserves for them:
+  // the huge ones would otherwise end in bad_alloc or length_error (or an
+  // ASan allocation-size report), not in a typed error.
+  constexpr std::size_t kTail = 20;
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  constexpr std::uint64_t kLarge = std::uint64_t{1} << 40;
+  constexpr std::uint64_t kOnePastIntervals = kTail / 2 + 1;
+  const auto decode = [](const util::Bytes& payload) {
+    return decode_ground_truth(util::BytesView{payload.data(), payload.size()});
+  };
+  for (const std::uint64_t n : {kHuge, kLarge, kOnePastIntervals}) {
+    // Instance count.
+    EXPECT_THROW((void)decode(truth_payload({n}, kTail)), TraceError) << n;
+    // One instance (object 0, stream 0, flags 0) whose data interval count,
+    // then whose header interval count, lies.
+    EXPECT_THROW((void)decode(truth_payload({1, 0, 0, 0, n}, kTail)), TraceError) << n;
+    EXPECT_THROW((void)decode(truth_payload({1, 0, 0, 0, 0, n}, kTail)), TraceError) << n;
+  }
+  EXPECT_THROW((void)decode(truth_payload({kTail / 5 + 1}, kTail)), TraceError);
+  // At the bound, the same zero bytes decode: kTail / 5 instances, no data.
+  const analysis::GroundTruth truth = decode(truth_payload({kTail / 5}, kTail));
+  EXPECT_EQ(truth.instances().size(), kTail / 5);
 }
 
 }  // namespace

@@ -167,6 +167,23 @@ TEST(CaptureReplay, CorpusIsByteIdenticalForAnyJobCount) {
   fs::remove_all(base);
 }
 
+TEST(CaptureReplay, EmptyCorpusStillWritesItsManifest) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "corpus_empty";
+  fs::remove_all(dir);
+  core::RunConfig cfg = scenario("table2");
+  cfg.seed = 1000;
+  cfg.capture.corpus_dir = dir.string();
+  const capture::RecordedCorpus recorded =
+      capture::record_corpus(cfg, 0, core::Parallelism{1});
+  EXPECT_TRUE(recorded.results.empty());
+  const capture::Manifest manifest =
+      capture::read_manifest((dir / "manifest.txt").string());
+  EXPECT_TRUE(manifest.entries.empty());
+  EXPECT_EQ(manifest.scenario, "table2");
+  EXPECT_EQ(manifest.base_seed, 1000u);
+  fs::remove_all(dir);
+}
+
 void zero_scheduling_dependent(obs::Registry& r) {
   r.set(obs::Counter::kPoolChunksReused, 0);
   r.set(obs::Counter::kPoolChunksFresh, 0);

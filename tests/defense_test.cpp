@@ -334,6 +334,8 @@ TEST(DefenseIdentity, NoneLeavesWireBytesAndVerdictsBitIdentical) {
   (void)capture::record_run(baseline);
   (void)capture::record_run(defended);
   EXPECT_EQ(file_bytes(baseline.capture.path), file_bytes(defended.capture.path));
+  std::filesystem::remove(baseline.capture.path);
+  std::filesystem::remove(defended.capture.path);
 }
 
 // --- defended capture → replay ----------------------------------------------
@@ -347,12 +349,14 @@ TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
     cfg.capture.path = ::testing::TempDir() + "defense_replay_" + preset + ".h2t";
     cfg.capture.scenario = "table2+" + preset;
     (void)capture::record_run(cfg);
-
-    const capture::TraceFile trace = capture::TraceFile::open(cfg.capture.path);
-    EXPECT_EQ(trace.meta().defense, cfg.server.defense) << preset;
-    const capture::ReplayResult replayed = capture::replay(trace);
-    EXPECT_TRUE(replayed.records_match) << preset;
-    EXPECT_TRUE(replayed.summary_matches) << preset;
+    {
+      const capture::TraceFile trace = capture::TraceFile::open(cfg.capture.path);
+      EXPECT_EQ(trace.meta().defense, cfg.server.defense) << preset;
+      const capture::ReplayResult replayed = capture::replay(trace);
+      EXPECT_TRUE(replayed.records_match) << preset;
+      EXPECT_TRUE(replayed.summary_matches) << preset;
+    }
+    std::filesystem::remove(cfg.capture.path);
   }
 }
 

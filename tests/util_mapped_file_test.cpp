@@ -3,6 +3,7 @@
 // byte-identical views, including the empty-file and missing-file edges.
 #include "h2priv/util/mapped_file.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -16,12 +17,25 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "mapped_file_" + name + ".bin";
 }
 
-void write_file(const std::string& path, const Bytes& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(content.data()),
-            static_cast<std::streamsize>(content.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
+/// A scratch file holding `content`, removed when it goes out of scope.
+/// Declared before the MappedFile over it, so the view is gone first.
+class ScratchFile {
+ public:
+  ScratchFile(const char* name, const Bytes& content) : path_(temp_path(name)) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(content.data()),
+              static_cast<std::streamsize>(content.size()));
+    EXPECT_TRUE(out.good()) << path_;
+  }
+  ~ScratchFile() { std::remove(path_.c_str()); }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 Bytes patterned(std::size_t n) {
   Bytes b(n);
@@ -41,25 +55,23 @@ class NoMmapGuard {
 };
 
 TEST(MappedFile, ViewMatchesFileBytes) {
-  const std::string path = temp_path("basic");
   const Bytes content = patterned(12'345);
-  write_file(path, content);
+  const ScratchFile file("basic", content);
 
-  const MappedFile f = MappedFile::open(path);
+  const MappedFile f = MappedFile::open(file.path());
   ASSERT_EQ(f.size(), content.size());
   const BytesView v = f.view();
   EXPECT_TRUE(std::equal(v.begin(), v.end(), content.begin()));
 }
 
 TEST(MappedFile, FallbackViewIsIdenticalToMapped) {
-  const std::string path = temp_path("fallback");
   // Larger than one 64 KiB chunk so the pread loop takes several laps.
   const Bytes content = patterned(3 * kFileChunkBytes + 17);
-  write_file(path, content);
+  const ScratchFile file("fallback", content);
 
-  const MappedFile mapped = MappedFile::open(path);
+  const MappedFile mapped = MappedFile::open(file.path());
   NoMmapGuard guard;
-  const MappedFile buffered = MappedFile::open(path);
+  const MappedFile buffered = MappedFile::open(file.path());
   EXPECT_FALSE(buffered.is_mapped());
   ASSERT_EQ(mapped.size(), buffered.size());
   const BytesView a = mapped.view();
@@ -69,9 +81,8 @@ TEST(MappedFile, FallbackViewIsIdenticalToMapped) {
 }
 
 TEST(MappedFile, EmptyFileGivesEmptyView) {
-  const std::string path = temp_path("empty");
-  write_file(path, {});
-  const MappedFile f = MappedFile::open(path);
+  const ScratchFile file("empty", {});
+  const MappedFile f = MappedFile::open(file.path());
   EXPECT_EQ(f.size(), 0u);
   EXPECT_TRUE(f.view().empty());
 }
@@ -82,11 +93,10 @@ TEST(MappedFile, MissingFileThrows) {
 }
 
 TEST(MappedFile, MoveTransfersTheView) {
-  const std::string path = temp_path("move");
   const Bytes content = patterned(4'096);
-  write_file(path, content);
+  const ScratchFile file("move", content);
 
-  MappedFile a = MappedFile::open(path);
+  MappedFile a = MappedFile::open(file.path());
   const MappedFile b = std::move(a);
   ASSERT_EQ(b.size(), content.size());
   const BytesView v = b.view();
