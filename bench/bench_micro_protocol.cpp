@@ -58,7 +58,7 @@ void BM_SimEventPacketCapture(benchmark::State& state) {
 BENCHMARK(BM_SimEventPacketCapture);
 
 /// The schedule/cancel/run mix of a real run: half the scheduled events are
-/// cancelled before they fire (delayed-ACK and RTO timers rearm constantly).
+/// cancelled before they fire (RTO and stall timers rearm constantly).
 void BM_SimEventScheduleCancelRun(benchmark::State& state) {
   constexpr int kBatch = 1024;
   sim::Simulator sim;

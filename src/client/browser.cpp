@@ -5,6 +5,29 @@
 
 namespace h2priv::client {
 
+namespace {
+
+/// A response that started but stopped progressing for this long is
+/// stalled -> re-request.
+constexpr util::Duration kStreamTimeout = util::milliseconds(1'200);
+constexpr double kStallBackoff = 1.4;
+/// Reset episodes allowed per page load before giving up.
+constexpr std::uint64_t kMaxResetEpisodes = 3;
+/// Stall-clock stretch after a reset episode (the transport stack backs
+/// off its timers after heavy loss, RFC 6298 §5.5-style).
+constexpr double kResetStallMultiplier = 6.0;
+/// Pause between the reset episode and the priority re-GET that follows
+/// it ("the client resends GET requests if a high priority object is not
+/// yet received").
+constexpr util::Duration kPostResetDelay = util::milliseconds(1'300);
+/// The remaining missing objects are re-requested only after this further
+/// delay (the browser waits for the priority object / network recovery).
+constexpr util::Duration kPostResetSecondaryDelay = util::milliseconds(1'200);
+/// Spacing of those catch-up re-GETs.
+constexpr util::Duration kPostResetRequestGap = util::milliseconds(30);
+
+}  // namespace
+
 BrowserConfig BrowserConfig::firefox_like() {
   BrowserConfig c;
   c.h2.local_settings.initial_window_size = 1 << 20;           // 1 MiB per stream
@@ -90,7 +113,6 @@ Browser::Browser(sim::Simulator& sim, const web::Site& site, web::RequestPlan pl
           streams_.emplace(promised, PendingStream{object->id, 0});
           it->second.requested = true;
           it->second.response_started = true;
-          ++stats_.pushes_accepted;
         }
       }
     }
@@ -150,7 +172,7 @@ void Browser::arm_stall_timer(web::ObjectId object_id) {
   cancel_stall_timer(object_id);
   const ObjectProgress& p = progress_.at(object_id);
   util::Duration base =
-      p.response_started ? config_.stream_timeout : config_.pending_timeout;
+      p.response_started ? kStreamTimeout : config_.pending_timeout;
   if (!p.response_started) {
     // Unanswered requests back off per retry (stall_current_ holds the
     // stretched value once a retry fired).
@@ -181,7 +203,7 @@ void Browser::on_stall(web::ObjectId object_id) {
     // server will serve another copy concurrently.
     auto [it, inserted] = stall_current_.try_emplace(object_id, config_.pending_timeout);
     it->second = util::Duration{static_cast<std::int64_t>(
-        static_cast<double>(it->second.ns) * config_.stall_backoff)};
+        static_cast<double>(it->second.ns) * kStallBackoff)};
     issue_request(object_id, /*is_rerequest=*/true);
     return;
   }
@@ -189,7 +211,7 @@ void Browser::on_stall(web::ObjectId object_id) {
 }
 
 void Browser::reset_episode(web::ObjectId trigger_object) {
-  if (stats_.reset_episodes >= static_cast<std::uint64_t>(config_.max_reset_episodes)) {
+  if (stats_.reset_episodes >= kMaxResetEpisodes) {
     mark_broken("reset episodes exhausted");
     return;
   }
@@ -209,7 +231,7 @@ void Browser::reset_episode(web::ObjectId trigger_object) {
 
   // Back off the stall clock (the TCP stack raises its timers after loss) and
   // allow a fresh re-request budget for what is still missing.
-  patience_ *= config_.reset_stall_multiplier;
+  patience_ *= kResetStallMultiplier;
   stall_current_.clear();
   for (auto& [object_id, p] : progress_) {
     if (!p.complete) p.response_started = false;  // reset streams died with their data
@@ -229,13 +251,12 @@ void Browser::reset_episode(web::ObjectId trigger_object) {
     issue_request(object_id, /*is_rerequest=*/true);
   };
   if (!progress_.at(trigger_object).complete) {
-    sim_.schedule(config_.post_reset_delay,
-                  [re_get, trigger_object] { re_get(trigger_object); });
+    sim_.schedule(kPostResetDelay, [re_get, trigger_object] { re_get(trigger_object); });
   }
-  util::Duration at = config_.post_reset_delay + config_.post_reset_secondary_delay;
+  util::Duration at = kPostResetDelay + kPostResetSecondaryDelay;
   for (const web::ObjectId object_id : missing) {
     sim_.schedule(at, [re_get, object_id] { re_get(object_id); });
-    at += config_.post_reset_request_gap;
+    at += kPostResetRequestGap;
   }
 }
 

@@ -33,26 +33,8 @@ struct BrowserConfig {
   /// -> re-request (grows by backoff per retry). This is the clock the
   /// adversary's request spacing provokes into "fast retransmit" storms.
   util::Duration pending_timeout{util::milliseconds(800)};
-  /// A response that started but stopped progressing for this long is
-  /// stalled -> re-request.
-  util::Duration stream_timeout{util::milliseconds(1'200)};
-  double stall_backoff = 1.4;
   /// Re-requests per object before escalating to a reset episode.
   int max_rerequests_per_object = 1;
-  /// Reset episodes allowed per page load before giving up.
-  int max_reset_episodes = 3;
-  /// Stall-clock stretch after a reset episode (the transport stack backs
-  /// off its timers after heavy loss, RFC 6298 §5.5-style).
-  double reset_stall_multiplier = 6.0;
-  /// Pause between the reset episode and the priority re-GET that follows
-  /// it ("the client resends GET requests if a high priority object is not
-  /// yet received").
-  util::Duration post_reset_delay{util::milliseconds(1'300)};
-  /// The remaining missing objects are re-requested only after this further
-  /// delay (the browser waits for the priority object / network recovery).
-  util::Duration post_reset_secondary_delay{util::milliseconds(1'200)};
-  /// Spacing of those catch-up re-GETs.
-  util::Duration post_reset_request_gap{util::milliseconds(30)};
 
   /// Firefox-like defaults: a large connection window and stream windows so
   /// flow control does not mask the multiplexing dynamics under test.
@@ -80,7 +62,6 @@ class Browser {
     std::uint64_t rerequests_sent = 0;     // the paper's "retransmission requests"
     std::uint64_t reset_episodes = 0;
     std::uint64_t rst_streams_sent = 0;
-    std::uint64_t pushes_accepted = 0;
     bool page_complete = false;
     bool broken = false;
     util::TimePoint page_complete_time{};

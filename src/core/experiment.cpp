@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/sim/simulator.hpp"
 
@@ -98,10 +97,6 @@ RunResult run_once(const RunConfig& config) {
   if (config.capture.enabled()) {
     throw std::invalid_argument(
         "run_once writes no trace: record one with capture::record_run");
-  }
-  obs::Registry& reg = obs::current();
-  if (config.obs_trace_capacity > 0) {
-    reg.trace().set_capacity(config.obs_trace_capacity);
   }
   sim::Simulator sim;
   sim::Rng root(config.seed);
@@ -205,19 +200,14 @@ RunResult run_once(const RunConfig& config) {
     out->attack_horizon_ns = horizon.ns;
   }
 
+  obs::Registry& reg = obs::current();
   reg.add(obs::Counter::kCoreRuns);
   if (result.page_complete) reg.add(obs::Counter::kCorePagesComplete);
   if (result.broken) reg.add(obs::Counter::kCoreBrokenRuns);
   reg.add(obs::Counter::kCoreBrowserRerequests, result.browser_rerequests);
   reg.add(obs::Counter::kCoreResetEpisodes, result.reset_episodes);
-  reg.trace().push(sim.now().ns, obs::TraceLayer::kCore, obs::TraceEvent::kRunScored,
-                   config.seed, events_executed);
 
   return result;
-}
-
-std::vector<RunResult> run_many(const RunConfig& config, int n) {
-  return run_many(config, n, Parallelism::from_env());
 }
 
 }  // namespace h2priv::core

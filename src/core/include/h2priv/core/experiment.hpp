@@ -111,10 +111,6 @@ struct RunConfig {
 
   util::Duration deadline{util::seconds(45)};
 
-  /// Capacity of the obs::TraceRing armed on the thread-current registry for
-  /// this run (0 = tracing stays off). The ring keeps the newest records.
-  std::size_t obs_trace_capacity = 0;
-
   /// Where capture::record_run puts this run's .h2t; run_once rejects it.
   CaptureOptions capture;
 
@@ -205,11 +201,5 @@ void score_run(const web::IsideWithSite& site,
                const std::array<int, web::kPartyCount>& party_order,
                const analysis::GroundTruth& truth, const ObjectPredictor& predictor,
                util::TimePoint horizon, RunResult& result);
-
-/// Convenience: run `n` seeds {base_seed .. base_seed+n-1}. Honors the
-/// H2PRIV_JOBS environment variable (defaults to all hardware threads; the
-/// results are bit-identical for any job count). For an explicit job count
-/// see run_many(config, n, Parallelism) in parallel_runner.hpp.
-[[nodiscard]] std::vector<RunResult> run_many(const RunConfig& config, int n);
 
 }  // namespace h2priv::core

@@ -19,9 +19,6 @@ void Link::send(Packet&& p) {
   if (rng_.chance(config_.loss_probability)) {
     ++stats_.lost;
     obs::count(obs::Counter::kNetLinkLost);
-    obs::current().trace().push(sim_.now().ns, obs::TraceLayer::kNet,
-                                obs::TraceEvent::kPacketLost, p.id,
-                                static_cast<std::uint64_t>(p.wire_size()));
     return;
   }
   if (config_.burst_capacity_packets > 0) {
@@ -37,9 +34,6 @@ void Link::send(Packet&& p) {
       ++stats_.burst_dropped;
       obs::count(obs::Counter::kNetLinkLost);
       obs::count(obs::Counter::kNetLinkBurstDropped);
-      obs::current().trace().push(sim_.now().ns, obs::TraceLayer::kNet,
-                                  obs::TraceEvent::kPacketLost, p.id,
-                                  static_cast<std::uint64_t>(p.wire_size()));
       return;
     }
   }

@@ -21,8 +21,6 @@ void Middlebox::process(Direction d, Packet&& p) {
   if (port_state.drop && port_state.drop(p)) {
     ++port_state.stats.dropped;
     reg.add(obs::Counter::kNetMbDropped);
-    reg.trace().push(arrival.ns, obs::TraceLayer::kNet, obs::TraceEvent::kPacketDropped,
-                     p.id, static_cast<std::uint64_t>(p.wire_size()));
     return;
   }
 
@@ -33,11 +31,6 @@ void Middlebox::process(Direction d, Packet&& p) {
     ready = start + port_state.bandwidth->transmission_time(p.wire_size());
     port_state.shaper_busy_until = ready;
     reg.add(obs::Counter::kNetMbThrottled);
-    if (start > arrival) {
-      reg.trace().push(arrival.ns, obs::TraceLayer::kNet,
-                       obs::TraceEvent::kPacketThrottled, p.id,
-                       static_cast<std::uint64_t>((start - arrival).ns));
-    }
   }
 
   // Hold stage: policy may push individual packets later (request spacing).
@@ -48,8 +41,6 @@ void Middlebox::process(Direction d, Packet&& p) {
     if (release > ready) {
       ++port_state.stats.held;
       reg.add(obs::Counter::kNetMbHeld);
-      reg.trace().push(arrival.ns, obs::TraceLayer::kNet, obs::TraceEvent::kPacketHeld,
-                       p.id, static_cast<std::uint64_t>((release - ready).ns));
     }
   }
 

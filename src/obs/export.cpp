@@ -93,30 +93,11 @@ constexpr std::array<const char*, kHistCount> kHistNames = {
     "fleet.client_dom_milli",
 };
 
-constexpr std::array<const char*, 6> kLayerNames = {"sim", "net", "tcp",
-                                                    "tls", "h2",  "core"};
-
-constexpr std::array<const char*, 10> kEventNames = {
-    "packet_dropped", "packet_held", "packet_throttled", "packet_lost",
-    "retransmit",     "rto_fired",   "cwnd_changed",     "rst_stream",
-    "record_sealed",  "run_scored",
-};
-
 }  // namespace
 
 const char* counter_name(Counter c) noexcept {
   const auto i = static_cast<std::size_t>(c);
   return i < kCounterNames.size() ? kCounterNames[i] : "?";
-}
-
-const char* to_string(TraceLayer layer) noexcept {
-  const auto i = static_cast<std::size_t>(layer);
-  return i < kLayerNames.size() ? kLayerNames[i] : "?";
-}
-
-const char* to_string(TraceEvent event) noexcept {
-  const auto i = static_cast<std::size_t>(event);
-  return i < kEventNames.size() ? kEventNames[i] : "?";
 }
 
 std::string to_json(const Registry& r) {
@@ -159,28 +140,6 @@ void write_metrics_json(std::ostream& os, const Registry& r) {
     first = false;
   }
   os << "}}";
-}
-
-void write_trace_csv(std::ostream& os, const TraceRing& ring) {
-  os << "t_ns,layer,event,a,b\n";
-  ring.for_each([&os](const TraceRecord& rec) {
-    os << rec.t_ns << ',' << to_string(static_cast<TraceLayer>(rec.layer)) << ','
-       << to_string(static_cast<TraceEvent>(rec.event)) << ',' << rec.a << ',' << rec.b
-       << '\n';
-  });
-}
-
-void write_trace_json(std::ostream& os, const TraceRing& ring) {
-  os << '[';
-  bool first = true;
-  ring.for_each([&](const TraceRecord& rec) {
-    os << (first ? "" : ",") << "{\"t_ns\":" << rec.t_ns << ",\"layer\":\""
-       << to_string(static_cast<TraceLayer>(rec.layer)) << "\",\"event\":\""
-       << to_string(static_cast<TraceEvent>(rec.event)) << "\",\"a\":" << rec.a
-       << ",\"b\":" << rec.b << '}';
-    first = false;
-  });
-  os << "]\n";
 }
 
 }  // namespace h2priv::obs

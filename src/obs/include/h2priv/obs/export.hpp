@@ -1,4 +1,4 @@
-// Serialization of obs::Registry and obs::TraceRing to JSON / CSV.
+// Serialization of obs::Registry to JSON.
 //
 // The JSON form is deliberately integer-only and emitted in fixed enum
 // order with zero entries skipped, so the METRICS_JSON line of a seeded run
@@ -14,7 +14,6 @@
 #include <string>
 
 #include "h2priv/obs/metrics.hpp"
-#include "h2priv/obs/trace_ring.hpp"
 
 namespace h2priv::obs {
 
@@ -28,11 +27,5 @@ namespace h2priv::obs {
 
 /// Writes to_json(r) to `os` (no trailing newline).
 void write_metrics_json(std::ostream& os, const Registry& r);
-
-/// CSV: header `t_ns,layer,event,a,b` then one row per record, oldest first.
-void write_trace_csv(std::ostream& os, const TraceRing& ring);
-
-/// JSON array of record objects, oldest first.
-void write_trace_json(std::ostream& os, const TraceRing& ring);
 
 }  // namespace h2priv::obs

@@ -11,7 +11,8 @@
 //  - A Registry is plain arrays of std::uint64_t; every instrumentation
 //    point is one non-atomic increment (or a bit_width + increment for
 //    histogram samples). No locks, no hashing, no branches beyond the
-//    thread-local load.
+//    thread-local load. Being trivially destructible also spares the
+//    thread_local default registry a TLS init call on every access.
 //  - Each thread has a *current* registry (thread-local). Monte-Carlo
 //    workers (core::parallel_for) install a private registry for the span of
 //    their work and merge it into the caller's registry at join. Merging is
@@ -27,8 +28,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-
-#include "h2priv/obs/trace_ring.hpp"
 
 namespace h2priv::obs {
 
@@ -180,8 +179,8 @@ struct HistogramData {
   }
 };
 
-/// One layer-spanning bundle of counters, gauges, histograms and a trace
-/// ring. Single-threaded by design; see the file comment for the
+/// One layer-spanning bundle of counters, gauges and histograms.
+/// Single-threaded by design; see the file comment for the
 /// one-registry-per-worker contract.
 class Registry {
  public:
@@ -213,13 +212,9 @@ class Registry {
     return hists_[static_cast<std::size_t>(h)];
   }
 
-  [[nodiscard]] TraceRing& trace() noexcept { return trace_; }
-  [[nodiscard]] const TraceRing& trace() const noexcept { return trace_; }
-
   /// Folds another registry's counts into this one. Commutative and
   /// associative over any merge order, which is what keeps --jobs N batch
-  /// totals bit-identical to the serial run. The trace ring is NOT merged
-  /// (tails of independent seeds don't interleave meaningfully).
+  /// totals bit-identical to the serial run.
   void merge_from(const Registry& o) noexcept {
     for (std::size_t i = 0; i < kCounterCount; ++i) counters_[i] += o.counters_[i];
     for (std::size_t i = 0; i < kGaugeCount; ++i) {
@@ -228,19 +223,17 @@ class Registry {
     for (std::size_t i = 0; i < kHistCount; ++i) hists_[i].merge_from(o.hists_[i]);
   }
 
-  /// Zeroes every counter/gauge/histogram and clears the trace ring.
+  /// Zeroes every counter/gauge/histogram.
   void reset() noexcept {
     counters_.fill(0);
     gauges_.fill(0);
     hists_.fill(HistogramData{});
-    trace_.clear();
   }
 
  private:
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<HistogramData, kHistCount> hists_{};
-  TraceRing trace_;
 };
 
 namespace detail {

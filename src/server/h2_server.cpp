@@ -7,6 +7,22 @@
 
 namespace h2priv::server {
 
+namespace {
+
+/// Fixed request-dispatch overhead added to every object's own
+/// service_time before a handler starts writing.
+constexpr util::Duration kHandlerStartLatency = util::microseconds(150);
+/// Random spread of the dispatch overhead (thread scheduling noise); the
+/// object's service_time additionally contributes service_time/6 of sigma.
+constexpr util::Duration kHandlerStartSigma = util::microseconds(50);
+/// Keep at most this many plaintext bytes buffered in the transport; the
+/// scheduler pauses above it and resumes on writability. Must sit above
+/// the transport's writable watermark or the resume callback never fires.
+constexpr std::int64_t kTransportBacklogTarget = 16 * 1024;
+static_assert(kTransportBacklogTarget > tcp::kWritableWatermark);
+
+}  // namespace
+
 const char* to_string(InterleavePolicy p) noexcept {
   switch (p) {
     case InterleavePolicy::kRoundRobin: return "round-robin";
@@ -71,7 +87,6 @@ H2Server::H2Server(sim::Simulator& sim, const web::Site& site, ServerConfig conf
 }
 
 void H2Server::on_request(std::uint32_t stream_id, const hpack::HeaderList& headers) {
-  ++stats_.requests_received;
   std::string path;
   for (const hpack::Header& h : headers) {
     if (h.name == ":path") path = h.value;
@@ -110,9 +125,9 @@ void H2Server::spawn_handler(std::uint32_t stream_id, const web::SiteObject& obj
   // Thread-dispatch latency plus the object's own service time before the
   // handler's first write (Fig. 3). Dynamic pages take tens of ms here. An
   // upstream tier (fleet cache proxy) may add per-path origin delay on top.
-  util::Duration mean = config_.handler_start_latency + object.service_time;
+  util::Duration mean = kHandlerStartLatency + object.service_time;
   if (config_.origin_delay) mean = mean + config_.origin_delay(object.path);
-  const util::Duration sigma = config_.handler_start_sigma + object.service_time / 6;
+  const util::Duration sigma = kHandlerStartSigma + object.service_time / 6;
   const util::Duration latency = rng_.jittered(mean, sigma, util::microseconds(20));
   sim_.schedule(latency, [this, stream_id] { start_handler(stream_id); });
 }
@@ -124,7 +139,7 @@ void H2Server::push_mapped_resources(std::uint32_t parent_stream,
   if (!conn_->peer_settings().enable_push) return;
 
   std::vector<std::string> paths = it->second;
-  if (config_.randomize_push_order) rng_.shuffle(paths);
+  rng_.shuffle(paths);
   for (const std::string& push_path : paths) {
     const web::SiteObject* object = site_.find_by_path(push_path);
     if (object == nullptr) continue;
@@ -188,7 +203,6 @@ bool H2Server::write_chunk(Handler& h, std::size_t chunk) {
 
 void H2Server::pump() {
   if (!session_.established()) return;
-  const std::int64_t limit = session_.transport().config().send_buffer_limit;
   // Shaped emission: one tick writes at most shape_budget_ body bytes, then
   // waits for the next tick — a constant-rate, burst-coalesced schedule.
   const bool shaped = shaping();
@@ -196,8 +210,9 @@ void H2Server::pump() {
   if (shaped) next_shape_tick_ = sim_.now() + config_.defense.shape_interval;
 
   while (!rr_order_.empty() && budget > 0) {
-    const std::int64_t backlog = limit - session_.transport().send_capacity();
-    if (backlog >= config_.transport_backlog_target) {
+    const std::int64_t backlog =
+        tcp::kSendBufferLimit - session_.transport().send_capacity();
+    if (backlog >= kTransportBacklogTarget) {
       if (!shaped) return;  // resume on writable
       break;                // keep the pacing clock armed below
     }

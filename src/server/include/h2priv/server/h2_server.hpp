@@ -48,16 +48,6 @@ struct ServerConfig {
   InterleavePolicy policy = InterleavePolicy::kRoundRobin;
   /// Bytes a handler writes per scheduler turn (interleaving granularity).
   std::size_t chunk_bytes = 4'096;
-  /// Fixed request-dispatch overhead added to every object's own
-  /// service_time before a handler starts writing.
-  util::Duration handler_start_latency{util::microseconds(150)};
-  /// Random spread of the dispatch overhead (thread scheduling noise); the
-  /// object's service_time additionally contributes service_time/6 of sigma.
-  util::Duration handler_start_sigma{util::microseconds(50)};
-  /// Keep at most this many plaintext bytes buffered in the transport; the
-  /// scheduler pauses above it and resumes on writability. Must sit above
-  /// the transport's writable watermark or the resume callback never fires.
-  std::int64_t transport_backlog_target = 16 * 1024;
 
   /// Extra origin-side delay added to an object's dispatch latency before
   /// its handler starts writing — how an upstream tier (the fleet's caching
@@ -69,11 +59,10 @@ struct ServerConfig {
   std::function<util::Duration(const std::string& path)> origin_delay;
 
   /// Server push: when a request for a key path arrives, push the mapped
-  /// resources unasked (RFC 7540 §8.2). With `randomize_push_order`, the
-  /// push order is shuffled per request — the Section VII privacy idea: the
-  /// secret request order never reaches the wire.
+  /// resources unasked (RFC 7540 §8.2). The push order is shuffled per
+  /// request — the Section VII privacy idea: the secret request order never
+  /// reaches the wire.
   std::map<std::string, std::vector<std::string>> push_map;
-  bool randomize_push_order = true;
 
   /// Defense knobs this server enforces (src/defense): DATA padding policy
   /// (installed as the connection's pad provider), constant-rate pacing
@@ -94,7 +83,6 @@ class H2Server {
   [[nodiscard]] std::size_t active_handlers() const noexcept { return handlers_.size(); }
 
   struct ServerStats {
-    std::uint64_t requests_received = 0;
     std::uint64_t duplicate_requests = 0;
     std::uint64_t responses_completed = 0;
     std::uint64_t streams_reset_by_peer = 0;

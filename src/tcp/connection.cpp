@@ -8,6 +8,19 @@
 
 namespace h2priv::tcp {
 
+namespace {
+
+constexpr std::uint32_t kMss = 1452;
+constexpr std::uint32_t kRecvWindow = 256 * 1024;
+// A peer may fill the whole advertised window out of order; reassembly
+// drops what lies beyond kMaxWindow, so the window must stay below it.
+static_assert(Reassembly::kMaxWindow > kRecvWindow);
+constexpr int kDupAckThreshold = 3;
+constexpr std::uint32_t kInitialWindowSegments = 10;
+constexpr util::Duration kTimeWaitDuration = util::seconds(1);
+
+}  // namespace
+
 const char* to_string(State s) noexcept {
   switch (s) {
     case State::kClosed: return "CLOSED";
@@ -28,18 +41,13 @@ const char* to_string(State s) noexcept {
 Connection::Connection(sim::Simulator& sim, TcpConfig config)
     : sim_(sim),
       config_(config),
-      cc_(CongestionConfig{.mss = config.mss,
-                           .initial_window_segments = config.initial_window_segments,
+      cc_(CongestionConfig{.mss = kMss,
+                           .initial_window_segments = kInitialWindowSegments,
                            .min_window_segments = 1,
                            .initial_ssthresh = UINT64_MAX}),
-      rto_(config.rto) {
-  if (config_.mss == 0) throw std::invalid_argument("tcp::Connection: zero MSS");
-}
+      rto_(config.rto) {}
 
-Connection::~Connection() {
-  cancel_retx_timer();
-  if (delack_timer_.valid()) sim_.cancel(delack_timer_);
-}
+Connection::~Connection() { cancel_retx_timer(); }
 
 void Connection::connect() {
   if (state_ != State::kClosed) throw std::logic_error("connect(): not CLOSED");
@@ -71,8 +79,7 @@ std::uint64_t Connection::send(util::BytesView data) {
   obs_->gauge_max(obs::Gauge::kTcpSendBufferBytes, send_buf_.outstanding());
   const std::uint64_t sent_offset =
       snd_nxt_ > 0 ? std::min(offset_of(snd_nxt_), send_buf_.end()) : 0;
-  if (static_cast<std::int64_t>(send_buf_.end() - sent_offset) >=
-      config_.writable_watermark) {
+  if (static_cast<std::int64_t>(send_buf_.end() - sent_offset) >= kWritableWatermark) {
     was_unwritable_ = true;
   }
   pump();
@@ -83,7 +90,7 @@ std::int64_t Connection::send_capacity() const noexcept {
   const std::uint64_t sent_offset =
       snd_nxt_ > 0 ? std::min(offset_of(snd_nxt_), send_buf_.end()) : 0;
   const auto unsent = static_cast<std::int64_t>(send_buf_.end() - sent_offset);
-  return std::max<std::int64_t>(0, config_.send_buffer_limit - unsent);
+  return std::max<std::int64_t>(0, kSendBufferLimit - unsent);
 }
 
 void Connection::close() {
@@ -110,8 +117,8 @@ void Connection::abort() {
 
 std::uint32_t Connection::advertised_window() const noexcept {
   const auto buffered = static_cast<std::uint32_t>(
-      std::min<std::size_t>(reassembly_.buffered_bytes(), config_.recv_window));
-  return config_.recv_window - buffered;
+      std::min<std::size_t>(reassembly_.buffered_bytes(), kRecvWindow));
+  return kRecvWindow - buffered;
 }
 
 std::uint64_t Connection::effective_window() const noexcept {
@@ -124,12 +131,8 @@ void Connection::emit(SegmentView s) {
   s.src_port = config_.local_port;
   s.dst_port = config_.remote_port;
   s.window = advertised_window();
-  ++stats_.segments_sent;
   obs_->add(obs::Counter::kTcpSegmentsSent);
-  if (!s.payload.empty()) {
-    ++stats_.data_segments_sent;
-    stats_.payload_bytes_sent += s.payload.size();
-  }
+  if (!s.payload.empty()) ++stats_.data_segments_sent;
   // One pooled chunk per segment: header + payload serialise straight into
   // it, and the chunk rides the Packet all the way to the receiving
   // endpoint before returning to this thread's pool.
@@ -144,34 +147,7 @@ void Connection::send_ack(bool duplicate) {
   ack.seq = snd_nxt_;
   ack.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
   if (duplicate) ++stats_.dup_acks_sent;
-  ++stats_.acks_sent;
-  pending_acks_ = 0;
-  if (delack_timer_.valid()) {
-    sim_.cancel(delack_timer_);
-    delack_timer_ = {};
-  }
   emit(ack);
-}
-
-void Connection::flush_delayed_ack() {
-  delack_timer_ = {};
-  if (pending_acks_ > 0) send_ack(false);
-}
-
-void Connection::ack_received_data(bool out_of_order) {
-  if (!config_.delayed_ack || out_of_order || peer_fin_seq_) {
-    // Loss signals (dup ACKs) and FIN handling must not be delayed.
-    send_ack(out_of_order);
-    return;
-  }
-  if (++pending_acks_ >= 2) {
-    send_ack(false);
-    return;
-  }
-  if (!delack_timer_.valid()) {
-    delack_timer_ = sim_.schedule(config_.delayed_ack_timeout,
-                                  [this] { flush_delayed_ack(); });
-  }
 }
 
 void Connection::pump() {
@@ -183,14 +159,14 @@ void Connection::pump() {
 
   // RFC 2861: an idle sender must not dump a stale, possibly huge window
   // onto the network — restart from the initial window.
-  if (config_.slow_start_restart && snd_una_ == snd_nxt_ &&
-      last_send_activity_.ns != 0 && sim_.now() - last_send_activity_ > rto_.rto() &&
+  if (snd_una_ == snd_nxt_ && last_send_activity_.ns != 0 &&
+      sim_.now() - last_send_activity_ > rto_.rto() &&
       offset_of(snd_nxt_) < send_buf_.end()) {
-    cc_ = RenoCongestion(CongestionConfig{.mss = config_.mss,
-                                          .initial_window_segments =
-                                              config_.initial_window_segments,
-                                          .min_window_segments = 1,
-                                          .initial_ssthresh = cc_.ssthresh()});
+    cc_ = RenoCongestion(
+        CongestionConfig{.mss = kMss,
+                         .initial_window_segments = kInitialWindowSegments,
+                         .min_window_segments = 1,
+                         .initial_ssthresh = cc_.ssthresh()});
   }
 
   bool sent_any = false;
@@ -202,14 +178,8 @@ void Connection::pump() {
     if (next_offset < send_buf_.end()) {
       const std::uint64_t room = wnd - inflight;
       const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          {config_.mss, room, send_buf_.end() - next_offset}));
+          {kMss, room, send_buf_.end() - next_offset}));
       if (n == 0) break;
-      // Nagle: while data is outstanding, hold a sub-MSS tail until either
-      // the ACK returns or more data coalesces it into a full segment.
-      if (config_.nagle && n < config_.mss && inflight > 0 &&
-          send_buf_.end() - next_offset == n && !fin_queued_) {
-        break;
-      }
       SegmentView seg;
       seg.flags = kFlagAck;
       seg.seq = snd_nxt_;
@@ -248,13 +218,13 @@ void Connection::maybe_fire_writable() {
   const std::uint64_t sent_offset =
       snd_nxt_ > 0 ? std::min(offset_of(snd_nxt_), send_buf_.end()) : 0;
   const auto unsent = static_cast<std::int64_t>(send_buf_.end() - sent_offset);
-  if (unsent < config_.writable_watermark) {
+  if (unsent < kWritableWatermark) {
     was_unwritable_ = false;
     if (on_writable) on_writable();
   }
 }
 
-void Connection::retransmit_head(const char* /*why*/) {
+void Connection::retransmit_head() {
   timing_active_ = false;  // Karn: never time a retransmitted range
   if (state_ == State::kSynSent) {
     SegmentView syn;
@@ -274,7 +244,7 @@ void Connection::retransmit_head(const char* /*why*/) {
   const std::uint64_t off = offset_of(std::max<std::uint64_t>(snd_una_, 1));
   if (off < send_buf_.end()) {
     const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(config_.mss, send_buf_.end() - off));
+        std::min<std::uint64_t>(kMss, send_buf_.end() - off));
     SegmentView seg;
     seg.flags = kFlagAck;
     seg.seq = seq_of(off);
@@ -325,13 +295,9 @@ void Connection::on_retx_timeout() {
     return;
   }
   ++stats_.retransmits_timeout;
-  ++stats_.rto_backoffs;
   obs_->add(obs::Counter::kTcpRetransmitsTimeout);
   obs_->add(obs::Counter::kTcpRtoFired);
   obs_->add(obs::Counter::kTcpRtoBackoffs);
-  obs_->trace().push(sim_.now().ns, obs::TraceLayer::kTcp, obs::TraceEvent::kRtoFired,
-                     static_cast<std::uint64_t>(retries_),
-                     static_cast<std::uint64_t>(rto_.rto().ns));
   rto_.backoff();
   cc_.on_timeout();
   obs_->sample(obs::Hist::kTcpCwndBytes, cc_.cwnd());
@@ -339,7 +305,7 @@ void Connection::on_retx_timeout() {
   dup_acks_ = 0;
   recovery_inflation_ = 0;
   recover_ = snd_nxt_;
-  retransmit_head("rto");
+  retransmit_head();
   arm_retx_timer();
 }
 
@@ -361,7 +327,6 @@ void Connection::finish(CloseReason reason) {
 void Connection::on_wire(util::BytesView wire) {
   if (state_ == State::kClosed) return;
   const SegmentView s = peek(wire);
-  ++stats_.segments_received;
   obs_->add(obs::Counter::kTcpSegmentsReceived);
 
   if (s.rst()) {
@@ -446,9 +411,7 @@ void Connection::handle_ack(const SegmentView& s) {
         // NewReno partial ACK: the next hole is lost too — retransmit it.
         ++stats_.retransmits_hole;
         obs_->add(obs::Counter::kTcpRetransmitsHole);
-        obs_->trace().push(sim_.now().ns, obs::TraceLayer::kTcp,
-                           obs::TraceEvent::kRetransmit, snd_una_, 2);
-        retransmit_head("partial-ack");
+        retransmit_head();
       }
     } else {
       dup_acks_ = 0;
@@ -469,7 +432,7 @@ void Connection::handle_ack(const SegmentView& s) {
       }
       if (state_ == State::kTimeWait) {
         cancel_retx_timer();
-        retx_timer_ = sim_.schedule(config_.time_wait, [this] {
+        retx_timer_ = sim_.schedule(kTimeWaitDuration, [this] {
           retx_timer_ = {};
           finish(CloseReason::kNormal);
         });
@@ -491,23 +454,20 @@ void Connection::handle_ack(const SegmentView& s) {
       !s.fin()) {
     ++stats_.dup_acks_received;
     if (in_recovery_) {
-      recovery_inflation_ += config_.mss;
+      recovery_inflation_ += kMss;
       pump();
     } else {
       ++dup_acks_;
       cc_.on_dup_ack();
-      if (dup_acks_ == config_.dup_ack_threshold) {
+      if (dup_acks_ == kDupAckThreshold) {
         in_recovery_ = true;
         recover_ = snd_nxt_;
-        recovery_inflation_ =
-            static_cast<std::uint64_t>(config_.dup_ack_threshold) * config_.mss;
+        recovery_inflation_ = std::uint64_t{kDupAckThreshold} * kMss;
         cc_.on_fast_retransmit();
         obs_->sample(obs::Hist::kTcpCwndBytes, cc_.cwnd());
         ++stats_.retransmits_fast;
         obs_->add(obs::Counter::kTcpRetransmitsFast);
-        obs_->trace().push(sim_.now().ns, obs::TraceLayer::kTcp,
-                           obs::TraceEvent::kRetransmit, snd_una_, 0);
-        retransmit_head("fast-retransmit");
+        retransmit_head();
         arm_retx_timer();
       }
     }
@@ -542,7 +502,7 @@ void Connection::handle_data(const SegmentView& s) {
       case State::kFinWait2:
         state_ = State::kTimeWait;
         cancel_retx_timer();
-        retx_timer_ = sim_.schedule(config_.time_wait, [this] {
+        retx_timer_ = sim_.schedule(kTimeWaitDuration, [this] {
           retx_timer_ = {};
           finish(CloseReason::kNormal);
         });
@@ -554,7 +514,7 @@ void Connection::handle_data(const SegmentView& s) {
   if (consumed_something) {
     // ACK everything that consumes sequence space; an ACK that does not
     // advance rcv_nxt is the duplicate ACK the sender's loss detector needs.
-    ack_received_data(out_of_order);
+    send_ack(out_of_order);
   }
 }
 

@@ -46,44 +46,25 @@ enum class CloseReason : std::uint8_t {
   kBroken,        ///< max retransmissions exceeded (path effectively dead)
 };
 
+/// Unsent backlog cap; send() beyond it throws (callers use send_capacity()).
+inline constexpr std::int64_t kSendBufferLimit = 512 * 1024;
+/// on_writable fires when unsent backlog drops below this.
+inline constexpr std::int64_t kWritableWatermark = 8 * 1024;
+
 struct TcpConfig {
   std::uint16_t local_port = 0;
   std::uint16_t remote_port = 0;
-  std::uint32_t mss = 1452;
-  std::uint32_t recv_window = 256 * 1024;
-  /// Unsent backlog cap; send() beyond it throws (callers use send_capacity()).
-  std::int64_t send_buffer_limit = 512 * 1024;
-  /// on_writable fires when unsent backlog drops below this.
-  std::int64_t writable_watermark = 8 * 1024;
-  int dup_ack_threshold = 3;
   int max_retries = 10;
-  /// RFC 2861 congestion window validation: collapse cwnd back to the
-  /// initial window when the sender has been idle longer than one RTO.
-  bool slow_start_restart = true;
-  /// Nagle's algorithm (RFC 896): hold sub-MSS segments while data is
-  /// outstanding. Off by default: HTTP/2 servers disable it (TCP_NODELAY).
-  bool nagle = false;
-  /// Delayed ACKs (RFC 1122): ACK every second segment or after the timer.
-  /// Off by default to keep loss-detection dynamics crisp in experiments.
-  bool delayed_ack = false;
-  util::Duration delayed_ack_timeout{util::milliseconds(40)};
   RtoConfig rto{};
-  std::uint32_t initial_window_segments = 10;
-  util::Duration time_wait{util::seconds(1)};
 };
 
 struct TcpStats {
-  std::uint64_t segments_sent = 0;
-  std::uint64_t segments_received = 0;
   std::uint64_t data_segments_sent = 0;
-  std::uint64_t payload_bytes_sent = 0;
   std::uint64_t retransmits_fast = 0;     ///< triggered by 3 dup ACKs
   std::uint64_t retransmits_timeout = 0;  ///< triggered by RTO
   std::uint64_t retransmits_hole = 0;     ///< NewReno partial-ack retransmits
   std::uint64_t dup_acks_received = 0;
   std::uint64_t dup_acks_sent = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t rto_backoffs = 0;
 
   [[nodiscard]] std::uint64_t total_retransmits() const noexcept {
     return retransmits_fast + retransmits_timeout + retransmits_hole;
@@ -115,7 +96,7 @@ class Connection {
   void on_wire(util::BytesView wire);
 
   /// Enqueues application bytes; returns the stream offset of the first byte.
-  /// Throws std::length_error if it would exceed send_buffer_limit.
+  /// Throws std::length_error if it would exceed kSendBufferLimit.
   std::uint64_t send(util::BytesView data);
 
   /// Bytes that can still be enqueued without exceeding the backlog cap.
@@ -135,13 +116,12 @@ class Connection {
   [[nodiscard]] std::uint64_t bytes_enqueued() const noexcept { return send_buf_.end(); }
   [[nodiscard]] const RenoCongestion& congestion() const noexcept { return cc_; }
   [[nodiscard]] const RtoEstimator& rto_estimator() const noexcept { return rto_; }
-  [[nodiscard]] const TcpConfig& config() const noexcept { return config_; }
 
   // --- callbacks ------------------------------------------------------------
   std::function<void(util::BytesView)> on_data;
   std::function<void()> on_established;
   std::function<void(CloseReason)> on_closed;
-  /// Unsent backlog dropped below writable_watermark.
+  /// Unsent backlog dropped below kWritableWatermark.
   std::function<void()> on_writable;
 
  private:
@@ -156,10 +136,8 @@ class Connection {
 
   void emit(SegmentView s);
   void send_ack(bool duplicate);
-  void ack_received_data(bool out_of_order);
-  void flush_delayed_ack();
   void pump();
-  void retransmit_head(const char* why);
+  void retransmit_head();
   void arm_retx_timer();
   void cancel_retx_timer();
   void on_retx_timeout();
@@ -209,8 +187,6 @@ class Connection {
   bool peer_syn_seen_ = false;
   std::optional<std::uint64_t> peer_fin_seq_;
   bool peer_fin_consumed_ = false;
-  int pending_acks_ = 0;           // delayed-ACK accounting
-  sim::EventId delack_timer_{};
 };
 
 }  // namespace h2priv::tcp

@@ -28,7 +28,8 @@ namespace h2priv::tcp {
 class Reassembly {
  public:
   /// How far past rcv_nxt a buffered byte may lie — far above any receive
-  /// window a live peer advertises (TcpConfig::recv_window is 256 KiB).
+  /// window a live peer advertises (tcp::Connection advertises 256 KiB;
+  /// connection.cpp static_asserts the margin).
   static constexpr std::uint64_t kMaxWindow = 16 * 1024 * 1024;
 
   explicit Reassembly(std::uint64_t initial_rcv_nxt = 0) noexcept

@@ -14,6 +14,7 @@
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "scratch_path.hpp"
 #include "trace_decode.hpp"
 
 namespace h2priv::capture {
@@ -21,7 +22,9 @@ namespace {
 
 std::string temp_path(const char* name) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "h2t_fleet_" + info->name() + "_" + name + ".h2t";
+  return testing::scratch_path(std::string("h2t_fleet_") + info->name() + "_" + name +
+                               ".h2t")
+      .string();
 }
 
 util::Bytes slurp(const std::string& path) {

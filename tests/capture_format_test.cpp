@@ -15,13 +15,14 @@
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "scratch_path.hpp"
 #include "trace_decode.hpp"
 
 namespace h2priv::capture {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "h2t_format_" + name + ".h2t";
+  return testing::scratch_path(std::string("h2t_format_") + name + ".h2t").string();
 }
 
 util::Bytes slurp(const std::string& path) {
@@ -414,7 +415,7 @@ TEST(PcapExport, ImageHasExpectedShape) {
     for (const auto& p : packets) writer.add_packet(p);
     writer.finish();
   }
-  const std::string pcap_path = ::testing::TempDir() + "h2t_format_export.pcap";
+  const std::string pcap_path = testing::scratch_path("h2t_format_export.pcap").string();
   EXPECT_EQ(export_pcap(TraceFile::open(trace_path).packets(), pcap_path),
             packets.size());
   const util::Bytes image = slurp(pcap_path);

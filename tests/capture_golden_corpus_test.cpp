@@ -17,6 +17,7 @@
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/core/experiment.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv {
 namespace {
@@ -53,7 +54,7 @@ TEST(GoldenCorpus, TodaysSimulatorRegeneratesTheCommittedBytes) {
   ASSERT_FALSE(manifest.entries.empty());
   const capture::ManifestEntry& e = manifest.entries.front();
 
-  const std::string fresh = ::testing::TempDir() + "golden_regen.h2t";
+  const std::string fresh = testing::scratch_path("golden_regen.h2t").string();
   core::RunConfig cfg;
   cfg.attack_enabled = true;
   cfg.seed = e.seed;

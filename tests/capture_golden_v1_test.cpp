@@ -22,6 +22,7 @@
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/corpus/score.hpp"
 #include "h2priv/corpus/store.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv {
 namespace {
@@ -71,7 +72,7 @@ TEST(GoldenV1, ScoreReportIsByteIdenticalToTheCommittedOne) {
 
 TEST(GoldenV1, RecompressProducesTheLiveV2Bytes) {
   namespace fs = std::filesystem;
-  const fs::path work = fs::path(::testing::TempDir()) / "recompress_v1";
+  const fs::path work = testing::scratch_path("recompress_v1");
   fs::remove_all(work);
   fs::copy(kV1Dir, work, fs::copy_options::recursive);
 
@@ -92,8 +93,7 @@ TEST(GoldenV1, RecompressProducesTheLiveV2Bytes) {
     // The decisive property: the upgraded bytes equal a live v2 capture of
     // the same seed, so recompressed and freshly generated corpora are
     // interchangeable byte-for-byte.
-    const std::string fresh =
-        (fs::path(::testing::TempDir()) / ("fresh_" + e.file)).string();
+    const std::string fresh = testing::scratch_path("fresh_" + e.file).string();
     core::RunConfig cfg;
     cfg.attack_enabled = true;
     cfg.seed = e.seed;

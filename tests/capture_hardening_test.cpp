@@ -24,6 +24,7 @@
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "scratch_path.hpp"
 #include "trace_decode.hpp"
 
 namespace h2priv::capture {
@@ -33,8 +34,9 @@ std::string temp_path(const char* name) {
   // ctest runs each TEST_F as its own process, concurrently — scope scratch
   // files by test name so parallel fixtures never race on the same path.
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "h2t_hardening_" + info->name() + "_" + name +
-         ".h2t";
+  return testing::scratch_path(std::string("h2t_hardening_") + info->name() + "_" +
+                               name + ".h2t")
+      .string();
 }
 
 util::Bytes slurp(const std::string& path) {

@@ -22,6 +22,7 @@
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/tls/record.hpp"
 #include "h2priv/util/units.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv {
 namespace {
@@ -61,8 +62,8 @@ TEST(CaptureReplay, VerdictsBitIdenticalToLive) {
     for (const std::uint64_t seed : {1000ULL, 1001ULL}) {
       const std::string ctx = name + "/" + std::to_string(seed);
       const std::string path =
-          ::testing::TempDir() + "replay_" + name + "_" + std::to_string(seed) +
-          ".h2t";
+          testing::scratch_path("replay_" + name + "_" + std::to_string(seed) + ".h2t")
+              .string();
       core::RunConfig cfg = scenario(name);
       cfg.seed = seed;
       cfg.capture.path = path;
@@ -99,7 +100,7 @@ TEST(CaptureReplay, VerdictsBitIdenticalToLive) {
 }
 
 TEST(CaptureReplay, GroundTruthSurvivesTheRoundTrip) {
-  const std::string path = ::testing::TempDir() + "replay_truth.h2t";
+  const std::string path = testing::scratch_path("replay_truth.h2t").string();
   core::RunConfig cfg = scenario("table2");
   cfg.seed = 1000;
   cfg.capture.path = path;
@@ -139,7 +140,7 @@ util::Bytes file_bytes(const fs::path& p) {
 }
 
 TEST(CaptureReplay, CorpusIsByteIdenticalForAnyJobCount) {
-  const fs::path base = fs::path(::testing::TempDir()) / "corpus_jobs";
+  const fs::path base = testing::scratch_path("corpus_jobs");
   const fs::path dir1 = base / "j1";
   const fs::path dir4 = base / "j4";
   fs::remove_all(base);
@@ -168,7 +169,7 @@ TEST(CaptureReplay, CorpusIsByteIdenticalForAnyJobCount) {
 }
 
 TEST(CaptureReplay, EmptyCorpusStillWritesItsManifest) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "corpus_empty";
+  const fs::path dir = testing::scratch_path("corpus_empty");
   fs::remove_all(dir);
   core::RunConfig cfg = scenario("table2");
   cfg.seed = 1000;
@@ -205,7 +206,7 @@ std::string capture_batch_json(const fs::path& dir, int jobs) {
 }
 
 TEST(CaptureReplay, MetricsJsonBitIdenticalAcrossJobsWithCaptureOn) {
-  const fs::path base = fs::path(::testing::TempDir()) / "corpus_metrics";
+  const fs::path base = testing::scratch_path("corpus_metrics");
   fs::remove_all(base);
   const std::string serial = capture_batch_json(base / "j1", 1);
   const std::string threaded = capture_batch_json(base / "j4", 4);
@@ -233,7 +234,8 @@ bool same_record_vec(const std::vector<analysis::RecordObservation>& a,
 TEST(CaptureReplay, ChunkedEngineMatchesLiveRun) {
   for (const std::string name : {"fig2", "table2"}) {
     const std::string ctx = name;
-    const std::string path = ::testing::TempDir() + "replay_chunked_" + name + ".h2t";
+    const std::string path =
+        testing::scratch_path("replay_chunked_" + name + ".h2t").string();
     core::RunConfig cfg = scenario(name);
     cfg.seed = 1000;
     cfg.capture.path = path;
@@ -281,8 +283,8 @@ TEST(CaptureReplay, RecordRunFillsTheCallersObservations) {
   // The trace is written from the run's observations after the run, so the
   // bytes cannot depend on whose RunObservations holds them, and a caller
   // that passes its own gets exactly what the trace stores.
-  const std::string own = ::testing::TempDir() + "record_own.h2t";
-  const std::string shared = ::testing::TempDir() + "record_shared.h2t";
+  const std::string own = testing::scratch_path("record_own.h2t").string();
+  const std::string shared = testing::scratch_path("record_shared.h2t").string();
   core::RunConfig cfg = scenario("table2");
   cfg.seed = 1000;
   cfg.capture.path = own;
@@ -345,7 +347,7 @@ TEST(CaptureReplay, CountGetsAppliesTheMonitorsGetFilter) {
 }
 
 TEST(CaptureReplay, ReplayCountsReadsIntoObs) {
-  const std::string path = ::testing::TempDir() + "replay_obs.h2t";
+  const std::string path = testing::scratch_path("replay_obs.h2t").string();
   core::RunConfig cfg = scenario("fig2");
   cfg.seed = 1000;
   cfg.capture.path = path;

@@ -10,6 +10,7 @@
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/tls/record.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv::core {
 namespace {
@@ -192,15 +193,14 @@ TEST(Experiment, PushDefenseStillDeliversEveryObject) {
 TEST(Experiment, RunManySweepsSeeds) {
   RunConfig cfg;
   cfg.seed = 100;
-  const auto results = run_many(cfg, 3);
+  const auto results = run_many(cfg, 3, Parallelism{1});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].page_complete);
 }
 
 TEST(Experiment, RunOnceRejectsCaptureAndWritesNothing) {
   // run_once simulates and scores only; capture::record_run writes traces.
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "run_once_rejects_capture";
+  const std::filesystem::path dir = testing::scratch_path("run_once_rejects_capture");
   std::filesystem::remove_all(dir);
   RunConfig cfg;
   cfg.capture.path = (dir / "run.h2t").string();

@@ -25,6 +25,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +41,11 @@ struct GoldenCase {
   std::uint64_t expect_scored;
   std::uint64_t expect_packets;
 };
+
+// gtest prints a parameter into its ctest name. Without a PrintTo that is
+// the struct's raw bytes, `name`'s pointer included, which differ from one
+// build to the next.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 // Wire digests re-captured for the word-polynomial tag (see file comment).
 constexpr GoldenCase kCases[] = {

@@ -79,24 +79,5 @@ TEST(ObsMerge, SealedAndOpenedRecordsBalance) {
   EXPECT_GT(r.get(obs::Counter::kTlsRecordsOpened), 0u);
 }
 
-TEST(ObsMerge, TraceRingArmsFromRunConfig) {
-  obs::ScopedRegistry scoped;
-  core::RunConfig cfg = small_config();
-  cfg.obs_trace_capacity = 256;
-  (void)core::run_once(cfg);
-  const obs::TraceRing& ring = scoped.registry().trace();
-  EXPECT_TRUE(ring.enabled());
-  // At minimum the end-of-run kRunScored record is there.
-  EXPECT_GE(ring.size(), 1u);
-  bool saw_run_scored = false;
-  ring.for_each([&](const obs::TraceRecord& rec) {
-    if (rec.event == static_cast<std::uint16_t>(obs::TraceEvent::kRunScored)) {
-      saw_run_scored = true;
-      EXPECT_EQ(rec.a, cfg.seed);
-    }
-  });
-  EXPECT_TRUE(saw_run_scored);
-}
-
 }  // namespace
 }  // namespace h2priv

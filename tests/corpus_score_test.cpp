@@ -12,6 +12,7 @@
 #include "h2priv/corpus/store.hpp"
 #include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv::corpus {
 namespace {
@@ -20,8 +21,7 @@ namespace fs = std::filesystem;
 
 fs::path temp_dir(const char* name) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return fs::path(::testing::TempDir()) /
-         (std::string("corpus_score_") + info->name() + "_" + name);
+  return testing::scratch_path(std::string("corpus_score_") + info->name() + "_" + name);
 }
 
 /// A small sharded table2 corpus (active attack -> meaningful verdicts).

@@ -18,6 +18,7 @@
 #include "h2priv/defense/grid.hpp"
 #include "h2priv/h2/connection.hpp"
 #include "h2priv/tls/record.hpp"
+#include "scratch_path.hpp"
 #include "trace_hash.hpp"
 
 namespace h2priv {
@@ -329,8 +330,8 @@ TEST(DefenseIdentity, NoneLeavesWireBytesAndVerdictsBitIdentical) {
 
   // The .h2t files must be byte-identical too: the defense meta block is
   // only written for an enabled config.
-  baseline.capture.path = ::testing::TempDir() + "defense_identity_a.h2t";
-  defended.capture.path = ::testing::TempDir() + "defense_identity_b.h2t";
+  baseline.capture.path = testing::scratch_path("defense_identity_a.h2t").string();
+  defended.capture.path = testing::scratch_path("defense_identity_b.h2t").string();
   (void)capture::record_run(baseline);
   (void)capture::record_run(defended);
   EXPECT_EQ(file_bytes(baseline.capture.path), file_bytes(defended.capture.path));
@@ -346,7 +347,8 @@ TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
     cfg.attack_enabled = true;
     cfg.seed = 1'000;
     cfg.server.defense = *defense::defense_from_name(preset);
-    cfg.capture.path = ::testing::TempDir() + "defense_replay_" + preset + ".h2t";
+    cfg.capture.path =
+        testing::scratch_path("defense_replay_" + preset + ".h2t").string();
     cfg.capture.scenario = "table2+" + preset;
     (void)capture::record_run(cfg);
     {
@@ -364,7 +366,7 @@ TEST(DefenseCapture, MetaRoundTripAndReplayReproducesVerdicts) {
 
 TEST(DefenseGrid, ReportIsJobsInvariantAndPassesTheGate) {
   defense::GridOptions options;
-  options.root = ::testing::TempDir() + "defense_grid_test";
+  options.root = testing::scratch_path("defense_grid_test").string();
   options.runs = 4;
   options.defenses = {"none", "pad-bucket"};
   options.attacks = {{"catalog", corpus::Classifier::kNone, analysis::kFeatureBursts, 3}};

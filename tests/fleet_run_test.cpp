@@ -14,6 +14,7 @@
 #include "h2priv/core/experiment.hpp"
 #include "h2priv/fleet/fleet.hpp"
 #include "h2priv/util/bytes.hpp"
+#include "scratch_path.hpp"
 
 namespace h2priv::fleet {
 namespace {
@@ -22,7 +23,9 @@ constexpr int kClients = 4;
 
 std::string temp_path(const char* name) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + "fleet_run_" + info->name() + "_" + name + ".h2t";
+  return testing::scratch_path(std::string("fleet_run_") + info->name() + "_" + name +
+                               ".h2t")
+      .string();
 }
 
 util::Bytes slurp(const std::string& path) {

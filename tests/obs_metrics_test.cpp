@@ -83,13 +83,10 @@ TEST(Registry, ResetZeroesEverything) {
   r.add(Counter::kSimEventsExecuted, 7);
   r.gauge_max(Gauge::kTcpCwndBytes, 99);
   r.sample(Hist::kTlsRecordBytes, 1024);
-  r.trace().set_capacity(4);
-  r.trace().push(1, TraceLayer::kSim, TraceEvent::kRunScored, 0, 0);
   r.reset();
   EXPECT_EQ(r.get(Counter::kSimEventsExecuted), 0u);
   EXPECT_EQ(r.gauge(Gauge::kTcpCwndBytes), 0u);
   EXPECT_EQ(r.histogram(Hist::kTlsRecordBytes).count, 0u);
-  EXPECT_EQ(r.trace().size(), 0u);
 }
 
 // --- merge algebra ----------------------------------------------------------

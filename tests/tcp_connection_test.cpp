@@ -176,8 +176,7 @@ TEST(TcpConnection, SendAfterCloseThrows) {
 TEST(TcpConnection, OversizeSendThrows) {
   TcpPair pair;
   ASSERT_TRUE(pair.establish());
-  const auto too_big = static_cast<std::size_t>(
-      pair.client->config().send_buffer_limit + 1);
+  const auto too_big = static_cast<std::size_t>(kSendBufferLimit + 1);
   EXPECT_THROW(pair.client->send(util::patterned_bytes(too_big, 1)), std::length_error);
 }
 
@@ -210,7 +209,7 @@ TEST(TcpConnection, WritableCallbackFiresAfterDrain) {
   pair.client->send(util::patterned_bytes(cap, 1));
   pair.run_for(seconds(30));
   EXPECT_GT(writable_calls, 0);
-  EXPECT_EQ(pair.client->send_capacity(), pair.client->config().send_buffer_limit);
+  EXPECT_EQ(pair.client->send_capacity(), kSendBufferLimit);
 }
 
 TEST(TcpConnection, RttEstimatorLearnsPathDelay) {

@@ -80,7 +80,7 @@ TEST(TlsSession, AppCapacityTracksTransport) {
   ASSERT_TRUE(stack.establish());
   const std::int64_t cap = stack.client_tls->app_send_capacity();
   EXPECT_GT(cap, 0);
-  EXPECT_LT(cap, stack.transport.client->config().send_buffer_limit);
+  EXPECT_LT(cap, tcp::kSendBufferLimit);
   stack.client_tls->send_app(util::patterned_bytes(100'000, 1));
   EXPECT_LT(stack.client_tls->app_send_capacity(), cap)
       << "bytes beyond the congestion window stay buffered";

@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_path.hpp"
+
 namespace h2priv::util {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "mapped_file_" + name + ".bin";
+  return testing::scratch_path(std::string("mapped_file_") + name + ".bin").string();
 }
 
 /// A scratch file holding `content`, removed when it goes out of scope.
