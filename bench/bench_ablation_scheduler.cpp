@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, double>> headline;
   for (const auto policy : {server::InterleavePolicy::kSequential,
-                            server::InterleavePolicy::kRoundRobin,
-                            server::InterleavePolicy::kWeighted}) {
+                            server::InterleavePolicy::kRoundRobin}) {
     for (const bool attack : {false, true}) {
       core::RunConfig cfg;
       cfg.server.policy = policy;
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: the sequential (HTTP/1.1-like) server leaks to a passive "
               "observer;\n"
-              "round-robin/weighted protect passively but fall to the active "
+              "round-robin protects passively but falls to the active "
               "pipeline —\n"
               "the paper's thesis that multiplexing is not a dependable defense.\n");
   bench::emit_bench_json("ablation_scheduler", headline);

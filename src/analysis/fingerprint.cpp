@@ -126,11 +126,6 @@ std::string Fingerprinter::classify(const SizeProfile& probe) const {
   return classify_with_margin(probe).label;
 }
 
-std::string Fingerprinter::classify_knn(const SizeProfile& probe,
-                                        std::size_t k) const {
-  return classify_knn_with_votes(probe, k).label;
-}
-
 Fingerprinter::KnnVerdict Fingerprinter::classify_knn_with_votes(
     const SizeProfile& probe, std::size_t k) const {
   if (traces_.empty() || k == 0) return {};
@@ -221,10 +216,6 @@ void CentroidModel::train(const std::string& label, SizeProfile profile) {
   entry.centroid = fold_centroid(entry.traces);
 }
 
-std::string CentroidModel::classify(const SizeProfile& probe) const {
-  return classify_with_margin(probe).label;
-}
-
 Fingerprinter::Verdict CentroidModel::classify_with_margin(
     const SizeProfile& probe) const {
   Fingerprinter::Verdict v;
@@ -241,11 +232,6 @@ Fingerprinter::Verdict CentroidModel::classify_with_margin(
     }
   }
   return v;
-}
-
-const SizeProfile* CentroidModel::centroid(const std::string& label) const {
-  const auto it = labels_.find(label);
-  return it == labels_.end() ? nullptr : &it->second.centroid;
 }
 
 }  // namespace h2priv::analysis

@@ -82,10 +82,6 @@ std::optional<double> GroundTruth::object_dom(web::ObjectId object) const {
   return MultiplexingIndex(*this).object_dom(object);
 }
 
-bool GroundTruth::any_serialized_instance(web::ObjectId object) const {
-  return MultiplexingIndex(*this).any_serialized_instance(object);
-}
-
 MultiplexingIndex::MultiplexingIndex(const GroundTruth& truth) : truth_(truth) {
   spans_.reserve(truth.instances().size());
   for (const ResponseInstance& inst : truth.instances()) {

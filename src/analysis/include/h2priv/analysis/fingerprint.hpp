@@ -91,12 +91,9 @@ class Fingerprinter {
   /// majority label wins. Ties break on smaller summed distance among the
   /// tied labels, then on the lexicographically smaller label — so the
   /// verdict is deterministic for any training-trace insertion order.
-  /// k == 1 reduces to classify(); empty string if untrained or k == 0.
-  [[nodiscard]] std::string classify_knn(const SizeProfile& probe,
-                                         std::size_t k) const;
-
-  /// classify_knn plus the vote tally behind it (classifier confidence:
-  /// votes/k ranks verdicts, total_distance breaks ranking ties).
+  /// k == 1 reduces to classify(); empty label if untrained or k == 0. The
+  /// vote tally is the classifier's confidence: votes/k ranks verdicts,
+  /// total_distance breaks ranking ties.
   struct KnnVerdict {
     std::string label;
     std::size_t votes = 0;       ///< neighbours that voted for `label`
@@ -128,17 +125,11 @@ class CentroidModel {
   /// Adds one labelled training trace and refolds that label's centroid.
   void train(const std::string& label, SizeProfile profile);
 
-  /// Nearest-centroid classification; empty string if untrained. Ties break
-  /// on the lexicographically smaller label.
-  [[nodiscard]] std::string classify(const SizeProfile& probe) const;
-
   /// Nearest-centroid verdict with best / runner-up centroid distances
-  /// (same confidence shape as Fingerprinter::classify_with_margin).
+  /// (same confidence shape as Fingerprinter::classify_with_margin); empty
+  /// label if untrained. Ties break on the lexicographically smaller label.
   [[nodiscard]] Fingerprinter::Verdict classify_with_margin(
       const SizeProfile& probe) const;
-
-  /// The folded centroid for `label`, or nullptr if never trained.
-  [[nodiscard]] const SizeProfile* centroid(const std::string& label) const;
 
   [[nodiscard]] std::size_t label_count() const noexcept { return labels_.size(); }
 

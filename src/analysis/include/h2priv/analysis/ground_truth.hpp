@@ -64,12 +64,11 @@ class GroundTruth {
   [[nodiscard]] std::vector<const ResponseInstance*> instances_of(
       web::ObjectId object) const;
 
-  /// The three DoM queries below each build a MultiplexingIndex for one
+  /// The two DoM queries below each build a MultiplexingIndex for one
   /// answer. A caller asking many of them (a scoring pass) builds the index
   /// once and asks it instead.
   [[nodiscard]] double degree_of_multiplexing(InstanceId id) const;
   [[nodiscard]] std::optional<double> object_dom(web::ObjectId object) const;
-  [[nodiscard]] bool any_serialized_instance(web::ObjectId object) const;
 
  private:
   std::vector<ResponseInstance> instances_;

@@ -40,10 +40,8 @@ struct SectionInfo {
   std::uint64_t raw_length = 0;  ///< decoded payload bytes (== length when raw)
 };
 
-/// FNV-1a 64 over a byte span (same parameters as tests/support/trace_hash).
-[[nodiscard]] std::uint64_t fnv1a(util::BytesView data) noexcept;
-/// Incremental FNV-1a: folds `data` into a running hash. Seed with
-/// kFnv1aInit; fnv1a(x) == fnv1a_update(kFnv1aInit, x).
+/// Incremental FNV-1a 64 (same parameters as tests/support/trace_hash):
+/// folds `data` into a running hash. Seed with kFnv1aInit.
 inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
 [[nodiscard]] std::uint64_t fnv1a_update(std::uint64_t h, util::BytesView data) noexcept;
 /// FNV-1a over a view walked in util::kFileChunkBytes chunks — the exact

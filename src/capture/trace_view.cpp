@@ -100,10 +100,6 @@ std::uint64_t fnv1a_update(std::uint64_t h, util::BytesView data) noexcept {
   return h;
 }
 
-std::uint64_t fnv1a(util::BytesView data) noexcept {
-  return fnv1a_update(kFnv1aInit, data);
-}
-
 std::uint64_t digest_view(util::BytesView data) noexcept {
   std::uint64_t h = kFnv1aInit;
   for (std::size_t off = 0; off < data.size(); off += util::kFileChunkBytes) {

@@ -69,7 +69,7 @@ Browser::Browser(sim::Simulator& sim, const web::Site& site, web::RequestPlan pl
   };
   session_.on_app_data = [this](util::BytesView bytes) { conn_->on_bytes(bytes); };
   session_.on_closed = [this](tcp::CloseReason reason) {
-    if (reason != tcp::CloseReason::kNormal && !stats_.page_complete) {
+    if (!stats_.page_complete) {
       mark_broken(reason == tcp::CloseReason::kBroken ? "transport retransmission limit"
                                                       : "transport reset");
     }
@@ -159,7 +159,6 @@ void Browser::issue_request(web::ObjectId object_id, bool is_rerequest) {
   if (!p.requested) {
     p.requested = true;
     p.first_request_time = sim_.now();
-    ++stats_.requests_sent;
   }
   if (is_rerequest) {
     ++p.rerequests;

@@ -58,8 +58,7 @@ class Browser {
   };
 
   struct BrowserStats {
-    std::uint64_t requests_sent = 0;       // initial GETs
-    std::uint64_t rerequests_sent = 0;     // the paper's "retransmission requests"
+    std::uint64_t rerequests_sent = 0;  // the paper's "retransmission requests"
     std::uint64_t reset_episodes = 0;
     std::uint64_t rst_streams_sent = 0;
     bool page_complete = false;

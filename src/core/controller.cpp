@@ -37,10 +37,6 @@ void NetworkController::set_request_spacing(util::Duration spacing) {
       });
 }
 
-void NetworkController::clear_request_spacing() {
-  set_request_spacing(util::Duration{0});
-}
-
 void NetworkController::set_bandwidth(std::optional<util::BitRate> rate) {
   middlebox_.set_bandwidth_limit(net::Direction::kClientToServer, rate);
   middlebox_.set_bandwidth_limit(net::Direction::kServerToClient, rate);

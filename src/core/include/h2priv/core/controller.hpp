@@ -25,9 +25,8 @@ class NetworkController {
   NetworkController(sim::Simulator& sim, net::Middlebox& middlebox, sim::Rng rng);
 
   /// Enforces a minimum spacing between client->server payload packets.
-  /// Duration{0} (or clear) removes the program.
+  /// Duration{0} removes the program.
   void set_request_spacing(util::Duration spacing);
-  void clear_request_spacing();
 
   /// Caps both directions at `rate`; nullopt removes the cap.
   void set_bandwidth(std::optional<util::BitRate> rate);

@@ -9,7 +9,6 @@
 // A burst explained by exactly one subset identifies every object in it.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,11 +32,6 @@ class PartialMatcher {
   [[nodiscard]] std::vector<PartialMatch> explanations(std::size_t burst_estimate,
                                                        std::size_t tolerance = 400,
                                                        int max_objects = 4) const;
-
-  /// The unique explanation if exactly one subset fits, nullopt otherwise.
-  [[nodiscard]] std::optional<PartialMatch> unique_explanation(
-      std::size_t burst_estimate, std::size_t tolerance = 400,
-      int max_objects = 4) const;
 
   /// Labels that appear in EVERY explanation of the burst — identities the
   /// adversary can assert even when the full decomposition is ambiguous.

@@ -6,7 +6,6 @@
 // across tools — and a typo'd name fails the same way everywhere.
 #pragma once
 
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -20,9 +19,6 @@ struct ScenarioSpec {
   /// Mutates a default-constructed (or caller-prepared) RunConfig in place.
   void (*apply)(RunConfig&);
 };
-
-/// The registry, in canonical order (baseline first).
-[[nodiscard]] std::span<const ScenarioSpec> scenarios() noexcept;
 
 /// Registry lookup; nullptr for unknown names. The empty string is an alias
 /// for "baseline" (matching the tools' historical default).

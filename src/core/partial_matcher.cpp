@@ -50,14 +50,6 @@ std::vector<PartialMatch> PartialMatcher::explanations(std::size_t burst_estimat
   return out;
 }
 
-std::optional<PartialMatch> PartialMatcher::unique_explanation(std::size_t burst_estimate,
-                                                               std::size_t tolerance,
-                                                               int max_objects) const {
-  const auto all = explanations(burst_estimate, tolerance, max_objects);
-  if (all.size() != 1) return std::nullopt;
-  return all.front();
-}
-
 std::vector<std::string> PartialMatcher::certain_members(std::size_t burst_estimate,
                                                          std::size_t tolerance,
                                                          int max_objects) const {

@@ -28,8 +28,6 @@ constexpr ScenarioSpec kScenarios[] = {
 
 }  // namespace
 
-std::span<const ScenarioSpec> scenarios() noexcept { return kScenarios; }
-
 const ScenarioSpec* find_scenario(std::string_view name) noexcept {
   if (name.empty()) name = "baseline";
   for (const ScenarioSpec& s : kScenarios) {

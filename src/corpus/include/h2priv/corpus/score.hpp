@@ -38,7 +38,7 @@ namespace h2priv::corpus {
 enum class Classifier {
   kNone,      ///< scoring only, no train/eval split
   kNearest,   ///< 1-nearest training trace (Fingerprinter::classify)
-  kKnn,       ///< k-NN majority vote (Fingerprinter::classify_knn)
+  kKnn,       ///< k-NN majority vote (Fingerprinter::classify_knn_with_votes)
   kCentroid,  ///< nearest per-label centroid (CentroidModel)
 };
 

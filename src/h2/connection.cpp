@@ -74,7 +74,6 @@ WireSpan Connection::write_data(std::uint32_t stream_id, util::BytesView payload
   frame_scratch_.clear();
   encode_data_into(frame_scratch_, stream_id, payload, end_stream, pad_length);
   const WireSpan span = out_(frame_scratch_.view());
-  ++stats_.frames_sent;
   obs::count(obs::Counter::kH2DataSent);
   obs::count(obs::Counter::kH2DataBytesSent, payload.size());
   if (pad_length > 0) obs::count(obs::Counter::kH2PadBytesSent, pad_length);
@@ -86,7 +85,6 @@ WireSpan Connection::write_frame(const Frame& f) {
   frame_scratch_.clear();
   encode_frame_into(frame_scratch_, f);
   const WireSpan span = out_(frame_scratch_.view());
-  ++stats_.frames_sent;
   obs::count(obs::h2_frame_sent_counter(static_cast<unsigned>(frame_type(f))));
   if (on_frame_sent) on_frame_sent(frame_stream_id(f), frame_type(f), span);
   return span;
@@ -106,14 +104,7 @@ Stream& Connection::require_stream(std::uint32_t id) {
   return it->second;
 }
 
-std::size_t Connection::blocked_stream_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(streams_.begin(), streams_.end(),
-                    [](const auto& kv) { return !kv.second.pending.empty(); }));
-}
-
-std::uint32_t Connection::send_request(const hpack::HeaderList& headers,
-                                       std::optional<PriorityFrame> priority) {
+std::uint32_t Connection::send_request(const hpack::HeaderList& headers) {
   if (role_ != Role::kClient) throw std::logic_error("send_request on server connection");
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
@@ -125,8 +116,7 @@ std::uint32_t Connection::send_request(const hpack::HeaderList& headers,
   s.open_local(/*end_stream=*/true);  // GETs carry no body
   streams_.emplace(id, std::move(s));
 
-  if (priority) stream_weights_[id] = priority->weight;
-  send_header_block(id, hpack_encoder_.encode(headers), /*end_stream=*/true, priority);
+  send_header_block(id, hpack_encoder_.encode(headers), /*end_stream=*/true);
   return id;
 }
 
@@ -143,28 +133,20 @@ void Connection::send_response_headers(std::uint32_t stream_id,
   } else if (end_stream) {
     s.end_local();
   }
-  send_header_block(stream_id, hpack_encoder_.encode(headers), end_stream, std::nullopt);
+  send_header_block(stream_id, hpack_encoder_.encode(headers), end_stream);
 }
 
 void Connection::send_header_block(std::uint32_t stream_id, util::Bytes block,
-                                   bool end_stream,
-                                   std::optional<PriorityFrame> priority) {
+                                   bool end_stream) {
   // Header blocks larger than the peer's max frame size continue in
   // CONTINUATION frames (RFC 7540 SS4.3).
-  std::size_t max_fragment = peer_settings_.max_frame_size;
-  if (priority) max_fragment -= 5;
+  const std::size_t max_fragment = peer_settings_.max_frame_size;
   const bool fits = block.size() <= max_fragment;
 
   HeadersFrame hf;
   hf.stream_id = stream_id;
   hf.end_stream = end_stream;
   hf.end_headers = fits;
-  if (priority) {
-    hf.has_priority = true;
-    hf.stream_dependency = priority->stream_dependency;
-    hf.exclusive = priority->exclusive;
-    hf.weight = priority->weight;
-  }
   if (fits) {
     hf.header_block = std::move(block);
     write_frame(hf);
@@ -185,11 +167,6 @@ void Connection::send_header_block(std::uint32_t stream_id, util::Bytes block,
     cf.end_headers = pos == block.size();
     write_frame(cf);
   }
-}
-
-std::uint8_t Connection::stream_weight(std::uint32_t stream_id) const {
-  const auto it = stream_weights_.find(stream_id);
-  return it == stream_weights_.end() ? 16 : it->second;
 }
 
 void Connection::send_data(std::uint32_t stream_id, util::BytesView data,
@@ -233,9 +210,6 @@ void Connection::flush_stream_pending(Stream& s) {
         s.pending.size() == static_cast<std::size_t>(allowed) && s.pending_end_stream;
     s.send_window -= allowed + pad;
     conn_send_window_ -= allowed + pad;
-    s.data_bytes_sent += static_cast<std::uint64_t>(allowed);
-    stats_.data_bytes_sent += static_cast<std::uint64_t>(allowed);
-    ++stats_.data_frames_sent;
     if (end_stream) s.end_local();
     write_data(s.id, payload, end_stream, pad);
     s.pending.pop(static_cast<std::size_t>(allowed));
@@ -305,7 +279,6 @@ std::uint32_t Connection::push_promise(std::uint32_t parent_stream_id,
   pp.promised_stream_id = promised;
   pp.header_block = hpack_encoder_.encode(request_headers);
   write_frame(pp);
-  ++stats_.pushes_sent;
   return promised;
 }
 
@@ -316,23 +289,7 @@ void Connection::rst_stream(std::uint32_t stream_id, ErrorCode error) {
   RstStreamFrame rf;
   rf.stream_id = stream_id;
   rf.error = error;
-  ++stats_.rst_streams_sent;
   write_frame(rf);
-}
-
-void Connection::ping() {
-  PingFrame pf;
-  pf.opaque = {0x68, 0x32, 0x70, 0x72, 0x69, 0x76, 0x00, 0x00};
-  write_frame(pf);
-}
-
-void Connection::goaway(ErrorCode error) {
-  if (goaway_sent_) return;
-  goaway_sent_ = true;
-  GoAwayFrame gf;
-  gf.last_stream_id = highest_remote_stream_;
-  gf.error = error;
-  write_frame(gf);
 }
 
 void Connection::on_bytes(util::BytesView bytes) {
@@ -351,7 +308,6 @@ void Connection::on_bytes(util::BytesView bytes) {
   }
   decoder_.feed(bytes);
   while (auto frame = decoder_.next()) {
-    ++stats_.frames_received;
     obs::count(obs::Counter::kH2FramesReceived);
     handle_frame(std::move(*frame));
   }
@@ -365,7 +321,6 @@ Stream& Connection::ensure_remote_stream(std::uint32_t id) {
     s.send_window = peer_settings_.initial_window_size;
     s.recv_window = config_.local_settings.initial_window_size;
     it = streams_.emplace(id, std::move(s)).first;
-    highest_remote_stream_ = std::max(highest_remote_stream_, id);
   }
   return it->second;
 }
@@ -432,7 +387,6 @@ void Connection::handle_frame(Frame&& f) {
           if (continuation_stream_ != 0) {
             throw FrameError("HEADERS while a header block is still open");
           }
-          if (frame.has_priority) stream_weights_[frame.stream_id] = frame.weight;
           if (!frame.end_headers) {
             continuation_stream_ = frame.stream_id;
             continuation_block_ = std::move(frame.header_block);
@@ -455,8 +409,6 @@ void Connection::handle_frame(Frame&& f) {
           if (!s->can_receive_data()) {
             throw FrameError("DATA in state " + std::string(to_string(s->state)));
           }
-          s->data_bytes_received += frame.data.size();
-          stats_.data_bytes_received += frame.data.size();
           if (frame.end_stream) s->end_remote();
           grant_receive_credit(s, frame.data.size() + frame.pad_length);
           if (on_data) on_data(frame.stream_id, frame.data, frame.end_stream);
@@ -472,7 +424,6 @@ void Connection::handle_frame(Frame&& f) {
           }
 
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          ++stats_.rst_streams_received;
           obs::count(obs::Counter::kH2RstStreamsReceived);
           if (const auto it = streams_.find(frame.stream_id); it != streams_.end()) {
             it->second.reset();
@@ -487,8 +438,7 @@ void Connection::handle_frame(Frame&& f) {
           }
 
         } else if constexpr (std::is_same_v<T, GoAwayFrame>) {
-          goaway_received_ = true;
-          if (on_goaway) on_goaway(frame.error);
+          // Decoded, then ignored: the model never drains a connection.
 
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
           if (role_ != Role::kClient) throw FrameError("PUSH_PROMISE sent to server");
@@ -504,8 +454,7 @@ void Connection::handle_frame(Frame&& f) {
               headers);
 
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
-          // Advisory; the server's weighted scheduler reads the weights.
-          stream_weights_[frame.stream_id] = frame.weight;
+          // Advisory (RFC 7540 §5.3): decoded and validated, then ignored.
         } else if constexpr (std::is_same_v<T, ContinuationFrame>) {
           if (continuation_stream_ == 0 || frame.stream_id != continuation_stream_) {
             throw FrameError("CONTINUATION without an open header block");

@@ -4,42 +4,6 @@
 
 namespace h2priv::h2 {
 
-const char* to_string(FrameType t) noexcept {
-  switch (t) {
-    case FrameType::kData: return "DATA";
-    case FrameType::kHeaders: return "HEADERS";
-    case FrameType::kPriority: return "PRIORITY";
-    case FrameType::kRstStream: return "RST_STREAM";
-    case FrameType::kSettings: return "SETTINGS";
-    case FrameType::kPushPromise: return "PUSH_PROMISE";
-    case FrameType::kPing: return "PING";
-    case FrameType::kGoAway: return "GOAWAY";
-    case FrameType::kWindowUpdate: return "WINDOW_UPDATE";
-    case FrameType::kContinuation: return "CONTINUATION";
-  }
-  return "?";
-}
-
-const char* to_string(ErrorCode e) noexcept {
-  switch (e) {
-    case ErrorCode::kNoError: return "NO_ERROR";
-    case ErrorCode::kProtocolError: return "PROTOCOL_ERROR";
-    case ErrorCode::kInternalError: return "INTERNAL_ERROR";
-    case ErrorCode::kFlowControlError: return "FLOW_CONTROL_ERROR";
-    case ErrorCode::kSettingsTimeout: return "SETTINGS_TIMEOUT";
-    case ErrorCode::kStreamClosed: return "STREAM_CLOSED";
-    case ErrorCode::kFrameSizeError: return "FRAME_SIZE_ERROR";
-    case ErrorCode::kRefusedStream: return "REFUSED_STREAM";
-    case ErrorCode::kCancel: return "CANCEL";
-    case ErrorCode::kCompressionError: return "COMPRESSION_ERROR";
-    case ErrorCode::kConnectError: return "CONNECT_ERROR";
-    case ErrorCode::kEnhanceYourCalm: return "ENHANCE_YOUR_CALM";
-    case ErrorCode::kInadequateSecurity: return "INADEQUATE_SECURITY";
-    case ErrorCode::kHttp11Required: return "HTTP_1_1_REQUIRED";
-  }
-  return "?";
-}
-
 namespace {
 
 void write_header(util::ByteWriter& w, std::uint32_t length, FrameType type,

@@ -1,6 +1,7 @@
 // HTTP/2 connection (RFC 7540): preface, SETTINGS exchange, HPACK-coded
 // HEADERS, DATA with connection- and stream-level flow control, RST_STREAM,
-// PING, GOAWAY, WINDOW_UPDATE and server push.
+// PING answers, WINDOW_UPDATE and server push. PRIORITY signals and GOAWAY
+// are decoded and validated, then ignored.
 //
 // The connection is transport-agnostic: it emits wire bytes through a
 // ByteSink and is fed received bytes via on_bytes(). The sink returns the
@@ -12,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "h2priv/h2/frame.hpp"
 #include "h2priv/h2/settings.hpp"
@@ -52,8 +52,7 @@ class Connection {
 
   // --- client API ----------------------------------------------------------
   /// Opens a new stream with a GET-style header block; returns the stream id.
-  std::uint32_t send_request(const hpack::HeaderList& headers,
-                             std::optional<PriorityFrame> priority = std::nullopt);
+  std::uint32_t send_request(const hpack::HeaderList& headers);
 
   // --- server API ----------------------------------------------------------
   void send_response_headers(std::uint32_t stream_id, const hpack::HeaderList& headers,
@@ -68,15 +67,11 @@ class Connection {
 
   // --- both sides ----------------------------------------------------------
   void rst_stream(std::uint32_t stream_id, ErrorCode error);
-  void ping();
-  void goaway(ErrorCode error);
 
   [[nodiscard]] bool stream_exists(std::uint32_t id) const {
     return streams_.contains(id);
   }
   [[nodiscard]] const Stream& stream(std::uint32_t id) const;
-  /// Streams with body bytes still queued behind flow control.
-  [[nodiscard]] std::size_t blocked_stream_count() const noexcept;
   [[nodiscard]] std::int64_t connection_send_window() const noexcept {
     return conn_send_window_;
   }
@@ -88,18 +83,6 @@ class Connection {
     return peer_settings_received_;
   }
 
-  struct H2Stats {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t data_frames_sent = 0;
-    std::uint64_t data_bytes_sent = 0;
-    std::uint64_t data_bytes_received = 0;
-    std::uint64_t rst_streams_sent = 0;
-    std::uint64_t rst_streams_received = 0;
-    std::uint64_t pushes_sent = 0;
-  };
-  [[nodiscard]] const H2Stats& stats() const noexcept { return stats_; }
-
   // --- callbacks ------------------------------------------------------------
   /// Server: a request header block arrived (end_stream: no body follows).
   std::function<void(std::uint32_t, const hpack::HeaderList&, bool)> on_request;
@@ -108,7 +91,6 @@ class Connection {
   /// Body bytes arrived (end = END_STREAM seen).
   std::function<void(std::uint32_t, util::BytesView, bool end)> on_data;
   std::function<void(std::uint32_t, ErrorCode)> on_rst_stream;
-  std::function<void(ErrorCode)> on_goaway;
   /// Client: server push promised a resource on `promised` for `parent`.
   std::function<void(std::uint32_t parent, std::uint32_t promised,
                      const hpack::HeaderList&)>
@@ -124,14 +106,9 @@ class Connection {
   /// frames, byte-identical to the pre-defense wire.
   std::function<std::uint8_t(std::size_t payload_len)> data_pad_provider;
 
-  /// Client-advertised stream priority weights (PRIORITY frames / HEADERS
-  /// priority fields); the server's weighted scheduler reads these.
-  [[nodiscard]] std::uint8_t stream_weight(std::uint32_t stream_id) const;
-
  private:
   WireSpan write_frame(const Frame& f);
-  void send_header_block(std::uint32_t stream_id, util::Bytes block, bool end_stream,
-                         std::optional<PriorityFrame> priority);
+  void send_header_block(std::uint32_t stream_id, util::Bytes block, bool end_stream);
   void handle_frame(Frame&& f);
   void dispatch_headers(std::uint32_t stream_id, util::Bytes block, bool end_stream);
   Stream& require_stream(std::uint32_t id);
@@ -152,13 +129,10 @@ class Connection {
   Settings peer_settings_{};
   bool peer_settings_received_ = false;
   bool started_ = false;
-  bool goaway_sent_ = false;
-  bool goaway_received_ = false;
 
   std::map<std::uint32_t, Stream> streams_;
   std::uint32_t next_stream_id_;          // odd for client, even for push
   std::uint32_t next_promised_id_ = 2;
-  std::uint32_t highest_remote_stream_ = 0;
   std::int64_t conn_send_window_ = 65'535;
   std::int64_t conn_recv_consumed_ = 0;
   std::int64_t conn_recv_window_ = 65'535;
@@ -168,8 +142,6 @@ class Connection {
   std::uint32_t continuation_stream_ = 0;
   util::Bytes continuation_block_;
   bool continuation_end_stream_ = false;
-  std::map<std::uint32_t, std::uint8_t> stream_weights_;
-  H2Stats stats_;
 };
 
 }  // namespace h2priv::h2

@@ -37,8 +37,6 @@ enum class FrameType : std::uint8_t {
   kContinuation = 0x9,
 };
 
-[[nodiscard]] const char* to_string(FrameType t) noexcept;
-
 // Frame flags (per-type meaning, RFC 7540 §6).
 inline constexpr std::uint8_t kFlagEndStream = 0x01;   // DATA, HEADERS
 inline constexpr std::uint8_t kFlagAck = 0x01;         // SETTINGS, PING
@@ -62,8 +60,6 @@ enum class ErrorCode : std::uint32_t {
   kInadequateSecurity = 0xc,
   kHttp11Required = 0xd,
 };
-
-[[nodiscard]] const char* to_string(ErrorCode e) noexcept;
 
 class FrameError : public std::runtime_error {
  public:

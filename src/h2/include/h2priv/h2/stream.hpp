@@ -35,10 +35,6 @@ struct Stream {
   util::ByteQueue pending;
   bool pending_end_stream = false;
   bool local_end_sent = false;
-  bool remote_end_seen = false;
-
-  std::uint64_t data_bytes_sent = 0;
-  std::uint64_t data_bytes_received = 0;
 
   [[nodiscard]] bool can_send_data() const noexcept {
     return state == StreamState::kOpen || state == StreamState::kHalfClosedRemote;

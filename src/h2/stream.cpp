@@ -43,7 +43,6 @@ void Stream::open_remote(bool end_stream) {
       throw std::logic_error("HEADERS received in state " +
                              std::string(to_string(state)));
   }
-  if (end_stream) remote_end_seen = true;
 }
 
 void Stream::end_local() {
@@ -58,7 +57,6 @@ void Stream::end_local() {
 }
 
 void Stream::end_remote() {
-  remote_end_seen = true;
   if (state == StreamState::kOpen) {
     state = StreamState::kHalfClosedRemote;
   } else if (state == StreamState::kHalfClosedLocal) {

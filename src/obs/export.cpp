@@ -95,11 +95,6 @@ constexpr std::array<const char*, kHistCount> kHistNames = {
 
 }  // namespace
 
-const char* counter_name(Counter c) noexcept {
-  const auto i = static_cast<std::size_t>(c);
-  return i < kCounterNames.size() ? kCounterNames[i] : "?";
-}
-
 std::string to_json(const Registry& r) {
   std::ostringstream os;
   write_metrics_json(os, r);

@@ -17,9 +17,6 @@
 
 namespace h2priv::obs {
 
-/// Stable dotted counter names ("sim.events_executed", ...).
-[[nodiscard]] const char* counter_name(Counter c) noexcept;
-
 /// One-line JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
 /// Zero counters/gauges and empty histograms are skipped; histogram buckets
 /// are emitted as [bit_width, count] pairs. No floating point anywhere.

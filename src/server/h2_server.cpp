@@ -27,7 +27,6 @@ const char* to_string(InterleavePolicy p) noexcept {
   switch (p) {
     case InterleavePolicy::kRoundRobin: return "round-robin";
     case InterleavePolicy::kSequential: return "sequential";
-    case InterleavePolicy::kWeighted: return "weighted";
   }
   return "?";
 }
@@ -65,7 +64,6 @@ H2Server::H2Server(sim::Simulator& sim, const web::Site& site, ServerConfig conf
   conn_->on_request = [this](std::uint32_t stream_id, const hpack::HeaderList& headers,
                              bool /*end_stream*/) { on_request(stream_id, headers); };
   conn_->on_rst_stream = [this](std::uint32_t stream_id, h2::ErrorCode) {
-    ++stats_.streams_reset_by_peer;
     handlers_.erase(stream_id);
     rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), stream_id),
                     rr_order_.end());
@@ -93,7 +91,6 @@ void H2Server::on_request(std::uint32_t stream_id, const hpack::HeaderList& head
   }
   const web::SiteObject* object = site_.find_by_path(path);
   if (object == nullptr) {
-    ++stats_.not_found;
     conn_->send_response_headers(stream_id, {{":status", "404"}}, /*end_stream=*/true);
     return;
   }
@@ -151,7 +148,6 @@ void H2Server::push_mapped_resources(std::uint32_t parent_stream,
         {":path", push_path},
     });
     ++serve_counts_[object->id];
-    ++stats_.pushes;
     spawn_handler(promised, *object, /*duplicate=*/false);
   }
 }
@@ -227,14 +223,7 @@ void H2Server::pump() {
           rng_.uniform_int(0, static_cast<std::int64_t>(rr_order_.size()) - 1));
     }
     const std::uint32_t stream_id = rr_order_[pick];
-    std::size_t chunk = config_.chunk_bytes;
-    if (config_.policy == InterleavePolicy::kWeighted) {
-      // Client-advertised priority weight (RFC 7540 §5.3): proportionally
-      // more bytes per turn, default weight 16 -> 1 chunk.
-      const std::size_t factor = std::clamp<std::size_t>(
-          (conn_->stream_weight(stream_id) + 15u) / 16u, 1, 8);
-      chunk *= factor;
-    }
+    const std::size_t chunk = config_.chunk_bytes;
 
     Handler& h = handlers_.at(stream_id);
     // If HTTP/2 flow control has this stream blocked, writing more would just
@@ -262,7 +251,6 @@ void H2Server::pump() {
     budget -= static_cast<std::int64_t>(std::min(chunk, h.remaining()));
     const bool finished = write_chunk(h, chunk);
     if (finished) {
-      ++stats_.responses_completed;
       if (truth_ != nullptr && h.instance != 0) truth_->mark_complete(h.instance);
       if (on_response_complete) on_response_complete(h.object_id, stream_id);
       rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), stream_id),

@@ -5,9 +5,9 @@
 //  - kRoundRobin  — one chunk per handler per turn: interleaved DATA frames,
 //                   the multiplexing the privacy schemes rely on;
 //  - kSequential  — one handler runs to completion before the next starts
-//                   (HTTP/1.1-style head-of-line behaviour, the baseline);
-//  - kWeighted    — round-robin scaled by the client-advertised stream
-//                   priority weights (RFC 7540 §5.3).
+//                   (HTTP/1.1-style head-of-line behaviour, the baseline).
+// Client priority signals (PRIORITY frames, HEADERS priority fields) are
+// advisory under RFC 7540 §5.3 and ignored: no browser model sends them.
 // Pumping is driven by transport backpressure: the scheduler fills the TCP
 // send buffer to a target depth and resumes on the writable callback.
 //
@@ -38,7 +38,6 @@ namespace h2priv::server {
 enum class InterleavePolicy : std::uint8_t {
   kRoundRobin,
   kSequential,
-  kWeighted,
 };
 
 [[nodiscard]] const char* to_string(InterleavePolicy p) noexcept;
@@ -84,10 +83,6 @@ class H2Server {
 
   struct ServerStats {
     std::uint64_t duplicate_requests = 0;
-    std::uint64_t responses_completed = 0;
-    std::uint64_t streams_reset_by_peer = 0;
-    std::uint64_t not_found = 0;
-    std::uint64_t pushes = 0;
   };
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
 

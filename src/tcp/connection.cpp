@@ -17,26 +17,8 @@ constexpr std::uint32_t kRecvWindow = 256 * 1024;
 static_assert(Reassembly::kMaxWindow > kRecvWindow);
 constexpr int kDupAckThreshold = 3;
 constexpr std::uint32_t kInitialWindowSegments = 10;
-constexpr util::Duration kTimeWaitDuration = util::seconds(1);
 
 }  // namespace
-
-const char* to_string(State s) noexcept {
-  switch (s) {
-    case State::kClosed: return "CLOSED";
-    case State::kListen: return "LISTEN";
-    case State::kSynSent: return "SYN_SENT";
-    case State::kSynRcvd: return "SYN_RCVD";
-    case State::kEstablished: return "ESTABLISHED";
-    case State::kFinWait1: return "FIN_WAIT_1";
-    case State::kFinWait2: return "FIN_WAIT_2";
-    case State::kCloseWait: return "CLOSE_WAIT";
-    case State::kLastAck: return "LAST_ACK";
-    case State::kClosing: return "CLOSING";
-    case State::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
 
 Connection::Connection(sim::Simulator& sim, TcpConfig config)
     : sim_(sim),
@@ -68,7 +50,7 @@ void Connection::listen() {
 }
 
 std::uint64_t Connection::send(util::BytesView data) {
-  if (state_ == State::kClosed || state_ == State::kTimeWait || fin_queued_) {
+  if (state_ == State::kClosed) {
     throw std::logic_error("tcp::send: connection not writable");
   }
   if (static_cast<std::int64_t>(data.size()) > send_capacity()) {
@@ -93,28 +75,6 @@ std::int64_t Connection::send_capacity() const noexcept {
   return std::max<std::int64_t>(0, kSendBufferLimit - unsent);
 }
 
-void Connection::close() {
-  if (fin_queued_ || state_ == State::kClosed) return;
-  fin_queued_ = true;
-  if (state_ == State::kEstablished || state_ == State::kSynRcvd || state_ ==
-      State::kSynSent) {
-    state_ = State::kFinWait1;
-  } else if (state_ == State::kCloseWait) {
-    state_ = State::kLastAck;
-  }
-  pump();
-}
-
-void Connection::abort() {
-  if (state_ == State::kClosed) return;
-  SegmentView rst;
-  rst.flags = kFlagRst | kFlagAck;
-  rst.seq = snd_nxt_;
-  rst.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-  emit(rst);
-  finish(CloseReason::kReset);
-}
-
 std::uint32_t Connection::advertised_window() const noexcept {
   const auto buffered = static_cast<std::uint32_t>(
       std::min<std::size_t>(reassembly_.buffered_bytes(), kRecvWindow));
@@ -132,7 +92,6 @@ void Connection::emit(SegmentView s) {
   s.dst_port = config_.remote_port;
   s.window = advertised_window();
   obs_->add(obs::Counter::kTcpSegmentsSent);
-  if (!s.payload.empty()) ++stats_.data_segments_sent;
   // One pooled chunk per segment: header + payload serialise straight into
   // it, and the chunk rides the Packet all the way to the receiving
   // endpoint before returning to this thread's pool.
@@ -141,21 +100,16 @@ void Connection::emit(SegmentView s) {
   out_(w.take_shared());
 }
 
-void Connection::send_ack(bool duplicate) {
+void Connection::send_ack() {
   SegmentView ack;
   ack.flags = kFlagAck;
   ack.seq = snd_nxt_;
-  ack.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-  if (duplicate) ++stats_.dup_acks_sent;
+  ack.ack = reassembly_.rcv_nxt();
   emit(ack);
 }
 
 void Connection::pump() {
-  const bool can_send_data =
-      state_ == State::kEstablished || state_ == State::kCloseWait ||
-      state_ == State::kFinWait1 || state_ == State::kLastAck || state_ ==
-          State::kClosing;
-  if (!can_send_data || snd_nxt_ == 0) return;
+  if (state_ != State::kEstablished || snd_nxt_ == 0) return;
 
   // RFC 2861: an idle sender must not dump a stale, possibly huge window
   // onto the network — restart from the initial window.
@@ -175,39 +129,25 @@ void Connection::pump() {
     const std::uint64_t wnd = effective_window();
     if (inflight >= wnd) break;
     const std::uint64_t next_offset = offset_of(snd_nxt_);
-    if (next_offset < send_buf_.end()) {
-      const std::uint64_t room = wnd - inflight;
-      const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          {kMss, room, send_buf_.end() - next_offset}));
-      if (n == 0) break;
-      SegmentView seg;
-      seg.flags = kFlagAck;
-      seg.seq = snd_nxt_;
-      seg.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-      seg.payload = send_buf_.read_view(next_offset, n);
-      if (!timing_active_) {
-        timing_active_ = true;
-        timed_end_seq_ = snd_nxt_ + n;
-        timed_at_ = sim_.now();
-      }
-      snd_nxt_ += n;
-      emit(seg);
-      last_send_activity_ = sim_.now();
-      sent_any = true;
-      continue;
+    if (next_offset >= send_buf_.end()) break;  // all data transmitted
+    const std::uint64_t room = wnd - inflight;
+    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        {kMss, room, send_buf_.end() - next_offset}));
+    if (n == 0) break;
+    SegmentView seg;
+    seg.flags = kFlagAck;
+    seg.seq = snd_nxt_;
+    seg.ack = reassembly_.rcv_nxt();
+    seg.payload = send_buf_.read_view(next_offset, n);
+    if (!timing_active_) {
+      timing_active_ = true;
+      timed_end_seq_ = snd_nxt_ + n;
+      timed_at_ = sim_.now();
     }
-    // All data transmitted; maybe the FIN goes out now.
-    if (fin_queued_ && !fin_sent_) {
-      SegmentView fin;
-      fin.flags = kFlagFin | kFlagAck;
-      fin.seq = snd_nxt_;
-      fin.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-      snd_nxt_ += 1;
-      fin_sent_ = true;
-      emit(fin);
-      sent_any = true;
-    }
-    break;
+    snd_nxt_ += n;
+    emit(seg);
+    last_send_activity_ = sim_.now();
+    sent_any = true;
   }
   if (sent_any && !retx_timer_.valid()) arm_retx_timer();
   maybe_fire_writable();
@@ -248,15 +188,9 @@ void Connection::retransmit_head() {
     SegmentView seg;
     seg.flags = kFlagAck;
     seg.seq = seq_of(off);
-    seg.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
+    seg.ack = reassembly_.rcv_nxt();
     seg.payload = send_buf_.read_view(off, n);
     emit(seg);
-  } else if (fin_sent_ && snd_una_ <= fin_seq()) {
-    SegmentView fin;
-    fin.flags = kFlagFin | kFlagAck;
-    fin.seq = fin_seq();
-    fin.ack = reassembly_.rcv_nxt() + (peer_fin_consumed_ ? 1 : 0);
-    emit(fin);
   }
 }
 
@@ -277,10 +211,6 @@ void Connection::cancel_retx_timer() {
 
 void Connection::on_retx_timeout() {
   if (state_ == State::kClosed) return;
-  if (state_ == State::kTimeWait) {
-    finish(CloseReason::kNormal);
-    return;
-  }
   if (snd_una_ == snd_nxt_ && state_ != State::kSynSent && state_ != State::kSynRcvd) {
     return;  // everything acked while the timer was in flight
   }
@@ -353,17 +283,15 @@ void Connection::on_wire(util::BytesView wire) {
       if (s.syn() && s.has_ack() && s.ack == 1) {
         peer_syn_seen_ = true;
         snd_una_ = 1;
-        syn_acked_ = true;
         rwnd_peer_ = s.window;
         enter_established();
-        send_ack(false);
+        send_ack();
       }
       return;
 
     case State::kSynRcvd:
       if (s.has_ack() && s.ack >= 1) {
         snd_una_ = std::max<std::uint64_t>(snd_una_, 1);
-        syn_acked_ = true;
         enter_established();
         // Fall through to normal processing of any piggybacked data.
         handle_ack(s);
@@ -375,7 +303,7 @@ void Connection::on_wire(util::BytesView wire) {
       if (s.syn()) {
         // A retransmitted SYN-ACK means our final handshake ACK was lost;
         // re-ACK or the peer stays stuck in SYN_RCVD.
-        send_ack(false);
+        send_ack();
         return;
       }
       handle_ack(s);
@@ -391,7 +319,6 @@ void Connection::handle_ack(const SegmentView& s) {
   if (s.ack > snd_una_ && s.ack <= snd_nxt_) {
     const std::uint64_t acked = s.ack - snd_una_;
     snd_una_ = s.ack;
-    if (snd_una_ >= 1) syn_acked_ = true;
     send_buf_.ack(std::min(offset_of(snd_una_), send_buf_.end()));
     retries_ = 0;
     rto_.clear_backoff();
@@ -420,27 +347,8 @@ void Connection::handle_ack(const SegmentView& s) {
       obs_->gauge_max(obs::Gauge::kTcpCwndBytes, cc_.cwnd());
     }
 
-    // FIN acked?
-    if (fin_sent_ && snd_una_ > fin_seq()) {
-      if (state_ == State::kFinWait1) {
-        state_ = peer_fin_consumed_ ? State::kTimeWait : State::kFinWait2;
-      } else if (state_ == State::kClosing) {
-        state_ = State::kTimeWait;
-      } else if (state_ == State::kLastAck) {
-        finish(CloseReason::kNormal);
-        return;
-      }
-      if (state_ == State::kTimeWait) {
-        cancel_retx_timer();
-        retx_timer_ = sim_.schedule(kTimeWaitDuration, [this] {
-          retx_timer_ = {};
-          finish(CloseReason::kNormal);
-        });
-      }
-    }
-
     if (snd_una_ == snd_nxt_) {
-      if (state_ != State::kTimeWait) cancel_retx_timer();
+      cancel_retx_timer();
     } else {
       arm_retx_timer();
     }
@@ -452,7 +360,6 @@ void Connection::handle_ack(const SegmentView& s) {
   // Duplicate ACK: does not advance, carries no data, with data outstanding.
   if (s.ack == snd_una_ && snd_nxt_ > snd_una_ && s.payload.empty() && !s.syn() &&
       !s.fin()) {
-    ++stats_.dup_acks_received;
     if (in_recovery_) {
       recovery_inflation_ += kMss;
       pump();
@@ -476,46 +383,16 @@ void Connection::handle_ack(const SegmentView& s) {
 
 void Connection::handle_data(const SegmentView& s) {
   if (!peer_syn_seen_ && state_ != State::kEstablished) return;
+  if (s.payload.empty()) return;
 
-  bool consumed_something = false;
-  bool out_of_order = false;
-
-  if (!s.payload.empty()) {
-    out_of_order = s.seq > reassembly_.rcv_nxt();
-    consumed_something = true;
-    // In-order segments (the steady state) are delivered as a view into the
-    // packet's pooled buffer; out-of-order ones are copied into the
-    // reassembly window once and delivered from there.
-    const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
-    if (!delivered.empty() && on_data) on_data(delivered);
-  }
-
-  if (s.fin()) {
-    peer_fin_seq_ = s.seq + s.payload.size();
-    consumed_something = true;
-  }
-  if (peer_fin_seq_ && !peer_fin_consumed_ && reassembly_.rcv_nxt() == *peer_fin_seq_) {
-    peer_fin_consumed_ = true;
-    switch (state_) {
-      case State::kEstablished: state_ = State::kCloseWait; break;
-      case State::kFinWait1: state_ = State::kClosing; break;
-      case State::kFinWait2:
-        state_ = State::kTimeWait;
-        cancel_retx_timer();
-        retx_timer_ = sim_.schedule(kTimeWaitDuration, [this] {
-          retx_timer_ = {};
-          finish(CloseReason::kNormal);
-        });
-        break;
-      default: break;
-    }
-  }
-
-  if (consumed_something) {
-    // ACK everything that consumes sequence space; an ACK that does not
-    // advance rcv_nxt is the duplicate ACK the sender's loss detector needs.
-    send_ack(out_of_order);
-  }
+  // In-order segments (the steady state) are delivered as a view into the
+  // packet's pooled buffer; out-of-order ones are copied into the
+  // reassembly window once and delivered from there.
+  const util::BytesView delivered = reassembly_.offer(s.seq, s.payload);
+  if (!delivered.empty() && on_data) on_data(delivered);
+  // ACK every segment that carries data; an ACK that does not advance
+  // rcv_nxt is the duplicate ACK the sender's loss detector needs.
+  send_ack();
 }
 
 }  // namespace h2priv::tcp

@@ -1,7 +1,9 @@
 // TCP connection: handshake, ordered byte-stream delivery, Reno congestion
 // control, fast retransmit / NewReno-style hole filling, RTO with backoff,
 // and connection breakage after repeated retransmission failures (the
-// paper's "broken connection" outcome when the adversary pushes too hard).
+// paper's "broken connection" outcome when the adversary pushes too hard):
+// the RST sent then, or one received, is the only way a connection ends.
+// There is no FIN teardown, since no model closes a connection that works.
 //
 // Sequence-number convention: ISS = 0, the SYN occupies seq 0, so the data
 // byte at application stream offset `o` has sequence number `o + 1`. This
@@ -10,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/sim/simulator.hpp"
@@ -30,20 +31,11 @@ enum class State : std::uint8_t {
   kSynSent,
   kSynRcvd,
   kEstablished,
-  kFinWait1,
-  kFinWait2,
-  kCloseWait,
-  kLastAck,
-  kClosing,
-  kTimeWait,
 };
 
-[[nodiscard]] const char* to_string(State s) noexcept;
-
 enum class CloseReason : std::uint8_t {
-  kNormal,        ///< orderly FIN handshake completed
-  kReset,         ///< peer RST or local abort()
-  kBroken,        ///< max retransmissions exceeded (path effectively dead)
+  kReset,   ///< peer RST
+  kBroken,  ///< max retransmissions exceeded (path effectively dead)
 };
 
 /// Unsent backlog cap; send() beyond it throws (callers use send_capacity()).
@@ -59,12 +51,9 @@ struct TcpConfig {
 };
 
 struct TcpStats {
-  std::uint64_t data_segments_sent = 0;
   std::uint64_t retransmits_fast = 0;     ///< triggered by 3 dup ACKs
   std::uint64_t retransmits_timeout = 0;  ///< triggered by RTO
   std::uint64_t retransmits_hole = 0;     ///< NewReno partial-ack retransmits
-  std::uint64_t dup_acks_received = 0;
-  std::uint64_t dup_acks_sent = 0;
 
   [[nodiscard]] std::uint64_t total_retransmits() const noexcept {
     return retransmits_fast + retransmits_timeout + retransmits_hole;
@@ -102,11 +91,6 @@ class Connection {
   /// Bytes that can still be enqueued without exceeding the backlog cap.
   [[nodiscard]] std::int64_t send_capacity() const noexcept;
 
-  /// Orderly close (FIN after all queued data).
-  void close();
-  /// Immediate RST.
-  void abort();
-
   // --- observability -------------------------------------------------------
   [[nodiscard]] State state() const noexcept { return state_; }
   [[nodiscard]] bool established() const noexcept { return state_ ==
@@ -132,10 +116,9 @@ class Connection {
   [[nodiscard]] std::uint64_t seq_of(std::uint64_t offset) const noexcept {
     return offset + 1;
   }
-  [[nodiscard]] std::uint64_t fin_seq() const noexcept { return seq_of(send_buf_.end()); }
 
   void emit(SegmentView s);
-  void send_ack(bool duplicate);
+  void send_ack();
   void pump();
   void retransmit_head();
   void arm_retx_timer();
@@ -171,9 +154,6 @@ class Connection {
   std::uint64_t recovery_inflation_ = 0;  // dup-ACK window inflation (bytes)
   int retries_ = 0;
   sim::EventId retx_timer_{};
-  bool fin_queued_ = false;
-  bool fin_sent_ = false;
-  bool syn_acked_ = false;
   bool was_unwritable_ = false;
   util::TimePoint last_send_activity_{};
 
@@ -185,8 +165,6 @@ class Connection {
   // Receive side.
   Reassembly reassembly_{1};  // first data byte from peer is seq 1
   bool peer_syn_seen_ = false;
-  std::optional<std::uint64_t> peer_fin_seq_;
-  bool peer_fin_consumed_ = false;
 };
 
 }  // namespace h2priv::tcp

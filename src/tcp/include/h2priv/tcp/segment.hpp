@@ -26,38 +26,11 @@ enum : std::uint8_t {
   kFlagRst = 0x08,
 };
 
-struct Segment {
-  std::uint16_t src_port = 0;
-  std::uint16_t dst_port = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t ack = 0;
-  std::uint8_t flags = 0;
-  std::uint32_t window = 0;
-  util::Bytes payload;
-
-  [[nodiscard]] bool syn() const noexcept { return (flags & kFlagSyn) != 0; }
-  [[nodiscard]] bool has_ack() const noexcept { return (flags & kFlagAck) != 0; }
-  [[nodiscard]] bool fin() const noexcept { return (flags & kFlagFin) != 0; }
-  [[nodiscard]] bool rst() const noexcept { return (flags & kFlagRst) != 0; }
-
-  /// Sequence space the segment occupies (payload + SYN/FIN each count 1).
-  [[nodiscard]] std::uint64_t seq_len() const noexcept {
-    return payload.size() + (syn() ? 1u : 0u) + (fin() ? 1u : 0u);
-  }
-
-  [[nodiscard]] util::Bytes encode() const;
-  /// Throws util::OutOfBounds / std::invalid_argument on malformed input.
-  [[nodiscard]] static Segment decode(util::BytesView wire);
-};
-
-/// Parses only the header of an encoded segment — what an on-path observer
-/// does. Returns the header fields and the payload view (still "encrypted"
-/// at the TLS layer; the observer may parse TLS record headers from it).
-///
-/// Also doubles as the zero-copy *encode* input: tcp::Connection fills the
-/// header fields and points `payload` at the send buffer, then
-/// encode_segment() serialises straight into a pooled writer — the payload
-/// is never copied into an owning Segment on the transmit path.
+/// One segment's header fields plus a view of its payload: what peek()
+/// parses off the wire (what an on-path observer reads; the payload is
+/// still "encrypted" at the TLS layer) and what encode_segment() writes.
+/// tcp::Connection fills the header fields and points `payload` at the send
+/// buffer, so the payload is never copied on the transmit path.
 struct SegmentView {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
@@ -71,16 +44,11 @@ struct SegmentView {
   [[nodiscard]] bool has_ack() const noexcept { return (flags & kFlagAck) != 0; }
   [[nodiscard]] bool fin() const noexcept { return (flags & kFlagFin) != 0; }
   [[nodiscard]] bool rst() const noexcept { return (flags & kFlagRst) != 0; }
-
-  /// Sequence space the segment occupies (payload + SYN/FIN each count 1).
-  [[nodiscard]] std::uint64_t seq_len() const noexcept {
-    return payload.size() + (syn() ? 1u : 0u) + (fin() ? 1u : 0u);
-  }
 };
+/// Throws util::OutOfBounds / std::invalid_argument on malformed input.
 [[nodiscard]] SegmentView peek(util::BytesView wire);
 
 /// Serialises header + payload into `w` with the exact wire size reserved.
-/// Byte-for-byte identical to Segment::encode() for the same fields.
 void encode_segment(util::ByteWriter& w, const SegmentView& s);
 
 }  // namespace h2priv::tcp

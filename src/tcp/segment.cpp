@@ -19,37 +19,6 @@ void encode_segment(util::ByteWriter& w, const SegmentView& s) {
   w.bytes(s.payload);
 }
 
-util::Bytes Segment::encode() const {
-  util::ByteWriter w(kHeaderBytes + payload.size());
-  encode_segment(w, SegmentView{.src_port = src_port,
-                                .dst_port = dst_port,
-                                .seq = seq,
-                                .ack = ack,
-                                .flags = flags,
-                                .window = window,
-                                .payload = payload});
-  return w.take();
-}
-
-Segment Segment::decode(util::BytesView wire) {
-  util::ByteReader r(wire);
-  Segment s;
-  s.src_port = r.u16();
-  s.dst_port = r.u16();
-  s.seq = r.u64();
-  s.ack = r.u64();
-  s.flags = r.u8();
-  r.skip(1);
-  s.window = r.u32();
-  const std::uint16_t len = r.u16();
-  if (r.remaining() != len) {
-    throw std::invalid_argument("Segment::decode: payload length mismatch");
-  }
-  const auto body = r.bytes(len);
-  s.payload.assign(body.begin(), body.end());
-  return s;
-}
-
 SegmentView peek(util::BytesView wire) {
   util::ByteReader r(wire);
   SegmentView v;

@@ -107,8 +107,6 @@ SharedBytes& SharedBytes::operator=(SharedBytes&& o) noexcept {
   return *this;
 }
 
-SharedBytes::SharedBytes(const Bytes& b) : SharedBytes(copy_of(BytesView(b))) {}
-
 SharedBytes SharedBytes::copy_of(BytesView v, BufferPool* pool) {
   detail::ChunkHeader* h =
       pool != nullptr ? pool->acquire(v.size()) : detail::new_chunk(v.size(), nullptr);

@@ -147,19 +147,9 @@ BytesView ByteReader::bytes(std::size_t n) {
   return v;
 }
 
-BytesView ByteReader::rest() noexcept {
-  const BytesView v = data_.subspan(pos_);
-  pos_ = data_.size();
-  return v;
-}
-
 void ByteReader::skip(std::size_t n) {
   require(n);
   pos_ += n;
-}
-
-Bytes to_bytes(std::string_view s) {
-  return Bytes(s.begin(), s.end());
 }
 
 Bytes patterned_bytes(std::size_t n, std::uint32_t tag) {

@@ -93,9 +93,7 @@ class BufferPool {
 [[nodiscard]] BufferPool& default_pool() noexcept;
 
 /// Immutable, cheaply copyable, ref-counted view of a (usually pooled) byte
-/// buffer. Two machine words; copying bumps a non-atomic refcount. The
-/// implicit Bytes constructor keeps pre-pool call sites compiling — it
-/// copies into a heap chunk and is fine anywhere off the per-packet path.
+/// buffer. Two machine words; copying bumps a non-atomic refcount.
 class SharedBytes {
  public:
   SharedBytes() noexcept = default;
@@ -111,9 +109,6 @@ class SharedBytes {
   ~SharedBytes() {
     if (hdr_ != nullptr) detail::release_chunk(hdr_);
   }
-
-  // NOLINTNEXTLINE(google-explicit-constructor): compat shim, see class doc.
-  SharedBytes(const Bytes& b);
 
   /// Copies `v` into a fresh chunk — pooled when `pool` is given, otherwise
   /// a plain heap chunk.

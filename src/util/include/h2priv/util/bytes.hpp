@@ -143,8 +143,6 @@ class ByteReader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] BytesView bytes(std::size_t n);
-  /// Returns everything not yet consumed and advances to the end.
-  [[nodiscard]] BytesView rest() noexcept;
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
@@ -156,9 +154,6 @@ class ByteReader {
   BytesView data_;
   std::size_t pos_ = 0;
 };
-
-/// Builds a Bytes from a string literal / string_view (ASCII payloads in tests).
-[[nodiscard]] Bytes to_bytes(std::string_view s);
 
 /// Builds a deterministic pseudo-content buffer of length `n` whose bytes are a
 /// function of (`tag`, index): word k (bytes 8k..8k+7, little-endian, the last

@@ -89,7 +89,7 @@ TEST(FingerprinterKnn, MajorityVoteOutvotesOneCloseOutlier) {
   fp.train("page-b", profile({70'000, 90'000}));
   const SizeProfile probe = profile({10'120, 20'120});
   EXPECT_EQ(fp.classify(probe), "outlier");  // 1-NN is fooled
-  EXPECT_EQ(fp.classify_knn(probe, 3), "page-a");
+  EXPECT_EQ(fp.classify_knn_with_votes(probe, 3).label, "page-a");
 }
 
 TEST(FingerprinterKnn, KOneMatchesClassify) {
@@ -97,7 +97,7 @@ TEST(FingerprinterKnn, KOneMatchesClassify) {
   fp.train("page-a", profile({2'000, 8'000, 30'000}));
   fp.train("page-b", profile({3'000, 12'000, 14'000}));
   const SizeProfile probe = profile({2'060, 7'930, 30'140});
-  EXPECT_EQ(fp.classify_knn(probe, 1), fp.classify(probe));
+  EXPECT_EQ(fp.classify_knn_with_votes(probe, 1).label, fp.classify(probe));
 }
 
 TEST(FingerprinterKnn, DeterministicUnderTrainingOrderAndEdgeCases) {
@@ -115,14 +115,14 @@ TEST(FingerprinterKnn, DeterministicUnderTrainingOrderAndEdgeCases) {
   for (auto it = corpus.rbegin(); it != corpus.rend(); ++it) {
     backward.train(it->first, it->second);
   }
-  const std::string verdict = forward.classify_knn(probe, 4);
-  EXPECT_EQ(verdict, backward.classify_knn(probe, 4));
+  const std::string verdict = forward.classify_knn_with_votes(probe, 4).label;
+  EXPECT_EQ(verdict, backward.classify_knn_with_votes(probe, 4).label);
   EXPECT_EQ(verdict, "beta");  // beta's two votes sum closer than alpha's
 
-  EXPECT_TRUE(Fingerprinter{}.classify_knn(probe, 3).empty());
-  EXPECT_TRUE(forward.classify_knn(probe, 0).empty());
+  EXPECT_TRUE(Fingerprinter{}.classify_knn_with_votes(probe, 3).label.empty());
+  EXPECT_TRUE(forward.classify_knn_with_votes(probe, 0).label.empty());
   // k beyond the training set degrades to voting over everything.
-  EXPECT_EQ(forward.classify_knn(probe, 99), verdict);
+  EXPECT_EQ(forward.classify_knn_with_votes(probe, 99).label, verdict);
 }
 
 TEST(CentroidModel, FoldsIntegerMedianCentroid) {
@@ -130,10 +130,10 @@ TEST(CentroidModel, FoldsIntegerMedianCentroid) {
   model.train("page", profile({1'000, 5'000}));
   model.train("page", profile({1'200, 5'200}));
   model.train("page", profile({1'100, 5'100}));
-  const SizeProfile* c = model.centroid("page");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(*c, profile({1'100, 5'100}));  // per-position lower median
-  EXPECT_EQ(model.centroid("missing"), nullptr);
+  // Zero distance from the per-position lower median: it is the centroid.
+  const auto v = model.classify_with_margin(profile({1'100, 5'100}));
+  EXPECT_EQ(v.label, "page");
+  EXPECT_EQ(v.best_distance, 0.0);
   EXPECT_EQ(model.label_count(), 1u);
 }
 
@@ -144,10 +144,10 @@ TEST(CentroidModel, CentroidAbsorbsOutlierTraces) {
   model.train("page-a", profile({10'200, 20'200}));
   model.train("page-a", profile({90'000, 150'000}));  // capture glitch
   model.train("page-b", profile({60'000, 80'000}));
-  EXPECT_EQ(model.classify(profile({10'100, 20'100})), "page-a");
-  const SizeProfile* c = model.centroid("page-a");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(*c, profile({10'200, 20'200}));
+  EXPECT_EQ(model.classify_with_margin(profile({10'100, 20'100})).label, "page-a");
+  const auto v = model.classify_with_margin(profile({10'200, 20'200}));
+  EXPECT_EQ(v.label, "page-a");
+  EXPECT_EQ(v.best_distance, 0.0) << "the median centroid ignores the glitch";
 }
 
 TEST(CentroidModel, RaggedProfileLengthsResampleToMedianLength) {
@@ -155,14 +155,15 @@ TEST(CentroidModel, RaggedProfileLengthsResampleToMedianLength) {
   model.train("page", profile({4'000}));
   model.train("page", profile({4'100, 8'000, 9'000}));
   model.train("page", profile({4'200, 8'100}));
-  const SizeProfile* c = model.centroid("page");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->size(), 2u);  // lower median of lengths {1, 2, 3}
-  EXPECT_TRUE(std::is_sorted(c->begin(), c->end()));
+  // Length 2 (the lower median of lengths {1, 2, 3}), sorted: each profile
+  // resamples to {4'000, 4'000}, {4'100, 8'000} and {4'200, 8'100}.
+  const auto v = model.classify_with_margin(profile({4'100, 8'000}));
+  EXPECT_EQ(v.label, "page");
+  EXPECT_EQ(v.best_distance, 0.0);
 }
 
 TEST(CentroidModel, UntrainedReturnsEmpty) {
-  EXPECT_TRUE(CentroidModel{}.classify(profile({1'000})).empty());
+  EXPECT_TRUE(CentroidModel{}.classify_with_margin(profile({1'000})).label.empty());
 }
 
 class FingerprintProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -90,9 +90,9 @@ TEST(GroundTruth, AnySerializedInstanceChecksCopies) {
   // duplicate copy is clean.
   add_instance(gt, 1, {{0, 100}, {200, 300}});
   add_instance(gt, 2, {{50, 250}});
-  EXPECT_FALSE(gt.any_serialized_instance(1));
+  EXPECT_FALSE(MultiplexingIndex(gt).any_serialized_instance(1));
   add_instance(gt, 1, {{5'000, 5'100}}, /*dup=*/true);
-  EXPECT_TRUE(gt.any_serialized_instance(1));
+  EXPECT_TRUE(MultiplexingIndex(gt).any_serialized_instance(1));
 }
 
 TEST(GroundTruth, IncompleteSerializedCopyDoesNotCount) {
@@ -100,7 +100,7 @@ TEST(GroundTruth, IncompleteSerializedCopyDoesNotCount) {
   add_instance(gt, 1, {{0, 100}, {200, 300}});
   add_instance(gt, 2, {{50, 250}});
   add_instance(gt, 1, {{5'000, 5'100}}, /*dup=*/true, /*complete=*/false);
-  EXPECT_FALSE(gt.any_serialized_instance(1));
+  EXPECT_FALSE(MultiplexingIndex(gt).any_serialized_instance(1));
 }
 
 TEST(GroundTruth, InstanceAccountingAndSpan) {
@@ -181,8 +181,6 @@ void expect_index_matches_reference(const GroundTruth& gt, const std::string& ct
     EXPECT_EQ(index.object_dom(object), dom) << ctx << " object " << object;
     EXPECT_EQ(gt.object_dom(object), dom) << ctx << " object " << object;
     EXPECT_EQ(index.any_serialized_instance(object), any_serialized)
-        << ctx << " object " << object;
-    EXPECT_EQ(gt.any_serialized_instance(object), any_serialized)
         << ctx << " object " << object;
   }
 }

@@ -380,8 +380,9 @@ TEST_F(TraceHardening, StreamedFileDigestMatchesWholeImageDigest) {
   const std::string path = temp_path("digest");
   spit(path, big);
   const util::BytesView view{big.data(), big.size()};
-  EXPECT_EQ(digest_file(path), fnv1a(view));
-  EXPECT_EQ(digest_view(view), fnv1a(view));
+  const std::uint64_t whole = fnv1a_update(kFnv1aInit, view);
+  EXPECT_EQ(digest_file(path), whole);
+  EXPECT_EQ(digest_view(view), whole);
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/tcp/segment.hpp"
+#include "segment.hpp"
 
 namespace h2priv::core {
 namespace {
@@ -35,13 +36,14 @@ struct AttackFixture {
                                                util::patterned_bytes(s, 1));
       payload.insert(payload.end(), rec.begin(), rec.end());
     }
-    tcp::Segment seg;
+    tcp::SegmentView seg;
     seg.seq = client_seq;
     seg.flags = tcp::kFlagAck;
     seg.payload = payload;
     client_seq += payload.size();
     mb.process(net::Direction::kClientToServer,
-               net::Packet{0, net::Direction::kClientToServer, seg.encode()});
+               net::Packet{0, net::Direction::kClientToServer,
+                           testing::wire_segment(seg)});
   }
 };
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/tcp/segment.hpp"
+#include "segment.hpp"
 
 namespace h2priv::core {
 namespace {
@@ -28,19 +29,20 @@ struct ControllerFixture {
   }
 
   net::Packet payload_packet(net::Direction dir, std::size_t n = 100) {
-    tcp::Segment seg;
+    const util::Bytes payload = util::patterned_bytes(n, 1);
+    tcp::SegmentView seg;
     seg.seq = 1;
     seg.flags = tcp::kFlagAck;
-    seg.payload = util::patterned_bytes(n, 1);
-    return net::Packet{0, dir, seg.encode()};
+    seg.payload = payload;
+    return net::Packet{0, dir, testing::wire_segment(seg)};
   }
 
   net::Packet ack_packet(net::Direction dir) {
-    tcp::Segment seg;
+    tcp::SegmentView seg;
     seg.seq = 1;
     seg.ack = 100;
     seg.flags = tcp::kFlagAck;
-    return net::Packet{0, dir, seg.encode()};
+    return net::Packet{0, dir, testing::wire_segment(seg)};
   }
 };
 
@@ -93,7 +95,7 @@ TEST(NetworkController, NaturallySpacedTrafficUnaffected) {
 TEST(NetworkController, ClearSpacingStopsHolding) {
   ControllerFixture f;
   f.controller.set_request_spacing(milliseconds(50));
-  f.controller.clear_request_spacing();
+  f.controller.set_request_spacing(util::Duration{0});
   for (int i = 0; i < 3; ++i) {
     f.mb.process(net::Direction::kClientToServer,
                  f.payload_packet(net::Direction::kClientToServer));

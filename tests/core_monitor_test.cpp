@@ -8,6 +8,7 @@
 
 #include "h2priv/tcp/segment.hpp"
 #include "h2priv/tls/record.hpp"
+#include "segment.hpp"
 
 namespace h2priv::core {
 namespace {
@@ -34,26 +35,28 @@ struct MonitorFixture {
                                                util::patterned_bytes(n, 1));
       payload.insert(payload.end(), rec.begin(), rec.end());
     }
-    tcp::Segment seg;
+    tcp::SegmentView seg;
     seg.seq = client_seq;
     seg.flags = tcp::kFlagAck;
     seg.payload = payload;
     client_seq += payload.size();
     mb.process(net::Direction::kClientToServer,
-               net::Packet{0, net::Direction::kClientToServer, seg.encode()});
+               net::Packet{0, net::Direction::kClientToServer,
+                           testing::wire_segment(seg)});
     sim.run();
   }
 
   void client_handshake_record(std::size_t n) {
     const util::Bytes rec =
         client_seal.seal(tls::ContentType::kHandshake, util::patterned_bytes(n, 1));
-    tcp::Segment seg;
+    tcp::SegmentView seg;
     seg.seq = client_seq;
     seg.flags = tcp::kFlagAck;
-    seg.payload = util::Bytes(rec.begin(), rec.end());
+    seg.payload = rec;
     client_seq += rec.size();
     mb.process(net::Direction::kClientToServer,
-               net::Packet{0, net::Direction::kClientToServer, seg.encode()});
+               net::Packet{0, net::Direction::kClientToServer,
+                           testing::wire_segment(seg)});
     sim.run();
   }
 };

@@ -18,23 +18,23 @@ analysis::SizeCatalog two_entry_catalog() {
 
 TEST(PartialMatcher, SingleObjectBurstExplained) {
   PartialMatcher matcher(two_entry_catalog());
-  const auto m = matcher.unique_explanation(5'100, /*tolerance=*/200);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->labels, (std::vector<std::string>{"a"}));
-  EXPECT_EQ(m->matched_size, 5'000u);
+  const auto all = matcher.explanations(5'100, /*tolerance=*/200);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].labels, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(all[0].matched_size, 5'000u);
 }
 
 TEST(PartialMatcher, PairBurstExplained) {
   PartialMatcher matcher(two_entry_catalog());
-  const auto m = matcher.unique_explanation(17'050, /*tolerance=*/200);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->labels, (std::vector<std::string>{"a", "b"}));
+  const auto all = matcher.explanations(17'050, /*tolerance=*/200);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].labels, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(PartialMatcher, UnexplainableBurstHasNoMatch) {
   PartialMatcher matcher(two_entry_catalog());
   EXPECT_TRUE(matcher.explanations(9'000, 200).empty());
-  EXPECT_FALSE(matcher.unique_explanation(50'000, 200).has_value());
+  EXPECT_TRUE(matcher.explanations(50'000, 200).empty());
 }
 
 TEST(PartialMatcher, AmbiguityDetected) {
@@ -45,11 +45,10 @@ TEST(PartialMatcher, AmbiguityDetected) {
   PartialMatcher matcher(cat);
   const auto all = matcher.explanations(10'000, 100);
   EXPECT_EQ(all.size(), 2u);
-  EXPECT_FALSE(matcher.unique_explanation(10'000, 100).has_value());
   // But x+y+z = 20000 is unique.
-  const auto m = matcher.unique_explanation(20'000, 100);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->labels.size(), 3u);
+  const auto unique = matcher.explanations(20'000, 100);
+  ASSERT_EQ(unique.size(), 1u);
+  EXPECT_EQ(unique[0].labels.size(), 3u);
 }
 
 TEST(PartialMatcher, CertainMembersAcrossAmbiguousExplanations) {
@@ -73,9 +72,9 @@ TEST(PartialMatcher, MaxObjectsBoundsTheSearch) {
 TEST(PartialMatcher, PerObjectOverheadAccounted) {
   PartialMatcher matcher(two_entry_catalog(), /*per_object_overhead=*/100);
   // burst = 5000 + 12000 + 2*100 overhead
-  const auto m = matcher.unique_explanation(17'200, /*tolerance=*/50);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->labels.size(), 2u);
+  const auto all = matcher.explanations(17'200, /*tolerance=*/50);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].labels.size(), 2u);
 }
 
 TEST(PartialMatcher, IsidewithPairsMostlyUnique) {
@@ -87,7 +86,7 @@ TEST(PartialMatcher, IsidewithPairsMostlyUnique) {
       const std::size_t burst = web::kEmblemSizes[static_cast<std::size_t>(i)] +
                                 web::kEmblemSizes[static_cast<std::size_t>(j)];
       ++total;
-      unique += matcher.unique_explanation(burst, 150, 3).has_value();
+      unique += matcher.explanations(burst, 150, 3).size() == 1 ? 1 : 0;
     }
   }
   EXPECT_EQ(total, 28);

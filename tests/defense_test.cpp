@@ -188,7 +188,7 @@ std::uint64_t padded_transfer(const util::Bytes& body,
   pair.pump();
   EXPECT_EQ(received, body);
   EXPECT_TRUE(ended);
-  EXPECT_EQ(pair.server->blocked_stream_count(), 0u);
+  EXPECT_TRUE(pair.server->stream(stream).pending.empty());
   return pair.server_wire_bytes;
 }
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "h2priv/util/hex.hpp"
+#include "hex.hpp"
 
 namespace h2priv::h2 {
 namespace {
+
+using h2priv::testing::to_bytes;
+using h2priv::testing::to_hex;
 
 template <class T>
 T round_trip(const T& frame) {
@@ -132,7 +135,7 @@ TEST(H2Frame, GoAwayRoundTrip) {
   GoAwayFrame f;
   f.last_stream_id = 41;
   f.error = ErrorCode::kEnhanceYourCalm;
-  f.debug_data = util::to_bytes("calm down");
+  f.debug_data = to_bytes("calm down");
   const GoAwayFrame d = round_trip(f);
   EXPECT_EQ(d.last_stream_id, 41u);
   EXPECT_EQ(d.error, ErrorCode::kEnhanceYourCalm);
@@ -160,7 +163,7 @@ TEST(H2Frame, WireFormatMatchesRfcLayout) {
   f.stream_id = 1;
   f.end_stream = true;
   f.data = {0xaa, 0xbb, 0xcc};
-  EXPECT_EQ(util::to_hex(encode_frame(f)), "000003000100000001aabbcc");
+  EXPECT_EQ(to_hex(encode_frame(f)), "000003000100000001aabbcc");
 }
 
 TEST(H2FrameDecoder, HandlesArbitraryChunking) {

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/sim/rng.hpp"
-#include "h2priv/util/hex.hpp"
+#include "hex.hpp"
 
 namespace h2priv::hpack {
 namespace {
+
+using h2priv::testing::from_hex;
+using h2priv::testing::to_hex;
 
 TEST(HpackCodec, Rfc7541C4_RequestSeries) {
   Encoder enc;
@@ -21,7 +24,7 @@ TEST(HpackCodec, Rfc7541C4_RequestSeries) {
       {":method", "GET"}, {":scheme", "http"}, {":path", "/"},
       {":authority", "www.example.com"}};
   const util::Bytes b1 = enc.encode(req1);
-  EXPECT_EQ(util::to_hex(b1), "828684418cf1e3c2e5f23a6ba0ab90f4ff");
+  EXPECT_EQ(to_hex(b1), "828684418cf1e3c2e5f23a6ba0ab90f4ff");
   EXPECT_EQ(dec.decode(b1), req1);
   EXPECT_EQ(enc.table().entry_count(), 1u);
   EXPECT_EQ(enc.table().size(), 57u);
@@ -30,7 +33,7 @@ TEST(HpackCodec, Rfc7541C4_RequestSeries) {
       {":method", "GET"}, {":scheme", "http"}, {":path", "/"},
       {":authority", "www.example.com"}, {"cache-control", "no-cache"}};
   const util::Bytes b2 = enc.encode(req2);
-  EXPECT_EQ(util::to_hex(b2), "828684be5886a8eb10649cbf");
+  EXPECT_EQ(to_hex(b2), "828684be5886a8eb10649cbf");
   EXPECT_EQ(dec.decode(b2), req2);
   EXPECT_EQ(enc.table().entry_count(), 2u);
 
@@ -38,7 +41,7 @@ TEST(HpackCodec, Rfc7541C4_RequestSeries) {
       {":method", "GET"}, {":scheme", "https"}, {":path", "/index.html"},
       {":authority", "www.example.com"}, {"custom-key", "custom-value"}};
   const util::Bytes b3 = enc.encode(req3);
-  EXPECT_EQ(util::to_hex(b3), "828785bf408825a849e95ba97d7f8925a849e95bb8e8b4bf");
+  EXPECT_EQ(to_hex(b3), "828785bf408825a849e95ba97d7f8925a849e95bb8e8b4bf");
   EXPECT_EQ(dec.decode(b3), req3);
   EXPECT_EQ(enc.table().entry_count(), 3u);
   EXPECT_EQ(enc.table().size(), 164u);
@@ -47,8 +50,7 @@ TEST(HpackCodec, Rfc7541C4_RequestSeries) {
 TEST(HpackCodec, DecoderHandlesNonHuffmanLiterals) {
   // RFC C.3.1: the same first request with raw (non-Huffman) literals.
   Decoder dec;
-  const util::Bytes wire =
-      util::from_hex("828684410f7777772e6578616d706c652e636f6d");
+  const util::Bytes wire = from_hex("828684410f7777772e6578616d706c652e636f6d");
   const HeaderList out = dec.decode(wire);
   const HeaderList expect = {
       {":method", "GET"}, {":scheme", "http"}, {":path", "/"},

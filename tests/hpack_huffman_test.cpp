@@ -5,39 +5,41 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/sim/rng.hpp"
-#include "h2priv/util/hex.hpp"
+#include "hex.hpp"
 
 namespace h2priv::hpack {
 namespace {
 
+using h2priv::testing::to_hex;
+
 TEST(Huffman, Rfc7541C41_WwwExampleCom) {
-  EXPECT_EQ(util::to_hex(huffman_encode("www.example.com")), "f1e3c2e5f23a6ba0ab90f4ff");
+  EXPECT_EQ(to_hex(huffman_encode("www.example.com")), "f1e3c2e5f23a6ba0ab90f4ff");
 }
 
 TEST(Huffman, Rfc7541C42_NoCache) {
-  EXPECT_EQ(util::to_hex(huffman_encode("no-cache")), "a8eb10649cbf");
+  EXPECT_EQ(to_hex(huffman_encode("no-cache")), "a8eb10649cbf");
 }
 
 TEST(Huffman, Rfc7541C43_CustomKeyValue) {
-  EXPECT_EQ(util::to_hex(huffman_encode("custom-key")), "25a849e95ba97d7f");
-  EXPECT_EQ(util::to_hex(huffman_encode("custom-value")), "25a849e95bb8e8b4bf");
+  EXPECT_EQ(to_hex(huffman_encode("custom-key")), "25a849e95ba97d7f");
+  EXPECT_EQ(to_hex(huffman_encode("custom-value")), "25a849e95bb8e8b4bf");
 }
 
 TEST(Huffman, Rfc7541C61_ResponseStrings) {
-  EXPECT_EQ(util::to_hex(huffman_encode("302")), "6402");
-  EXPECT_EQ(util::to_hex(huffman_encode("private")), "aec3771a4b");
-  EXPECT_EQ(util::to_hex(huffman_encode("Mon, 21 Oct 2013 20:13:21 GMT")),
+  EXPECT_EQ(to_hex(huffman_encode("302")), "6402");
+  EXPECT_EQ(to_hex(huffman_encode("private")), "aec3771a4b");
+  EXPECT_EQ(to_hex(huffman_encode("Mon, 21 Oct 2013 20:13:21 GMT")),
             "d07abe941054d444a8200595040b8166e082a62d1bff");
-  EXPECT_EQ(util::to_hex(huffman_encode("https://www.example.com")),
+  EXPECT_EQ(to_hex(huffman_encode("https://www.example.com")),
             "9d29ad171863c78f0b97c8e9ae82ae43d3");
 }
 
 TEST(Huffman, Rfc7541C63_SecondResponse) {
-  EXPECT_EQ(util::to_hex(huffman_encode("307")), "640eff");
+  EXPECT_EQ(to_hex(huffman_encode("307")), "640eff");
 }
 
 TEST(Huffman, Rfc7541C64_Gzip) {
-  EXPECT_EQ(util::to_hex(huffman_encode("gzip")), "9bd9ab");
+  EXPECT_EQ(to_hex(huffman_encode("gzip")), "9bd9ab");
 }
 
 TEST(Huffman, DecodeInvertsEncode) {

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include "h2priv/util/hex.hpp"
+#include "hex.hpp"
 
 namespace h2priv::hpack {
 namespace {
+
+using h2priv::testing::from_hex;
 
 util::Bytes enc(std::uint8_t flags, int prefix, std::uint64_t value) {
   util::ByteWriter w;
@@ -20,30 +22,30 @@ std::uint64_t dec(const util::Bytes& data, int prefix) {
 }
 
 TEST(HpackInteger, Rfc7541C11_TenWithFiveBitPrefix) {
-  EXPECT_EQ(enc(0, 5, 10), util::from_hex("0a"));
-  EXPECT_EQ(dec(util::from_hex("0a"), 5), 10u);
+  EXPECT_EQ(enc(0, 5, 10), from_hex("0a"));
+  EXPECT_EQ(dec(from_hex("0a"), 5), 10u);
 }
 
 TEST(HpackInteger, Rfc7541C12_1337WithFiveBitPrefix) {
-  EXPECT_EQ(enc(0, 5, 1337), util::from_hex("1f9a0a"));
-  EXPECT_EQ(dec(util::from_hex("1f9a0a"), 5), 1337u);
+  EXPECT_EQ(enc(0, 5, 1337), from_hex("1f9a0a"));
+  EXPECT_EQ(dec(from_hex("1f9a0a"), 5), 1337u);
 }
 
 TEST(HpackInteger, Rfc7541C13_42WithEightBitPrefix) {
-  EXPECT_EQ(enc(0, 8, 42), util::from_hex("2a"));
-  EXPECT_EQ(dec(util::from_hex("2a"), 8), 42u);
+  EXPECT_EQ(enc(0, 8, 42), from_hex("2a"));
+  EXPECT_EQ(dec(from_hex("2a"), 8), 42u);
 }
 
 TEST(HpackInteger, FlagBitsPreserved) {
-  EXPECT_EQ(enc(0x80, 7, 2), util::from_hex("82"));
-  EXPECT_EQ(enc(0x40, 6, 0), util::from_hex("40"));
+  EXPECT_EQ(enc(0x80, 7, 2), from_hex("82"));
+  EXPECT_EQ(enc(0x40, 6, 0), from_hex("40"));
 }
 
 TEST(HpackInteger, BoundaryAtPrefixMax) {
   // With a 5-bit prefix, 30 fits inline; 31 needs a continuation byte.
   EXPECT_EQ(enc(0, 5, 30).size(), 1u);
-  EXPECT_EQ(enc(0, 5, 31), util::from_hex("1f00"));
-  EXPECT_EQ(dec(util::from_hex("1f00"), 5), 31u);
+  EXPECT_EQ(enc(0, 5, 31), from_hex("1f00"));
+  EXPECT_EQ(dec(from_hex("1f00"), 5), 31u);
 }
 
 TEST(HpackInteger, LargeValuesRoundTrip) {
@@ -57,14 +59,14 @@ TEST(HpackInteger, LargeValuesRoundTrip) {
 }
 
 TEST(HpackInteger, DecodeRejectsTruncation) {
-  const util::Bytes wire = util::from_hex("1f");  // continuation expected
+  const util::Bytes wire = from_hex("1f");  // continuation expected
   util::ByteReader r(wire);
   EXPECT_THROW((void)decode_integer(r, 5), util::OutOfBounds);
 }
 
 TEST(HpackInteger, DecodeRejectsOverflow) {
   // 5-bit prefix then 10 continuation bytes of 0xff.
-  util::Bytes wire = util::from_hex("1f");
+  util::Bytes wire = from_hex("1f");
   for (int i = 0; i < 10; ++i) wire.push_back(0xff);
   wire.push_back(0x7f);
   util::ByteReader r(wire);

@@ -13,7 +13,7 @@ using util::microseconds;
 using util::milliseconds;
 
 Packet make_packet(std::size_t payload, Direction dir = Direction::kClientToServer) {
-  return Packet{1, dir, util::patterned_bytes(payload, 0)};
+  return Packet{1, dir, util::SharedBytes::copy_of(util::patterned_bytes(payload, 0))};
 }
 
 struct Arrival {

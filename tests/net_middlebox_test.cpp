@@ -11,7 +11,7 @@ using util::microseconds;
 using util::milliseconds;
 
 Packet make_packet(std::size_t payload, Direction dir) {
-  return Packet{1, dir, util::patterned_bytes(payload, 0)};
+  return Packet{1, dir, util::SharedBytes::copy_of(util::patterned_bytes(payload, 0))};
 }
 
 struct MbFixture {

@@ -6,6 +6,7 @@
 
 #include "h2priv/analysis/ground_truth.hpp"
 #include "h2priv/h2/connection.hpp"
+#include "h2priv/obs/metrics.hpp"
 #include "stack_pair.hpp"
 
 namespace h2priv::server {
@@ -21,6 +22,7 @@ struct ServerFixture {
   analysis::GroundTruth truth;
   std::unique_ptr<H2Server> server;
   std::unique_ptr<h2::Connection> client;  // raw h2 client over the stack
+  std::size_t responses_completed = 0;
 
   explicit ServerFixture(ServerConfig config = {}) {
     site.add("/small.html", "text/html", 2'000, util::microseconds(200));
@@ -28,6 +30,9 @@ struct ServerFixture {
     site.add("/big-b.bin", "application/octet-stream", 200'000, util::microseconds(200));
     server = std::make_unique<H2Server>(stack.sim(), site, config, *stack.server_tls,
                                         sim::Rng(5), &truth);
+    server->on_response_complete = [this](web::ObjectId, std::uint32_t) {
+      ++responses_completed;
+    };
     client = std::make_unique<h2::Connection>(
         h2::Role::kClient,
         h2::ConnectionConfig{.local_settings = {.initial_window_size = 1 << 20},
@@ -71,7 +76,7 @@ TEST(H2Server, ServesObjectWithCorrectHeadersAndBody) {
   EXPECT_EQ(headers[0].value, "200");
   EXPECT_EQ(headers[1].value, "text/html");
   EXPECT_EQ(headers[2].value, "2000");
-  EXPECT_EQ(f.server->stats().responses_completed, 1u);
+  EXPECT_EQ(f.responses_completed, 1u);
 }
 
 TEST(H2Server, UnknownPathGets404) {
@@ -85,7 +90,7 @@ TEST(H2Server, UnknownPathGets404) {
   f.stack.run_for(seconds(2));
   ASSERT_EQ(headers.size(), 1u);
   EXPECT_EQ(headers[0].value, "404");
-  EXPECT_EQ(f.server->stats().not_found, 1u);
+  EXPECT_EQ(f.responses_completed, 0u);
 }
 
 TEST(H2Server, RoundRobinInterleavesConcurrentResponses) {
@@ -97,7 +102,7 @@ TEST(H2Server, RoundRobinInterleavesConcurrentResponses) {
   (void)f.get("/big-a.bin");
   (void)f.get("/big-b.bin");
   f.stack.run_for(seconds(20));
-  ASSERT_EQ(f.server->stats().responses_completed, 2u);
+  ASSERT_EQ(f.responses_completed, 2u);
   const auto* a = f.truth.primary_instance(2);
   const auto* b = f.truth.primary_instance(3);
   ASSERT_NE(a, nullptr);
@@ -115,7 +120,7 @@ TEST(H2Server, SequentialPolicySerializesResponses) {
   (void)f.get("/big-a.bin");
   (void)f.get("/big-b.bin");
   f.stack.run_for(seconds(20));
-  ASSERT_EQ(f.server->stats().responses_completed, 2u);
+  ASSERT_EQ(f.responses_completed, 2u);
   EXPECT_EQ(f.truth.degree_of_multiplexing(f.truth.primary_instance(2)->id), 0.0);
   EXPECT_EQ(f.truth.degree_of_multiplexing(f.truth.primary_instance(3)->id), 0.0);
 }
@@ -136,6 +141,7 @@ TEST(H2Server, DuplicateRequestSpawnsSecondInstance) {
 }
 
 TEST(H2Server, RstStreamKillsHandlerMidResponse) {
+  obs::ScopedRegistry scoped;
   ServerConfig cfg;
   cfg.chunk_bytes = 1'024;
   ServerFixture f(cfg);
@@ -151,8 +157,8 @@ TEST(H2Server, RstStreamKillsHandlerMidResponse) {
   f.stack.run_for(milliseconds(25));
   f.client->rst_stream(id, h2::ErrorCode::kCancel);
   f.stack.run_for(seconds(5));
-  EXPECT_EQ(f.server->stats().streams_reset_by_peer, 1u);
-  EXPECT_EQ(f.server->stats().responses_completed, 0u);
+  EXPECT_EQ(scoped.registry().get(obs::Counter::kH2RstStreamsReceived), 1u);
+  EXPECT_EQ(f.responses_completed, 0u);
   EXPECT_LT(received, 200'000u);
   EXPECT_EQ(f.server->active_handlers(), 0u);
 }
@@ -188,6 +194,7 @@ TEST(H2Server, ResponseCompleteCallbackFires) {
 }
 
 TEST(H2Server, PushMapPushesMappedResources) {
+  obs::ScopedRegistry scoped;
   ServerConfig cfg;
   cfg.push_map["/small.html"] = {"/big-a.bin"};
   ServerFixture f(cfg);
@@ -209,11 +216,12 @@ TEST(H2Server, PushMapPushesMappedResources) {
   EXPECT_EQ(promised_id, 2u);
   EXPECT_EQ(promised_path, "/big-a.bin");
   EXPECT_EQ(bytes[promised_id], 200'000u);
-  EXPECT_EQ(f.server->stats().pushes, 1u);
-  EXPECT_EQ(f.server->stats().responses_completed, 2u);
+  EXPECT_EQ(scoped.registry().get(obs::Counter::kH2PushPromiseSent), 1u);
+  EXPECT_EQ(f.responses_completed, 2u);
 }
 
 TEST(H2Server, PushSkippedWhenAlreadyServed) {
+  obs::ScopedRegistry scoped;
   ServerConfig cfg;
   cfg.push_map["/small.html"] = {"/big-a.bin"};
   ServerFixture f(cfg);
@@ -223,10 +231,11 @@ TEST(H2Server, PushSkippedWhenAlreadyServed) {
   f.stack.run_for(seconds(10));
   (void)f.get("/small.html");
   f.stack.run_for(seconds(10));
-  EXPECT_EQ(f.server->stats().pushes, 0u);
+  EXPECT_EQ(scoped.registry().get(obs::Counter::kH2PushPromiseSent), 0u);
 }
 
 TEST(H2Server, PushRespectsClientDisable) {
+  obs::ScopedRegistry scoped;
   ServerConfig cfg;
   cfg.push_map["/small.html"] = {"/big-a.bin"};
   ServerFixture f(cfg);
@@ -246,41 +255,12 @@ TEST(H2Server, PushRespectsClientDisable) {
   f.client->on_data = [](std::uint32_t, util::BytesView, bool) {};
   (void)f.get("/small.html");
   f.stack.run_for(seconds(10));
-  EXPECT_EQ(f.server->stats().pushes, 0u);
-}
-
-TEST(H2Server, WeightedPolicyFavoursHeavyStreams) {
-  ServerConfig cfg;
-  cfg.policy = InterleavePolicy::kWeighted;
-  ServerFixture f(cfg);
-  ASSERT_TRUE(f.establish());
-  std::map<std::uint32_t, util::Bytes> bodies;
-  f.client->on_data = [&](std::uint32_t id, util::BytesView d, bool) {
-    bodies[id].insert(bodies[id].end(), d.begin(), d.end());
-  };
-  h2::PriorityFrame heavy;
-  heavy.weight = 128;  // 8 chunks per turn vs 1
-  const std::uint32_t light = f.client->send_request(
-      {{":method", "GET"}, {":scheme", "https"}, {":authority", "t"},
-       {":path", "/big-a.bin"}});
-  const std::uint32_t fat = f.client->send_request(
-      {{":method", "GET"}, {":scheme", "https"}, {":authority", "t"},
-       {":path", "/big-b.bin"}}, heavy);
-  // The heavy stream should finish its write earlier despite starting later.
-  web::ObjectId first_done = 0;
-  f.server->on_response_complete = [&](web::ObjectId id, std::uint32_t) {
-    if (first_done == 0) first_done = id;
-  };
-  f.stack.run_for(seconds(30));
-  EXPECT_EQ(bodies[light], f.site.object(2).body());
-  EXPECT_EQ(bodies[fat], f.site.object(3).body());
-  EXPECT_EQ(first_done, 3u) << "weight 128 stream completes first";
+  EXPECT_EQ(scoped.registry().get(obs::Counter::kH2PushPromiseSent), 0u);
 }
 
 TEST(H2Server, PolicyNamesForDiagnostics) {
   EXPECT_STREQ(to_string(InterleavePolicy::kRoundRobin), "round-robin");
   EXPECT_STREQ(to_string(InterleavePolicy::kSequential), "sequential");
-  EXPECT_STREQ(to_string(InterleavePolicy::kWeighted), "weighted");
 }
 
 class PolicySweep : public ::testing::TestWithParam<InterleavePolicy> {};
@@ -305,8 +285,7 @@ TEST_P(PolicySweep, AllPoliciesDeliverCorrectBytes) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep,
                          ::testing::Values(InterleavePolicy::kRoundRobin,
-                                           InterleavePolicy::kSequential,
-                                           InterleavePolicy::kWeighted));
+                                           InterleavePolicy::kSequential));
 
 }  // namespace
 }  // namespace h2priv::server

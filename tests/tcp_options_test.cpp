@@ -3,6 +3,8 @@
 // detection crisp. These cases pin that: small writes leave at once, full
 // segments are never held, every data segment is ACKed on arrival, and
 // out-of-order data draws the duplicate ACKs loss recovery needs.
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "h2priv/tcp/connection.hpp"
@@ -21,13 +23,14 @@ TEST(TcpNagle, DisabledSendsImmediately) {
   cfg.delay = milliseconds(20);
   TcpPair pair(cfg);
   ASSERT_TRUE(pair.establish());
-  pair.server->on_data = [](util::BytesView) {};
-  const std::uint64_t before = pair.client->stats().data_segments_sent;
+  // Each segment arrives in order on a lossless path: one delivery apiece.
+  std::vector<std::size_t> deliveries;
+  pair.server->on_data = [&](util::BytesView d) { deliveries.push_back(d.size()); };
   for (int i = 0; i < 10; ++i) {
     pair.client->send(util::patterned_bytes(10, static_cast<std::uint32_t>(i)));
   }
   pair.run_for(seconds(2));
-  EXPECT_EQ(pair.client->stats().data_segments_sent - before, 10u);
+  EXPECT_EQ(deliveries, std::vector<std::size_t>(10, 10));
 }
 
 TEST(TcpNagle, FullSegmentsAreNeverHeld) {
@@ -66,7 +69,7 @@ TEST(TcpDelayedAck, OutOfOrderDataStillAckedImmediately) {
   feed();
   pair.run_for(seconds(120));
   EXPECT_EQ(got, payload) << "loss recovery must still work";
-  EXPECT_GT(pair.server->stats().dup_acks_sent, 0u)
+  EXPECT_GT(pair.client->stats().retransmits_fast, 0u)
       << "dup ACKs are the loss signal";
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/sim/rng.hpp"
+#include "hex.hpp"
 
 namespace h2priv::tcp {
 namespace {
+
+using h2priv::testing::to_bytes;
 
 util::Bytes slice(const util::Bytes& all, std::size_t from, std::size_t len) {
   return util::Bytes(all.begin() + static_cast<std::ptrdiff_t>(from),
@@ -18,85 +21,85 @@ util::Bytes copy(util::BytesView v) { return util::Bytes(v.begin(), v.end()); }
 
 TEST(Reassembly, InOrderDeliversImmediately) {
   Reassembly r(0);
-  const util::Bytes out = copy(r.offer(0, util::to_bytes("hello")));
-  EXPECT_EQ(out, util::to_bytes("hello"));
+  const util::Bytes out = copy(r.offer(0, to_bytes("hello")));
+  EXPECT_EQ(out, to_bytes("hello"));
   EXPECT_EQ(r.rcv_nxt(), 5u);
   EXPECT_FALSE(r.has_gaps());
 }
 
 TEST(Reassembly, InOrderOfferIsAViewIntoTheCallersBytes) {
   Reassembly r(10);
-  const util::Bytes first = util::to_bytes("hello");
+  const util::Bytes first = to_bytes("hello");
   const util::BytesView out = r.offer(10, first);
   EXPECT_EQ(out.data(), first.data());
   EXPECT_EQ(out.size(), first.size());
   // A retransmitted head ("lo") ahead of new bytes: the view starts at the
   // first undelivered byte, still inside the caller's buffer.
-  const util::Bytes second = util::to_bytes("loworld");
+  const util::Bytes second = to_bytes("loworld");
   const util::BytesView tail = r.offer(13, second);
   EXPECT_EQ(tail.data(), second.data() + 2);
-  EXPECT_EQ(copy(tail), util::to_bytes("world"));
+  EXPECT_EQ(copy(tail), to_bytes("world"));
   EXPECT_EQ(r.rcv_nxt(), 20u);
   EXPECT_EQ(r.buffered_bytes(), 0u);
 }
 
 TEST(Reassembly, OutOfOrderBuffersUntilGapFills) {
   Reassembly r(0);
-  EXPECT_TRUE(r.offer(5, util::to_bytes("world")).empty());
+  EXPECT_TRUE(r.offer(5, to_bytes("world")).empty());
   EXPECT_TRUE(r.has_gaps());
   EXPECT_EQ(r.buffered_bytes(), 5u);
-  const util::Bytes out = copy(r.offer(0, util::to_bytes("hello")));
-  EXPECT_EQ(out, util::to_bytes("helloworld"));
+  const util::Bytes out = copy(r.offer(0, to_bytes("hello")));
+  EXPECT_EQ(out, to_bytes("helloworld"));
   EXPECT_EQ(r.rcv_nxt(), 10u);
   EXPECT_EQ(r.buffered_bytes(), 0u);
 }
 
 TEST(Reassembly, DuplicateSegmentsAreAbsorbed) {
   Reassembly r(0);
-  (void)r.offer(0, util::to_bytes("abc"));
-  EXPECT_TRUE(r.offer(0, util::to_bytes("abc")).empty());
+  (void)r.offer(0, to_bytes("abc"));
+  EXPECT_TRUE(r.offer(0, to_bytes("abc")).empty());
   EXPECT_EQ(r.rcv_nxt(), 3u);
 }
 
 TEST(Reassembly, PartiallyOldSegmentDeliversOnlyNewTail) {
   Reassembly r(0);
-  (void)r.offer(0, util::to_bytes("abc"));
-  const util::Bytes out = copy(r.offer(1, util::to_bytes("bcde")));
-  EXPECT_EQ(out, util::to_bytes("de"));
+  (void)r.offer(0, to_bytes("abc"));
+  const util::Bytes out = copy(r.offer(1, to_bytes("bcde")));
+  EXPECT_EQ(out, to_bytes("de"));
   EXPECT_EQ(r.rcv_nxt(), 5u);
 }
 
 TEST(Reassembly, OverlapWithBufferedSegmentTrimsBothSides) {
   Reassembly r(0);
-  EXPECT_TRUE(r.offer(4, util::to_bytes("efgh")).empty());
+  EXPECT_TRUE(r.offer(4, to_bytes("efgh")).empty());
   // Overlaps buffered [4,8) on its left edge and extends right.
-  EXPECT_TRUE(r.offer(6, util::to_bytes("ghij")).empty());
-  const util::Bytes out = copy(r.offer(0, util::to_bytes("abcd")));
-  EXPECT_EQ(out, util::to_bytes("abcdefghij"));
+  EXPECT_TRUE(r.offer(6, to_bytes("ghij")).empty());
+  const util::Bytes out = copy(r.offer(0, to_bytes("abcd")));
+  EXPECT_EQ(out, to_bytes("abcdefghij"));
 }
 
 TEST(Reassembly, SegmentBridgingTwoBufferedPieces) {
   Reassembly r(0);
-  EXPECT_TRUE(r.offer(2, util::to_bytes("cd")).empty());
-  EXPECT_TRUE(r.offer(6, util::to_bytes("gh")).empty());
+  EXPECT_TRUE(r.offer(2, to_bytes("cd")).empty());
+  EXPECT_TRUE(r.offer(6, to_bytes("gh")).empty());
   // Bridges both: covers [2,8).
-  EXPECT_TRUE(r.offer(2, util::to_bytes("cdefgh")).empty());
-  const util::Bytes out = copy(r.offer(0, util::to_bytes("ab")));
-  EXPECT_EQ(out, util::to_bytes("abcdefgh"));
+  EXPECT_TRUE(r.offer(2, to_bytes("cdefgh")).empty());
+  const util::Bytes out = copy(r.offer(0, to_bytes("ab")));
+  EXPECT_EQ(out, to_bytes("abcdefgh"));
 }
 
 TEST(Reassembly, FullyCoveredSegmentIsDropped) {
   Reassembly r(0);
-  EXPECT_TRUE(r.offer(2, util::to_bytes("cdef")).empty());
-  EXPECT_TRUE(r.offer(3, util::to_bytes("de")).empty());
+  EXPECT_TRUE(r.offer(2, to_bytes("cdef")).empty());
+  EXPECT_TRUE(r.offer(3, to_bytes("de")).empty());
   EXPECT_EQ(r.buffered_bytes(), 4u);
 }
 
 TEST(Reassembly, NonZeroInitialSequence) {
   Reassembly r(1'000);
-  EXPECT_TRUE(r.offer(500, util::to_bytes("old")).empty()) << "below rcv_nxt: ignored";
-  const util::Bytes out = copy(r.offer(1'000, util::to_bytes("xy")));
-  EXPECT_EQ(out, util::to_bytes("xy"));
+  EXPECT_TRUE(r.offer(500, to_bytes("old")).empty()) << "below rcv_nxt: ignored";
+  const util::Bytes out = copy(r.offer(1'000, to_bytes("xy")));
+  EXPECT_EQ(out, to_bytes("xy"));
   EXPECT_EQ(r.rcv_nxt(), 1'002u);
 }
 
@@ -108,22 +111,22 @@ TEST(Reassembly, EmptyOfferIsHarmless) {
 
 TEST(Reassembly, DivergentRetransmissionKeepsFirstArrival) {
   Reassembly r(0);
-  EXPECT_TRUE(r.offer(2, util::to_bytes("XY")).empty());
+  EXPECT_TRUE(r.offer(2, to_bytes("XY")).empty());
   // Covers the buffered bytes with different ones: the buffered ones win.
-  EXPECT_EQ(copy(r.offer(0, util::to_bytes("abcdef"))), util::to_bytes("abXYef"));
+  EXPECT_EQ(copy(r.offer(0, to_bytes("abcdef"))), to_bytes("abXYef"));
 }
 
 TEST(Reassembly, SegmentFarPastTheWindowIsDroppedNotBuffered) {
   Reassembly r(1);
-  (void)r.offer(3, util::to_bytes("cd"));  // a real gap, buffered
+  (void)r.offer(3, to_bytes("cd"));  // a real gap, buffered
   ASSERT_EQ(r.buffered_bytes(), 2u);
   // A hostile sequence jump (e.g. a crafted .h2t): dropped without growing
   // the window to reach it.
-  EXPECT_TRUE(r.offer(1 + (std::uint64_t{1} << 40), util::to_bytes("zz")).empty());
+  EXPECT_TRUE(r.offer(1 + (std::uint64_t{1} << 40), to_bytes("zz")).empty());
   EXPECT_EQ(r.buffered_bytes(), 2u);
   EXPECT_EQ(r.rcv_nxt(), 1u);
   // Later in-order data still arrives, with the earlier gap's bytes.
-  EXPECT_EQ(copy(r.offer(1, util::to_bytes("ab"))), util::to_bytes("abcd"));
+  EXPECT_EQ(copy(r.offer(1, to_bytes("ab"))), to_bytes("abcd"));
   EXPECT_EQ(r.buffered_bytes(), 0u);
   EXPECT_FALSE(r.has_gaps());
 }
@@ -131,10 +134,10 @@ TEST(Reassembly, SegmentFarPastTheWindowIsDroppedNotBuffered) {
 TEST(Reassembly, WindowBoundIsInclusive) {
   Reassembly r(0);
   // Ends exactly kMaxWindow past rcv_nxt: buffered.
-  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow - 1, util::to_bytes("x")).empty());
+  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow - 1, to_bytes("x")).empty());
   EXPECT_EQ(r.buffered_bytes(), 1u);
   // One byte further: dropped.
-  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow, util::to_bytes("y")).empty());
+  EXPECT_TRUE(r.offer(Reassembly::kMaxWindow, to_bytes("y")).empty());
   EXPECT_EQ(r.buffered_bytes(), 1u);
 }
 

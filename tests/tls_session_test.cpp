@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "segment.hpp"
 #include "stack_pair.hpp"
 
 namespace h2priv::tls {
@@ -95,7 +96,7 @@ TEST(TlsSession, ClosePropagates) {
     client_closed = true;
     reason = r;
   };
-  stack.transport.server->abort();
+  testing::deliver_rst(*stack.transport.client);
   stack.run_for(seconds(1));
   EXPECT_TRUE(client_closed);
   EXPECT_EQ(reason, tcp::CloseReason::kReset);

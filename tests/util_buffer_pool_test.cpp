@@ -105,14 +105,6 @@ TEST(SharedBytes, AliasingViewsSurvivePoolChurn) {
   EXPECT_TRUE(std::equal(held.begin(), held.end(), pattern.begin(), pattern.end()));
 }
 
-TEST(SharedBytes, ImplicitFromBytesIsAnIndependentCopy) {
-  Bytes b = patterned_bytes(32, 5);
-  const SharedBytes s = b;  // compat shim: copies into a heap chunk
-  b[0] ^= 0xff;
-  const Bytes expect = patterned_bytes(32, 5);
-  EXPECT_TRUE(std::equal(s.begin(), s.end(), expect.begin(), expect.end()));
-}
-
 TEST(ByteWriter, PooledTakeSharedHandsChunkOffZeroCopy) {
   BufferPool pool;
   ByteWriter w(pool, 64);

@@ -85,7 +85,7 @@ TEST(ByteReader, BytesAndRestViews) {
   const BytesView head = r.bytes(2);
   EXPECT_EQ(head[0], 1);
   EXPECT_EQ(head[1], 2);
-  const BytesView rest = r.rest();
+  const BytesView rest = r.bytes(r.remaining());
   EXPECT_EQ(rest.size(), 3u);
   EXPECT_EQ(rest[2], 5);
   EXPECT_TRUE(r.done());
@@ -142,12 +142,6 @@ TEST(LittleEndian64, StoresLowByteFirstAtAnyAlignment) {
     }
     EXPECT_EQ(load_le64(buf + at), 0x0807060504030201ull);
   }
-}
-
-TEST(ToBytes, ConvertsString) {
-  const Bytes b = to_bytes("hi");
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b[0], 'h');
 }
 
 class ByteRoundTrip : public ::testing::TestWithParam<std::size_t> {};

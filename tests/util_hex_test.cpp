@@ -1,9 +1,12 @@
-#include "h2priv/util/hex.hpp"
+// The test-support text <-> byte helpers (tests/support/hex.hpp).
+#include "hex.hpp"
 
 #include <gtest/gtest.h>
 
-namespace h2priv::util {
+namespace h2priv::testing {
 namespace {
+
+using util::Bytes;
 
 TEST(Hex, EncodesLowercase) {
   const Bytes data = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x0f};
@@ -28,9 +31,15 @@ TEST(Hex, RejectsNonHex) {
 }
 
 TEST(Hex, RoundTrip) {
-  const Bytes data = patterned_bytes(333, 9);
+  const Bytes data = util::patterned_bytes(333, 9);
   EXPECT_EQ(from_hex(to_hex(data)), data);
 }
 
+TEST(ToBytes, ConvertsString) {
+  const Bytes b = to_bytes("hi");
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b[0], 'h');
+}
+
 }  // namespace
-}  // namespace h2priv::util
+}  // namespace h2priv::testing

@@ -16,14 +16,14 @@
 //   h2priv_trace score --corpus DIR --jobs 4 --classifier knn --out report.txt
 //   h2priv_trace grid --root DIR --runs 20 --gate --out grid.txt
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -96,14 +96,28 @@ void print_summary(const capture::TraceSummary& s, const char* heading) {
   std::printf("\n");
 }
 
+/// The one number parser: `text` must be all decimal digits (no sign, no
+/// blanks, nothing after them) and fit in T. Leaves `out` alone on failure.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
+
 /// Where one `--flag value` argument lands, parsed as the target's type:
-/// text as is, int with atoi, uint64 with strtoull.
+/// text as is, numbers through parse_number.
 using FlagTarget = std::variant<std::string*, int*, std::uint64_t*>;
 
 /// The one flag reader: walks `args` in order, storing each `--flag value`
 /// pair into its target and setting each bare switch; a repeated flag keeps
 /// its last value. Any other argument, or a flag without its value, prints
-/// "<cmd>: bad argument X" and returns false.
+/// "<cmd>: bad argument X" and returns false; so does a numeric flag whose
+/// value parse_number rejects ("<cmd>: bad argument --flag VALUE").
 bool read_flags(const char* cmd, const std::vector<std::string>& args,
                 std::initializer_list<std::pair<std::string_view, FlagTarget>> flags,
                 std::initializer_list<std::pair<std::string_view, bool*>> switches = {}) {
@@ -121,12 +135,19 @@ bool read_flags(const char* cmd, const std::vector<std::string>& args,
       return false;
     }
     const std::string& value = args[++i];
-    if (auto* const* text = std::get_if<std::string*>(&flag->second)) {
-      **text = value;
-    } else if (auto* const* number = std::get_if<int*>(&flag->second)) {
-      **number = std::atoi(value.c_str());
-    } else {
-      *std::get<std::uint64_t*>(flag->second) = std::strtoull(value.c_str(), nullptr, 10);
+    const bool parsed = std::visit(
+        [&value](auto* target) {
+          if constexpr (std::is_same_v<decltype(target), std::string*>) {
+            *target = value;
+            return true;
+          } else {
+            return parse_number(value, *target);
+          }
+        },
+        flag->second);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: bad argument %s %s\n", cmd, a.c_str(), value.c_str());
+      return false;
     }
   }
   return true;
@@ -582,7 +603,11 @@ int cmd_fleet_sweep(const std::vector<std::string>& args) {
   options.parallelism = parallelism;
   std::vector<std::size_t> sizes_mb;
   for (const std::string& mb : split_list(cache_sizes)) {
-    sizes_mb.push_back(static_cast<std::size_t>(std::strtoull(mb.c_str(), nullptr, 10)));
+    if (!parse_number(mb, sizes_mb.emplace_back())) {
+      std::fprintf(stderr, "fleet-sweep: bad argument --cache-sizes %s\n",
+                   cache_sizes.c_str());
+      return 2;
+    }
   }
   if (!sizes_mb.empty()) options.cache_sizes_mb = std::move(sizes_mb);
   const fleet::SweepResult result = fleet::run_sweep(options);
