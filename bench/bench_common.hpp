@@ -16,6 +16,7 @@
 #include "h2priv/core/parallel_runner.hpp"
 #include "h2priv/obs/export.hpp"
 #include "h2priv/obs/metrics.hpp"
+#include "h2priv/util/parse_number.hpp"
 
 namespace h2priv::bench {
 
@@ -38,27 +39,48 @@ struct Harness {
   }
 };
 
+/// Prints "<bench>: bad argument WHAT" and exits 2, as h2priv_trace does
+/// for an argument it cannot parse.
+[[noreturn]] inline void bad_argument(const char* argv0, const std::string& what) {
+  const char* slash = std::strrchr(argv0, '/');
+  std::fprintf(stderr, "%s: bad argument %s\n", slash != nullptr ? slash + 1 : argv0,
+               what.c_str());
+  std::exit(2);
+}
+
 /// Parses bench CLI options and arms the harness. Accepted forms:
-///   <runs>            positional, kept for the existing smoke-run idiom
+///   <runs>            positional first argument, the smoke-run idiom
 ///   --runs N
 ///   --jobs N          batch worker threads; 0 = all hardware threads
-/// plus the H2PRIV_JOBS environment variable (overridden by --jobs).
-/// Returns the run count; the paper repeats each experiment 100 times.
+/// plus the H2PRIV_JOBS environment variable (overridden by --jobs). Counts
+/// parse whole (util::parse_number) and runs are at least 1; any other
+/// argument or value is a bad_argument. Returns the run count; the paper
+/// repeats each experiment 100 times.
 inline int runs_from_argv(int argc, char** argv, int fallback = 100) {
   Harness& h = Harness::instance();
   h.runs = fallback;
   h.jobs = core::Parallelism::from_env();
+  const auto count = [argv](int at, int min, const std::string& what) {
+    int n = 0;
+    if (!util::parse_number(argv[at], n) || n < min) bad_argument(argv[0], what);
+    return n;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      h.jobs.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      h.runs = std::atoi(argv[++i]);
-    } else if (i == 1) {
-      const int n = std::atoi(argv[i]);
-      if (n > 0) h.runs = n;
+    const std::string arg = argv[i];
+    if ((arg == "--jobs" || arg == "--runs") && i + 1 < argc) {
+      ++i;
+      const std::string what = arg + " " + argv[i];
+      if (arg == "--jobs") {
+        h.jobs.jobs = count(i, 0, what);
+      } else {
+        h.runs = count(i, 1, what);
+      }
+    } else if (i == 1 && !arg.starts_with("--")) {
+      h.runs = count(i, 1, arg);
+    } else {
+      bad_argument(argv[0], arg);
     }
   }
-  if (h.runs <= 0) h.runs = fallback;
   return h.runs;
 }
 

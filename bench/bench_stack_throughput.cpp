@@ -18,6 +18,7 @@
 #include <cstring>
 #include <new>
 
+#include "bench_common.hpp"
 #include "h2priv/core/monitor.hpp"
 #include "h2priv/core/topology.hpp"
 #include "h2priv/net/link.hpp"
@@ -28,6 +29,7 @@
 #include "h2priv/tcp/connection.hpp"
 #include "h2priv/tls/session.hpp"
 #include "h2priv/util/bytes.hpp"
+#include "h2priv/util/parse_number.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counters (single-threaded bench; plain counters).
@@ -207,13 +209,13 @@ void print_row(const char* name, const ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   using namespace h2priv;
+  // [MiB] or --mb MiB: a whole number of at least 1, or exit 2.
   std::uint64_t mib = 32;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--mb") == 0 && i + 1 < argc) {
-      mib = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (i == 1) {
-      const long long n = std::atoll(argv[i]);
-      if (n > 0) mib = static_cast<std::uint64_t>(n);
+    const bool flag = std::strcmp(argv[i], "--mb") == 0 && i + 1 < argc;
+    const char* value = flag ? argv[++i] : argv[i];
+    if ((!flag && i != 1) || !util::parse_number(value, mib) || mib == 0) {
+      bench::bad_argument(argv[0], flag ? std::string("--mb ") + value : value);
     }
   }
   const std::uint64_t total = mib * 1024 * 1024;

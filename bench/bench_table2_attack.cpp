@@ -22,13 +22,12 @@ int main(int argc, char** argv) {
   const bench::Batch batch = bench::run_batch(cfg, runs);
 
   // Request IATs from the plan model (paper Table II, ms).
-  const web::PlanTuning tuning;
   std::printf("%-34s | HTML ", "Object (O_curr)");
   for (int i = 1; i <= 8; ++i) std::printf("|  I%d  ", i);
   std::printf("\n%-34s | 500  ", "T(Req Ocurr)-T(Req Oprev) (ms)");
   std::printf("| 780  ");
   for (int i = 0; i < 7; ++i) {
-    std::printf("| %-4.1f ", tuning.emblem_iats[static_cast<std::size_t>(i)].millis());
+    std::printf("| %-4.1f ", web::kEmblemIats[static_cast<std::size_t>(i)].millis());
   }
   std::printf("\n");
 

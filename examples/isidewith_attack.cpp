@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.attack.drop_duration.ns / 1'000'000'000));
   std::printf("  phase 3: widen the spacing to %lld ms; read object sizes off the\n"
               "           serialized record stream\n\n",
-              static_cast<long long>(cfg.attack.phase3_spacing.ns / 1'000'000));
+              static_cast<long long>(core::kPhase3Spacing.ns / 1'000'000));
 
   const core::RunResult r = core::run_once(cfg);
 

@@ -4,6 +4,18 @@
 
 namespace h2priv::analysis {
 
+namespace {
+
+/// Bursts whose body estimate is smaller than this are control chatter, not
+/// objects.
+constexpr std::size_t kMinBodyBytes = 600;
+/// Per-DATA-frame framing overhead to subtract: the 9-byte HTTP/2 frame
+/// header, one DATA frame per record in this server's write pattern. A local
+/// constant: the adversary reads no h2/ header.
+constexpr std::size_t kFrameHeaderBytes = 9;
+
+}  // namespace
+
 std::vector<EstimatedObject> segment_bursts(std::span<const RecordObservation> records,
                                             const BurstConfig& config) {
   std::vector<EstimatedObject> bursts;
@@ -15,10 +27,10 @@ std::vector<EstimatedObject> segment_bursts(std::span<const RecordObservation> r
     // wire bytes exclude the 5-byte record headers; subtract the AEAD tag
     // per record and one HTTP/2 frame header per (DATA) record.
     const std::size_t overhead =
-        current.record_count * (tls::kAeadOverhead + config.frame_header_bytes);
+        current.record_count * (tls::kAeadOverhead + kFrameHeaderBytes);
     current.body_estimate =
         current.wire_bytes > overhead ? current.wire_bytes - overhead : 0;
-    if (current.body_estimate >= config.min_body_bytes) bursts.push_back(current);
+    if (current.body_estimate >= kMinBodyBytes) bursts.push_back(current);
     open = false;
   };
 

@@ -36,11 +36,6 @@ struct BurstConfig {
   /// Idle gap that always separates bursts (phase boundaries), even without
   /// a delimiter record.
   util::Duration gap_threshold{util::milliseconds(300)};
-  /// Bursts smaller than this are control chatter, not objects.
-  std::size_t min_body_bytes = 600;
-  /// Per-DATA-frame framing overhead to subtract (HTTP/2 frame header; one
-  /// DATA frame per record in this server's write pattern).
-  std::size_t frame_header_bytes = 9;
 };
 
 /// Segments server->client application-data records into object bursts.

@@ -13,6 +13,10 @@
 
 namespace h2priv::analysis {
 
+/// Cap on the number of lanes a timeline draws (most-overlapping first wins;
+/// TimelineOptions::focus_object lanes always survive it).
+inline constexpr std::size_t kTimelineMaxLanes = 16;
+
 struct TimelineOptions {
   /// Byte-stream window to render; end 0 = up to the last recorded byte.
   std::uint64_t begin = 0;
@@ -22,9 +26,7 @@ struct TimelineOptions {
   /// Only lanes whose instances overlap the window and carry at least this
   /// many bytes are drawn.
   std::uint64_t min_bytes = 1;
-  /// Cap on the number of lanes (most-overlapping first wins).
-  int max_lanes = 16;
-  /// Instances of this object are always drawn, regardless of the cap
+  /// Instances of this object are always drawn, regardless of the lane cap
   /// (0 = no focus object).
   web::ObjectId focus_object = 0;
 };

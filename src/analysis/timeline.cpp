@@ -56,9 +56,7 @@ std::string render_timeline(const GroundTruth& truth, const TimelineOptions& opt
     if (fa != fb) return fa;  // focus lanes survive the cap
     return a.overlap > b.overlap;
   });
-  if (static_cast<int>(lanes.size()) > options.max_lanes) {
-    lanes.resize(static_cast<std::size_t>(options.max_lanes));
-  }
+  if (lanes.size() > kTimelineMaxLanes) lanes.resize(kTimelineMaxLanes);
   // Draw in first-byte order for readability.
   std::sort(lanes.begin(), lanes.end(), [](const Lane& a, const Lane& b) {
     const auto sa = a.instance->span();

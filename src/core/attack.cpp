@@ -24,7 +24,7 @@ void Attack::enter_phase3() {
   timeline_.drops_ended = sim_.now();
   controller_.stop_drops();
   if (config_.enable_spacing) {
-    controller_.set_request_spacing(config_.phase3_spacing);
+    controller_.set_request_spacing(kPhase3Spacing);
   }
 }
 

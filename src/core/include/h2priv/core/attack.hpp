@@ -5,7 +5,7 @@
 //   phase 2: at the target GET (the 6th — the results HTML), throttle the
 //            path to 800 Mbps and drop 80% of server->client application
 //            packets for 6 s, forcing the client into a stream reset.
-//   phase 3: when the drop window ends, widen the spacing to 80 ms so the
+//   phase 3: when the drop window ends, widen the spacing to 130 ms so the
 //            re-requested HTML and the 8 emblem images transmit serialized.
 //
 // The timeline markers it records are what the ObjectPredictor needs to
@@ -19,6 +19,11 @@
 
 namespace h2priv::core {
 
+/// Phase-3 request spacing (paper: 80 ms). On this model's 40 ms-RTT path a
+/// catch-up response needs 2-3 RTTs, so 80 ms leaves marginal overlap; 130 ms
+/// restores the paper's serialization margin (DESIGN.md §5a).
+inline constexpr util::Duration kPhase3Spacing = util::milliseconds(130);
+
 struct AttackConfig {
   /// 1-based index of the GET carrying the object of interest (paper: 6).
   int target_get_index = 6;
@@ -26,7 +31,6 @@ struct AttackConfig {
   util::BitRate phase2_bandwidth{util::megabits_per_second(800)};
   double drop_fraction = 0.8;
   util::Duration drop_duration{util::seconds(6)};
-  util::Duration phase3_spacing{util::milliseconds(130)};
 
   // Stage toggles (for the ablation bench).
   bool enable_spacing = true;

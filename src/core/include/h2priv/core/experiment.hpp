@@ -57,15 +57,6 @@ struct FleetConfig {
   /// Cache capacity of the reverse-proxy tier in MiB (0 = cache off: every
   /// request pays the full origin miss penalty profile of a lone client).
   std::size_t cache_mb = 0;
-  /// Freshness lifetime of a cached object; between ttl and 2*ttl a hit is
-  /// served stale-while-revalidate style (kStale outcome).
-  util::Duration cache_ttl{util::seconds(30)};
-  /// Client page loads start uniformly spread over this window, so the
-  /// shared cache sees realistic interleaving instead of a thundering herd.
-  util::Duration start_spread{util::milliseconds(500)};
-  /// Extra origin latency a cache miss pays at the proxy (a stale
-  /// revalidation pays half). Zero with cache_mb == 0.
-  util::Duration miss_penalty{util::milliseconds(12)};
 
   [[nodiscard]] bool enabled() const noexcept { return clients > 0; }
 };

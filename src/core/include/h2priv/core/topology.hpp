@@ -35,12 +35,10 @@ struct PathConfig {
   double background_loss = 0.0004;
 
   /// Gateway-egress contention (toward the client): bursts above this many
-  /// packets per window suffer drop-tail loss. Upstream shaping (the
-  /// adversary's bandwidth limit) smooths arrivals under the threshold —
-  /// the paper's Fig. 5 mechanism. 0 disables.
+  /// packets per 1 ms window suffer drop-tail loss (topology.cpp). Upstream
+  /// shaping (the adversary's bandwidth limit) smooths arrivals under the
+  /// threshold — the paper's Fig. 5 mechanism. 0 disables.
   int egress_burst_capacity = 70;       // ~840 Mbps sustained in 1 ms windows
-  util::Duration egress_burst_window{util::milliseconds(1)};
-  double egress_burst_loss = 0.5;
 };
 
 /// The four links, in the order the constructor forks their Rngs.

@@ -9,6 +9,11 @@ namespace {
 constexpr std::uint16_t kClientPort = 49'152;
 constexpr std::uint16_t kServerPort = 443;
 
+/// Gateway-egress contention window and the loss each packet above
+/// PathConfig::egress_burst_capacity in one window suffers.
+constexpr util::Duration kEgressBurstWindow = util::milliseconds(1);
+constexpr double kEgressBurstLoss = 0.5;
+
 net::LinkConfig link_config(const PathConfig& path, Hop hop) {
   net::LinkConfig c;
   const bool client_side = hop == Hop::kClientToGateway || hop == Hop::kGatewayToClient;
@@ -19,8 +24,8 @@ net::LinkConfig link_config(const PathConfig& path, Hop hop) {
   if (hop == Hop::kGatewayToClient) {
     // The gateway's egress toward the client is the shared, contended hop.
     c.burst_capacity_packets = path.egress_burst_capacity;
-    c.burst_window = path.egress_burst_window;
-    c.burst_excess_loss = path.egress_burst_loss;
+    c.burst_window = kEgressBurstWindow;
+    c.burst_excess_loss = kEgressBurstLoss;
   }
   return c;
 }

@@ -61,7 +61,7 @@ struct ScoreOptions {
   /// Feature families folded into each trace's profile (analysis::Feature
   /// bits). The default reproduces the classic burst-size profile.
   unsigned features = analysis::kFeatureBursts;
-  /// Neighbourhood size for Classifier::kKnn.
+  /// Neighbourhood size for Classifier::kKnn; at least 1.
   std::size_t knn_k = 3;
   /// Train/eval split: seeds with seed % train_mod == 0 train the model,
   /// every other seed evaluates. 1 trains on everything (no eval split);
@@ -150,7 +150,8 @@ struct ScoreReport {
 };
 
 /// Runs the two-phase pipeline over `corpus`. Throws capture::TraceError on
-/// unreadable or malformed traces.
+/// unreadable or malformed traces, and std::invalid_argument for
+/// Classifier::kKnn with knn_k == 0 (no neighbour could vote).
 [[nodiscard]] ScoreReport score_corpus(const Corpus& corpus,
                                        const ScoreOptions& options);
 

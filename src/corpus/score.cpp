@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
@@ -85,10 +86,8 @@ TraceScore score_fleet(const capture::TraceFile& trace,
   ts.summary.monitor_packets = trace.packet_count();
 
   const std::vector<capture::DemuxedConn> conns = capture::demux_fleet(trace);
-  const std::vector<capture::FleetConn>& fleet = trace.fleet();
   ts.conns.reserve(conns.size());
-  for (std::size_t k = 0; k < conns.size(); ++k) {
-    const capture::DemuxedConn& conn = conns[k];
+  for (const capture::DemuxedConn& conn : conns) {
     const core::ObjectPredictor predictor(conn.records_s2c,
                                           core::isidewith_catalog());
     ConnScore cs;
@@ -97,7 +96,7 @@ TraceScore score_fleet(const capture::TraceFile& trace,
         conn.meta, conn.info.truth, predictor,
         static_cast<std::uint64_t>(conn.packets.size()),
         capture::count_gets(conn.records_c2s));
-    cs.matches_stored_summary = cs.summary == fleet[k].summary;
+    cs.matches_stored_summary = cs.summary == conn.info.summary;
     ts.matches_stored_summary &= cs.matches_stored_summary;
     ts.summary.monitor_gets += cs.summary.monitor_gets;
     ts.summary.sequence_positions_correct +=
@@ -107,12 +106,10 @@ TraceScore score_fleet(const capture::TraceFile& trace,
 
   if (options.replay_verify) {
     ts.replay_verified = true;
-    const std::vector<capture::ReplayResult> replays =
-        capture::replay_fleet(trace);
-    for (std::size_t k = 0; k < replays.size(); ++k) {
-      ts.replay_verified &= replays[k].records_match &&
-                            replays[k].summary_matches &&
-                            replays[k].summary == ts.conns[k].summary;
+    for (std::size_t k = 0; k < conns.size(); ++k) {
+      const capture::ReplayResult r = capture::replay_conn(conns[k]);
+      ts.replay_verified &= r.records_match && r.summary_matches &&
+                            r.summary == ts.conns[k].summary;
     }
   }
   obs::count(obs::Counter::kCorpusTracesScored);
@@ -256,6 +253,9 @@ std::vector<CurvePoint> build_curve(const std::vector<TraceScore>& traces) {
 }  // namespace
 
 ScoreReport score_corpus(const Corpus& corpus, const ScoreOptions& options) {
+  if (options.classifier == Classifier::kKnn && options.knn_k == 0) {
+    throw std::invalid_argument("score_corpus: knn_k must be at least 1");
+  }
   ScoreReport report;
   report.scenario = corpus.manifest.scenario;
   report.base_seed = corpus.manifest.base_seed;

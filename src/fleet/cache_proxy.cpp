@@ -1,66 +1,55 @@
 #include "h2priv/fleet/cache_proxy.hpp"
 
+#include <iterator>
+
 namespace h2priv::fleet {
 
-CacheProxy::CacheProxy(sim::Simulator& sim, CacheProxyConfig config)
-    : sim_(sim), config_(config) {}
+CacheOutcome CacheProxy::request(util::TimePoint now, const std::string& path,
+                                 std::size_t size) {
+  // Hard expiry at the end of the stale window. Strict: an arrival at the
+  // very instant the window ends is still served stale.
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const auto next = std::next(it);
+    if (it->second.fresh_until + kCacheTtl < now) evict(it);
+    it = next;
+  }
 
-CacheOutcome CacheProxy::request(const std::string& path, std::size_t size) {
   const auto it = entries_.find(path);
   if (it == entries_.end()) {
     ++stats_.misses;
-    insert(path, size);
+    insert(now, path, size);
     return CacheOutcome::kMiss;
   }
 
   Entry& e = it->second;
   // LRU touch on every access.
   lru_.splice(lru_.begin(), lru_, e.lru_it);
-  if (sim_.now() < e.fresh_until) {
+  if (now < e.fresh_until) {
     ++stats_.hits;
     return CacheOutcome::kHit;
   }
-  // Stale window [ttl, 2*ttl): serve stale, revalidation makes it fresh
-  // again — cancel the pending expiry and re-arm from now.
+  // Stale window [ttl, 2*ttl]: serve stale, revalidation makes it fresh
+  // again from now.
   ++stats_.stale;
-  sim_.cancel(e.expiry);
-  e.fresh_until = sim_.now() + config_.ttl;
-  arm_expiry(path, e);
+  e.fresh_until = now + kCacheTtl;
   return CacheOutcome::kStale;
 }
 
-void CacheProxy::insert(const std::string& path, std::size_t size) {
-  if (size > config_.capacity_bytes) return;  // uncacheable; pass through
-  while (resident_bytes_ + size > config_.capacity_bytes && !lru_.empty()) {
-    evict(entries_.find(lru_.back()), /*count_eviction=*/true);
+void CacheProxy::insert(util::TimePoint now, const std::string& path, std::size_t size) {
+  if (size > capacity_bytes_) return;  // uncacheable; pass through
+  while (resident_bytes_ + size > capacity_bytes_ && !lru_.empty()) {
+    evict(entries_.find(lru_.back()));
   }
-  Entry e;
-  e.size = size;
-  e.fresh_until = sim_.now() + config_.ttl;
   lru_.push_front(path);
-  e.lru_it = lru_.begin();
-  auto [slot, inserted] = entries_.emplace(path, std::move(e));
-  arm_expiry(path, slot->second);
+  entries_.emplace(path, Entry{size, now + kCacheTtl, lru_.begin()});
   resident_bytes_ += size;
 }
 
-void CacheProxy::evict(std::map<std::string, Entry>::iterator it,
-                       bool count_eviction) {
-  sim_.cancel(it->second.expiry);
+void CacheProxy::evict(std::map<std::string, Entry>::iterator it) {
   resident_bytes_ -= it->second.size;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
-  if (count_eviction) ++stats_.evictions;
-}
-
-void CacheProxy::arm_expiry(const std::string& path, Entry& e) {
-  // Hard expiry at the end of the stale window. Revalidation cancels and
-  // re-arms; eviction cancels. The captured path keys the lookup, so a slot
-  // reused by a later insert is found by its own (newer) event only.
-  e.expiry = sim_.schedule_at(e.fresh_until + config_.ttl, [this, path] {
-    const auto it = entries_.find(path);
-    if (it != entries_.end()) evict(it, /*count_eviction=*/true);
-  });
+  ++stats_.evictions;
 }
 
 }  // namespace h2priv::fleet

@@ -18,6 +18,13 @@ namespace h2priv::fleet {
 
 namespace {
 
+/// Client page loads start uniformly spread over this window, so the shared
+/// cache sees realistic interleaving instead of a thundering herd.
+constexpr util::Duration kStartSpread = util::milliseconds(500);
+/// Extra origin latency a cache miss pays at the proxy (a stale revalidation
+/// pays half).
+constexpr util::Duration kMissPenalty = util::milliseconds(12);
+
 /// One modeled request arrival at the cache tier (admission pre-pass).
 struct Arrival {
   std::int64_t when_ns = 0;
@@ -62,9 +69,7 @@ struct CachePrepass {
 };
 
 /// The serial admission pre-pass: every cross-client cache decision happens
-/// here, in global (time, client) order, on one CacheProxy driven by a
-/// private simulator — TTL expiries interleave with arrivals through the
-/// event heap exactly as timestamps dictate.
+/// here, in global (time, client) order, on one CacheProxy.
 CachePrepass run_prepass(const core::RunConfig& config,
                          const std::vector<ClientProfile>& profiles,
                          const web::IsideWithSite& site) {
@@ -83,27 +88,19 @@ CachePrepass run_prepass(const core::RunConfig& config,
                      return a.client < b.client;
                    });
 
-  sim::Simulator cache_sim;
-  CacheProxyConfig proxy_cfg;
-  proxy_cfg.capacity_bytes = config.fleet.cache_mb * 1024 * 1024;
-  proxy_cfg.ttl = config.fleet.cache_ttl;
-  CacheProxy proxy(cache_sim, proxy_cfg);
-  const util::Duration miss_penalty = config.fleet.miss_penalty;
-
+  CacheProxy proxy(config.fleet.cache_mb * 1024 * 1024);
   for (const Arrival& a : arrivals) {
-    cache_sim.schedule_at(util::TimePoint{a.when_ns}, [&pp, &proxy, miss_penalty, a] {
-      const CacheOutcome o = proxy.request(a.obj->path, a.obj->size);
-      const auto c = static_cast<std::size_t>(a.client);
-      ++pp.counts[c][static_cast<std::size_t>(o)];
-      util::Duration extra{};
-      if (o == CacheOutcome::kMiss) extra = miss_penalty;
-      if (o == CacheOutcome::kStale) extra = miss_penalty / 2;
-      // First outcome per (client, path) wins: browser re-GETs after resets
-      // must see the same delay every time (origin_delay purity rule).
-      pp.delays[c].emplace(a.obj->path, extra);
-    });
+    const CacheOutcome o =
+        proxy.request(util::TimePoint{a.when_ns}, a.obj->path, a.obj->size);
+    const auto c = static_cast<std::size_t>(a.client);
+    ++pp.counts[c][static_cast<std::size_t>(o)];
+    util::Duration extra{};
+    if (o == CacheOutcome::kMiss) extra = kMissPenalty;
+    if (o == CacheOutcome::kStale) extra = kMissPenalty / 2;
+    // First outcome per (client, path) wins: browser re-GETs after resets
+    // must see the same delay every time (origin_delay purity rule).
+    pp.delays[c].emplace(a.obj->path, extra);
   }
-  cache_sim.run();
   pp.stats = proxy.stats();
   return pp;
 }
@@ -209,7 +206,7 @@ std::vector<ClientProfile> plan_fleet(const core::RunConfig& config) {
   for (int i = 0; i < config.fleet.clients; ++i) {
     ClientProfile p;
     p.seed = rng.next();
-    p.start_offset = rng.uniform_duration({}, config.fleet.start_spread);
+    p.start_offset = rng.uniform_duration({}, kStartSpread);
     p.client_hop_delay =
         rng.uniform_duration(util::milliseconds(1), util::milliseconds(5));
     p.server_hop_delay =

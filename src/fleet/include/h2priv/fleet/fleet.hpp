@@ -10,7 +10,7 @@
 //     path profiles derive from one fleet Rng chain; each client's request
 //     arrival schedule is modeled from its (deterministically re-derivable)
 //     page-load plan; the globally time-sorted arrival sequence drives one
-//     CacheProxy on a private simulator. The pre-pass output is a per-client
+//     CacheProxy in a plain loop. The pre-pass output is a per-client
 //     path -> CacheOutcome map.
 //  2. Per-client page loads then run through the unmodified core::run_once
 //     in a parallel_for — each is a self-contained simulation whose only

@@ -14,8 +14,8 @@
 namespace h2priv::fleet {
 
 struct SweepOptions {
-  /// Base config for every point: seed, scenario knobs, fleet.clients and
-  /// fleet timing fields are honored; fleet.cache_mb is overridden per point.
+  /// Base config for every point: seed, scenario knobs and fleet.clients
+  /// are honored; fleet.cache_mb is overridden per point.
   core::RunConfig config{};
   /// Cache sizes to sweep, in MiB; 0 = cache off (the single-client-equivalent
   /// baseline point).

@@ -1,7 +1,5 @@
 #include "h2priv/hpack/codec.hpp"
 
-#include <algorithm>
-
 #include "h2priv/hpack/huffman.hpp"
 #include "h2priv/hpack/integer.hpp"
 #include "h2priv/hpack/static_table.hpp"
@@ -14,17 +12,13 @@ namespace {
 constexpr std::uint8_t kIndexed = 0x80;            // 1xxxxxxx, 7-bit prefix
 constexpr std::uint8_t kLiteralIncremental = 0x40; // 01xxxxxx, 6-bit prefix
 constexpr std::uint8_t kTableSizeUpdate = 0x20;    // 001xxxxx, 5-bit prefix
-constexpr std::uint8_t kLiteralNeverIndexed = 0x10;// 0001xxxx, 4-bit prefix
-// Literal without indexing: 0000xxxx, 4-bit prefix (pattern 0x00).
+// Literal without indexing (0000xxxx) and never-indexed (0001xxxx), both with
+// a 4-bit prefix: only a peer sends them; the decoder reads them alike.
 }  // namespace
 
 void Encoder::resize_table(std::size_t capacity) {
   pending_resize_ = capacity;
   table_.set_capacity(capacity);
-}
-
-bool Encoder::is_sensitive(std::string_view name) const {
-  return std::find(sensitive_.begin(), sensitive_.end(), name) != sensitive_.end();
 }
 
 void Encoder::encode_string(util::ByteWriter& w, std::string_view s) {
@@ -50,17 +44,6 @@ util::Bytes Encoder::encode(const HeaderList& headers) {
 }
 
 void Encoder::encode_one(util::ByteWriter& w, const Header& h) {
-  if (is_sensitive(h.name)) {
-    if (const auto name_idx = static_find_name(h.name)) {
-      encode_integer(w, kLiteralNeverIndexed, 4, *name_idx);
-    } else {
-      encode_integer(w, kLiteralNeverIndexed, 4, 0);
-      encode_string(w, h.name);
-    }
-    encode_string(w, h.value);
-    return;
-  }
-
   // Full match: indexed representation.
   if (const auto idx = static_find(h.name, h.value)) {
     encode_integer(w, kIndexed, 7, *idx);

@@ -1,6 +1,8 @@
 // HPACK encoder/decoder (RFC 7541 §6): indexed fields, literals with and
 // without incremental indexing, never-indexed literals, dynamic table size
-// updates, and Huffman string literals when they shrink the output.
+// updates, and Huffman string literals when they shrink the output. The
+// encoder emits indexed fields and literals with incremental indexing only;
+// the decoder reads every representation a peer may send.
 //
 // Encoder and decoder each own a dynamic table; one encoder must feed one
 // decoder in order (HTTP/2 guarantees this by serializing header blocks).
@@ -27,9 +29,6 @@ class Encoder {
   /// Encodes one header block.
   [[nodiscard]] util::Bytes encode(const HeaderList& headers);
 
-  /// Marks a header name as sensitive: emitted never-indexed (RFC §7.1.3).
-  void add_sensitive(std::string name) { sensitive_.push_back(std::move(name)); }
-
   /// Emits a dynamic-table size update at the start of the next block.
   void resize_table(std::size_t capacity);
 
@@ -38,10 +37,8 @@ class Encoder {
  private:
   void encode_one(util::ByteWriter& w, const Header& h);
   static void encode_string(util::ByteWriter& w, std::string_view s);
-  [[nodiscard]] bool is_sensitive(std::string_view name) const;
 
   DynamicTable table_;
-  std::vector<std::string> sensitive_;
   std::optional<std::size_t> pending_resize_;
 };
 

@@ -112,9 +112,7 @@ enum class Counter : std::uint16_t {
   kCoreResetEpisodes,
   // fleet: N-client scenarios through the shared gateway (src/fleet)
   kFleetClients,
-  // cache: the fleet reverse-proxy tier's per-request outcomes. kCacheHits..
-  // kCacheStale must stay contiguous: cache_outcome_counter() maps
-  // fleet::CacheOutcome onto this block positionally.
+  // cache: the fleet reverse-proxy tier's per-request outcomes and evictions
   kCacheHits,
   kCacheMisses,
   kCacheStale,
@@ -293,13 +291,6 @@ inline void sample(Hist h, std::uint64_t v) noexcept { current().sample(h, v); }
   constexpr auto base = static_cast<std::uint16_t>(Counter::kH2DataSent);
   return frame_type <= 9 ? static_cast<Counter>(base +
                                                 frame_type) : Counter::kH2OtherSent;
-}
-
-/// Maps a cache-proxy request outcome (fleet::CacheOutcome, encoded 0 = hit,
-/// 1 = miss, 2 = stale) onto the contiguous kCacheHits..kCacheStale block.
-[[nodiscard]] constexpr Counter cache_outcome_counter(unsigned outcome) noexcept {
-  constexpr auto base = static_cast<std::uint16_t>(Counter::kCacheHits);
-  return outcome <= 2 ? static_cast<Counter>(base + outcome) : Counter::kCacheStale;
 }
 
 }  // namespace h2priv::obs

@@ -8,7 +8,6 @@
 namespace h2priv::tcp {
 
 struct RtoConfig {
-  util::Duration initial{util::seconds(1)};
   util::Duration min{util::milliseconds(200)};
   util::Duration max{util::seconds(60)};
 };

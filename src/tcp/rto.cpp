@@ -5,8 +5,15 @@
 
 namespace h2priv::tcp {
 
+namespace {
+
+/// The timeout before the first RTT sample (RFC 6298 §2.1).
+constexpr util::Duration kInitialRto = util::seconds(1);
+
+}  // namespace
+
 RtoEstimator::RtoEstimator(RtoConfig config) noexcept
-    : config_(config), base_rto_(config.initial) {}
+    : config_(config), base_rto_(kInitialRto) {}
 
 void RtoEstimator::sample(util::Duration rtt) noexcept {
   if (!has_sample_) {

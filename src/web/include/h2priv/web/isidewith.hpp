@@ -26,6 +26,16 @@ inline constexpr int kResultsHtmlRequestIndex = 6;
 inline constexpr std::array<std::size_t, kPartyCount> kEmblemSizes = {
     5'120, 6'656, 8'192, 9'728, 11'264, 12'800, 14'336, 16'384};
 
+/// Script execution delay before the first emblem request (Table II: 780 ms).
+inline constexpr util::Duration kScriptDelay = util::milliseconds(780);
+
+/// Inter-arrival times between emblem requests 2..8 (Table II, microseconds
+/// resolution): 0.4, 2, 0.3, 0.1, 0.3, 2, 0.5 ms.
+inline constexpr std::array<util::Duration, kPartyCount - 1> kEmblemIats = {
+    util::microseconds(400), util::microseconds(2'000), util::microseconds(300),
+    util::microseconds(100), util::microseconds(300),   util::microseconds(2'000),
+    util::microseconds(500)};
+
 struct IsideWithSite {
   Site site;
   ObjectId results_html = 0;
@@ -44,31 +54,14 @@ struct IsideWithSite {
 /// transmissions are serialized, at a bandwidth cost).
 [[nodiscard]] IsideWithSite build_isidewith_site(bool pad_sensitive_objects = false);
 
-/// Timing knobs for plan generation (defaults reproduce the paper setup).
+/// The plan knob a caller may change (the default reproduces the paper
+/// setup); every other plan timing is a constant (above, and isidewith.cpp).
 struct PlanTuning {
-  /// Mean/extremes of the browser's gaps between ordinary asset requests.
-  /// Embedded objects are requested in a dense burst as the parser finds
-  /// them — this density is what keeps several responses in flight at once
-  /// and produces the ~98% baseline degree of multiplexing.
-  util::Duration asset_gap_mean{util::microseconds(1'500)};
-  util::Duration asset_gap_max{util::milliseconds(40)};
-  /// Gap before the results HTML request (Table II row 1: 500 ms).
-  util::Duration html_gap{util::milliseconds(500)};
   /// With this probability the browser pauses (parser/render yield) before
   /// the request following the HTML, leaving the HTML's generation window
   /// free of competing responses — the natural serialization behind the
   /// paper's 32% baseline "not multiplexed" rate (Table I, row 1).
   double post_html_pause_probability = 0.35;
-  util::Duration post_html_pause_min{util::milliseconds(60)};
-  util::Duration post_html_pause_max{util::milliseconds(250)};
-  /// Script execution delay before the first emblem request (Table II: 780 ms).
-  util::Duration script_delay{util::milliseconds(780)};
-  /// Inter-arrival times between emblem requests 2..8 (Table II, microseconds
-  /// resolution): 0.4, 2, 0.3, 0.1, 0.3, 2, 0.5 ms.
-  std::array<util::Duration, kPartyCount - 1> emblem_iats = {
-      util::microseconds(400), util::microseconds(2'000), util::microseconds(300),
-      util::microseconds(100), util::microseconds(300),   util::microseconds(2'000),
-      util::microseconds(500)};
 };
 
 struct IsideWithPlan {
@@ -78,7 +71,7 @@ struct IsideWithPlan {
 };
 
 /// Builds one page-load plan. The party order (the user's survey outcome) and
-/// the ordinary asset gaps are drawn from `rng`; emblem IATs follow tuning.
+/// the ordinary asset gaps are drawn from `rng`; emblem IATs are kEmblemIats.
 [[nodiscard]] IsideWithPlan build_isidewith_plan(const IsideWithSite& site, sim::Rng& rng,
                                                  const PlanTuning& tuning = {});
 

@@ -5,6 +5,23 @@
 
 namespace h2priv::web {
 
+namespace {
+
+/// Mean/extremes of the browser's gaps between ordinary asset requests.
+/// Embedded objects are requested in a dense burst as the parser finds
+/// them — this density is what keeps several responses in flight at once
+/// and produces the ~98% baseline degree of multiplexing.
+constexpr util::Duration kAssetGapMean = util::microseconds(1'500);
+constexpr util::Duration kAssetGapMax = util::milliseconds(40);
+/// Gap before the results HTML request (Table II row 1: 500 ms).
+constexpr util::Duration kHtmlGap = util::milliseconds(500);
+/// Range of the optional pause before the request following the HTML
+/// (PlanTuning::post_html_pause_probability).
+constexpr util::Duration kPostHtmlPauseMin = util::milliseconds(60);
+constexpr util::Duration kPostHtmlPauseMax = util::milliseconds(250);
+
+}  // namespace
+
 IsideWithSite build_isidewith_site(bool pad_sensitive_objects) {
   IsideWithSite s;
   const auto padded = [pad_sensitive_objects](std::size_t n) {
@@ -63,8 +80,8 @@ IsideWithPlan build_isidewith_plan(const IsideWithSite& site, sim::Rng& rng,
   std::copy(shuffled.begin(), shuffled.end(), order.begin());
   out.party_order = order;
 
-  const auto asset_gap = [&rng, &tuning]() {
-    return std::min(rng.exponential(tuning.asset_gap_mean), tuning.asset_gap_max);
+  const auto asset_gap = [&rng]() {
+    return std::min(rng.exponential(kAssetGapMean), kAssetGapMax);
   };
 
   RequestPlan& plan = out.plan;
@@ -75,12 +92,11 @@ IsideWithPlan build_isidewith_plan(const IsideWithSite& site, sim::Rng& rng,
     plan.items.push_back({objects[static_cast<std::size_t>(i - 1)].id,
                           i == 1 ? util::Duration{} : asset_gap(), false});
   }
-  plan.items.push_back({site.results_html,
-                        rng.jittered(tuning.html_gap, tuning.html_gap / 10), false});
+  plan.items.push_back({site.results_html, rng.jittered(kHtmlGap, kHtmlGap / 10), false});
   for (std::size_t i = 6; i < 6 + 34; ++i) {
     util::Duration gap = asset_gap();
     if (i == 6 && rng.chance(tuning.post_html_pause_probability)) {
-      gap = rng.uniform_duration(tuning.post_html_pause_min, tuning.post_html_pause_max);
+      gap = rng.uniform_duration(kPostHtmlPauseMin, kPostHtmlPauseMax);
     }
     plan.items.push_back({objects[i].id, gap, false});
   }
@@ -88,13 +104,12 @@ IsideWithPlan build_isidewith_plan(const IsideWithSite& site, sim::Rng& rng,
   // Phase 2 (deferred): the emblem images, requested by script after the
   // HTML completes, in display order, with Table II's inter-arrival times.
   plan.trigger_object = site.results_html;
-  plan.trigger_delay = tuning.script_delay;
+  plan.trigger_delay = kScriptDelay;
   for (int pos = 0; pos < kPartyCount; ++pos) {
     const int party = order[static_cast<std::size_t>(pos)];
     plan.items.push_back(
         {site.emblems[static_cast<std::size_t>(party)],
-         pos ==
-             0 ? util::Duration{} : tuning.emblem_iats[static_cast<std::size_t>(pos - 1)],
+         pos == 0 ? util::Duration{} : kEmblemIats[static_cast<std::size_t>(pos - 1)],
          true});
   }
   return out;

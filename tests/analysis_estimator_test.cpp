@@ -70,7 +70,7 @@ TEST(Estimator, LongIdleGapSplitsEvenWithoutDelimiter) {
 TEST(Estimator, TinyControlBurstsFiltered) {
   std::vector<RecordObservation> recs;
   recs.push_back(header_record(0));
-  recs.push_back(app_record(1, 200));  // below min_body_bytes
+  recs.push_back(app_record(1, 200));  // below the 600-byte burst floor
   const auto bursts = segment_bursts(recs);
   EXPECT_TRUE(bursts.empty());
 }

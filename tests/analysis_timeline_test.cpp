@@ -55,8 +55,9 @@ TEST(Timeline, WindowClipsLanes) {
 
 TEST(Timeline, MaxLanesKeepsFocusObject) {
   GroundTruth gt;
-  // Many big instances, one tiny focus object.
-  for (int i = 0; i < 10; ++i) {
+  // More big instances than the lane cap, one tiny focus object.
+  constexpr int kBig = static_cast<int>(kTimelineMaxLanes) + 4;
+  for (int i = 0; i < kBig; ++i) {
     const InstanceId id =
         gt.register_instance(static_cast<web::ObjectId>(100 + i), 1, false);
     gt.record_data(id, h2::WireSpan{static_cast<std::uint64_t>(i) * 10'000,
@@ -68,12 +69,17 @@ TEST(Timeline, MaxLanesKeepsFocusObject) {
   gt.mark_complete(tiny);
 
   TimelineOptions opt;
-  opt.max_lanes = 3;
   opt.focus_object = 7;
   opt.min_bytes = 1;
   const std::string out = render_timeline(gt, opt);
   EXPECT_NE(out.find("obj   7"), std::string::npos)
       << "focus object survives the lane cap";
+  std::size_t lanes = 0;
+  for (std::size_t at = out.find("\nobj "); at != std::string::npos;
+       at = out.find("\nobj ", at + 1)) {
+    ++lanes;
+  }
+  EXPECT_EQ(lanes, kTimelineMaxLanes);
 }
 
 TEST(Timeline, RenderAroundObjectCentersWindow) {

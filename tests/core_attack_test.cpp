@@ -89,7 +89,7 @@ TEST(Attack, FallbackTimerEndsDropWindowAndWidensSpacing) {
   f.sim.run_until(f.sim.now() + seconds(2));
   EXPECT_FALSE(f.controller.drops_active());
   ASSERT_TRUE(attack.timeline().drops_ended.has_value());
-  EXPECT_EQ(f.controller.request_spacing().ns, cfg.phase3_spacing.ns);
+  EXPECT_EQ(f.controller.request_spacing().ns, kPhase3Spacing.ns);
 }
 
 TEST(Attack, ResetDetectionEndsDropsEarly) {
@@ -109,7 +109,7 @@ TEST(Attack, ResetDetectionEndsDropsEarly) {
   EXPECT_FALSE(f.controller.drops_active());
   ASSERT_TRUE(attack.timeline().drops_ended.has_value());
   EXPECT_LT(attack.timeline().drops_ended->seconds(), 2.0);
-  EXPECT_EQ(f.controller.request_spacing().ns, cfg.phase3_spacing.ns);
+  EXPECT_EQ(f.controller.request_spacing().ns, kPhase3Spacing.ns);
 }
 
 TEST(Attack, ResetBeforeTriggerIsIgnored) {

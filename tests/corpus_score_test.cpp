@@ -3,6 +3,7 @@
 // byte-identical for any --jobs count, and the train/eval split, classifier
 // verdicts and confidence-ranked curves must fold deterministically.
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,14 @@ TEST(CorpusScore, ClassifierNamesRoundTrip) {
     EXPECT_EQ(*back, c);
   }
   EXPECT_FALSE(classifier_from_name("svm").has_value());
+}
+
+TEST(CorpusScore, KnnWithZeroNeighboursIsRejected) {
+  // A k of 0 would label nothing and report an empty eval split.
+  ScoreOptions options;
+  options.classifier = Classifier::kKnn;
+  options.knn_k = 0;
+  EXPECT_THROW((void)score_corpus(Corpus{}, options), std::invalid_argument);
 }
 
 TEST(CorpusScore, ReportAndMetricsByteIdenticalAcrossJobs) {

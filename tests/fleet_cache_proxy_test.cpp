@@ -1,141 +1,94 @@
-// CacheProxy semantics: TTL freshness transitions driven by sim events,
-// stale-while-revalidate refresh, byte-capacity LRU eviction, and the
-// oversize pass-through rule. Every test drives the proxy through a
-// sim::Simulator so request arrivals and expiry events interleave in exact
-// timestamp order, the way run_fleet's serial pre-pass runs it.
+// CacheProxy semantics: TTL freshness transitions applied at the next
+// arrival, stale-while-revalidate refresh, byte-capacity LRU eviction, and
+// the oversize pass-through rule. Every test feeds the proxy arrivals in
+// time order, the way run_fleet's serial pre-pass does.
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "h2priv/fleet/cache_proxy.hpp"
-#include "h2priv/sim/simulator.hpp"
 #include "h2priv/util/units.hpp"
 
 namespace h2priv::fleet {
 namespace {
 
-constexpr util::Duration kTtl = util::seconds(10);
-
-/// Schedules one request at `at` and records its outcome.
-void request_at(sim::Simulator& sim, CacheProxy& proxy, util::Duration at,
-                std::string path, std::size_t size,
-                std::vector<CacheOutcome>& out) {
-  sim.schedule(at, [&proxy, &out, path = std::move(path), size] {
-    out.push_back(proxy.request(path, size));
-  });
-}
+util::TimePoint at(util::Duration d) { return util::TimePoint{} + d; }
 
 TEST(FleetCacheProxy, MissThenHitWithinTtl) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{1 << 20, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/a", 1'000, outcomes);
-  request_at(sim, proxy, util::seconds(1), "/a", 1'000, outcomes);
-  request_at(sim, proxy, util::seconds(9), "/a", 1'000, outcomes);
-  // Residency probed mid-run: sim.run() drains the heap, so by the end the
-  // entry's own TTL expiry event has already removed it.
-  sim.schedule(util::seconds(9) + util::milliseconds(1), [&] {
-    EXPECT_EQ(proxy.resident_objects(), 1u);
-    EXPECT_EQ(proxy.resident_bytes(), 1'000u);
-  });
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[1], CacheOutcome::kHit);
-  EXPECT_EQ(outcomes[2], CacheOutcome::kHit);
+  CacheProxy proxy(1 << 20);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 1'000), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(util::seconds(1)), "/a", 1'000), CacheOutcome::kHit);
+  EXPECT_EQ(proxy.request(at(util::seconds(9)), "/a", 1'000), CacheOutcome::kHit);
   EXPECT_EQ(proxy.stats().hits, 2u);
   EXPECT_EQ(proxy.stats().misses, 1u);
-  EXPECT_EQ(proxy.resident_objects(), 0u);  // expired once the heap drained
+  // Nothing expires without an arrival to notice it: the entry stays.
+  EXPECT_EQ(proxy.resident_objects(), 1u);
+  EXPECT_EQ(proxy.resident_bytes(), 1'000u);
 }
 
 TEST(FleetCacheProxy, StaleWindowServesAndRevalidates) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{1 << 20, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/a", 500, outcomes);    // miss
-  request_at(sim, proxy, util::seconds(11), "/a", 500, outcomes);   // stale
-  // Revalidation at t=11 refreshed the entry, so t=12 is inside the new
+  CacheProxy proxy(1 << 20);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 500), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(kCacheTtl + util::seconds(1)), "/a", 500),
+            CacheOutcome::kStale);
+  // Revalidation refreshed the entry, so one second later is inside the new
   // freshness window — a plain hit, not stale again.
-  request_at(sim, proxy, util::seconds(12), "/a", 500, outcomes);
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[1], CacheOutcome::kStale);
-  EXPECT_EQ(outcomes[2], CacheOutcome::kHit);
+  EXPECT_EQ(proxy.request(at(kCacheTtl + util::seconds(2)), "/a", 500),
+            CacheOutcome::kHit);
   EXPECT_EQ(proxy.stats().stale, 1u);
 }
 
-TEST(FleetCacheProxy, ExpiryEventRemovesEntryAfterTwiceTtl) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{1 << 20, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/a", 500, outcomes);    // miss
-  // Past 2*ttl the expiry event has already fired: the entry is gone and the
-  // request re-misses (and re-inserts).
-  request_at(sim, proxy, util::seconds(21), "/a", 500, outcomes);
-  sim.schedule(util::seconds(21) + util::milliseconds(1), [&] {
-    EXPECT_EQ(proxy.stats().evictions, 1u);   // only the first TTL expiry
-    EXPECT_EQ(proxy.resident_objects(), 1u);  // the re-insert
-  });
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[1], CacheOutcome::kMiss);
-  EXPECT_EQ(proxy.stats().evictions, 2u);  // the re-insert expired too
-  EXPECT_EQ(proxy.resident_objects(), 0u);
+TEST(FleetCacheProxy, ArrivalAtTheExpiryInstantIsServedStale) {
+  CacheProxy proxy(1 << 20);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 500), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(kCacheTtl * 2), "/a", 500), CacheOutcome::kStale);
+  EXPECT_EQ(proxy.stats().evictions, 0u);
+}
+
+TEST(FleetCacheProxy, ExpiredEntryIsEvictedAtNextArrival) {
+  CacheProxy proxy(1 << 20);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 500), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/b", 500), CacheOutcome::kMiss);
+  // Past 2*ttl both entries are gone: the arrival evicts them, counts both,
+  // then re-misses and re-inserts its own object.
+  const util::TimePoint later = at(kCacheTtl * 2 + util::nanoseconds(1));
+  EXPECT_EQ(proxy.request(later, "/a", 500), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.stats().evictions, 2u);
+  EXPECT_EQ(proxy.resident_objects(), 1u);  // the re-insert
+  EXPECT_EQ(proxy.resident_bytes(), 500u);
 }
 
 TEST(FleetCacheProxy, LruEvictionPrefersLeastRecentlyUsed) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{1'000, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/a", 400, outcomes);  // miss
-  request_at(sim, proxy, util::seconds(1), "/b", 400, outcomes);  // miss
-  request_at(sim, proxy, util::seconds(2), "/a", 400, outcomes);  // hit: /a now MRU
-  request_at(sim, proxy, util::seconds(3), "/c", 400, outcomes);  // miss: evicts /b
-  request_at(sim, proxy, util::seconds(4), "/a", 400, outcomes);  // hit: survived
-  request_at(sim, proxy, util::seconds(5), "/b", 400, outcomes);  // miss: was evicted
-  sim.schedule(util::seconds(5) + util::milliseconds(1), [&] {
-    // Capacity holds two 400-byte objects; two LRU evictions so far (the
-    // TTL expiries of whatever remains fire much later).
-    EXPECT_LE(proxy.resident_bytes(), 1'000u);
-    EXPECT_EQ(proxy.resident_objects(), 2u);
-    EXPECT_EQ(proxy.stats().evictions, 2u);
-  });
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 6u);
-  EXPECT_EQ(outcomes[2], CacheOutcome::kHit);
-  EXPECT_EQ(outcomes[3], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[4], CacheOutcome::kHit);
-  EXPECT_EQ(outcomes[5], CacheOutcome::kMiss);
+  CacheProxy proxy(1'000);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 400), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(util::seconds(1)), "/b", 400), CacheOutcome::kMiss);
+  // Hit: /a is now the most recently used.
+  EXPECT_EQ(proxy.request(at(util::seconds(2)), "/a", 400), CacheOutcome::kHit);
+  // Miss: evicts /b.
+  EXPECT_EQ(proxy.request(at(util::seconds(3)), "/c", 400), CacheOutcome::kMiss);
+  // Hit: /a survived.
+  EXPECT_EQ(proxy.request(at(util::seconds(4)), "/a", 400), CacheOutcome::kHit);
+  // Miss: /b was evicted.
+  EXPECT_EQ(proxy.request(at(util::seconds(5)), "/b", 400), CacheOutcome::kMiss);
+  // Capacity holds two 400-byte objects; two LRU evictions, no expiry.
+  EXPECT_LE(proxy.resident_bytes(), 1'000u);
+  EXPECT_EQ(proxy.resident_objects(), 2u);
+  EXPECT_EQ(proxy.stats().evictions, 2u);
 }
 
 TEST(FleetCacheProxy, OversizeObjectPassesThroughUncached) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{1'000, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/big", 2'000, outcomes);
-  request_at(sim, proxy, util::seconds(1), "/big", 2'000, outcomes);
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[1], CacheOutcome::kMiss);
+  CacheProxy proxy(1'000);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/big", 2'000), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(util::seconds(1)), "/big", 2'000), CacheOutcome::kMiss);
   EXPECT_EQ(proxy.resident_objects(), 0u);
   EXPECT_EQ(proxy.resident_bytes(), 0u);
   EXPECT_EQ(proxy.stats().evictions, 0u);
 }
 
 TEST(FleetCacheProxy, ZeroCapacityIsCacheOff) {
-  sim::Simulator sim;
-  CacheProxy proxy(sim, CacheProxyConfig{0, kTtl});
-  std::vector<CacheOutcome> outcomes;
-  request_at(sim, proxy, util::seconds(0), "/a", 1, outcomes);
-  request_at(sim, proxy, util::seconds(1), "/a", 1, outcomes);
-  sim.run();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0], CacheOutcome::kMiss);
-  EXPECT_EQ(outcomes[1], CacheOutcome::kMiss);
+  CacheProxy proxy(0);
+  EXPECT_EQ(proxy.request(at(util::seconds(0)), "/a", 1), CacheOutcome::kMiss);
+  EXPECT_EQ(proxy.request(at(util::seconds(1)), "/a", 1), CacheOutcome::kMiss);
   EXPECT_EQ(proxy.resident_objects(), 0u);
 }
 

@@ -91,10 +91,9 @@ TEST(IsideWith, HtmlIsTheSixthRequest) {
 TEST(IsideWith, EmblemsAreDeferredWithTableIiIats) {
   const IsideWithSite s = build_isidewith_site();
   sim::Rng rng(3);
-  const PlanTuning tuning;
-  const IsideWithPlan plan = build_isidewith_plan(s, rng, tuning);
+  const IsideWithPlan plan = build_isidewith_plan(s, rng);
   EXPECT_EQ(plan.plan.trigger_object, s.results_html);
-  EXPECT_EQ(plan.plan.trigger_delay.ns, tuning.script_delay.ns);
+  EXPECT_EQ(plan.plan.trigger_delay.ns, kScriptDelay.ns);
 
   std::vector<RequestPlan::Item> deferred;
   for (const auto& item : plan.plan.items) {
@@ -104,7 +103,7 @@ TEST(IsideWith, EmblemsAreDeferredWithTableIiIats) {
   EXPECT_EQ(deferred[0].gap_before.ns, 0);
   for (int i = 1; i < 8; ++i) {
     EXPECT_EQ(deferred[static_cast<std::size_t>(i)].gap_before.ns,
-              tuning.emblem_iats[static_cast<std::size_t>(i - 1)].ns);
+              kEmblemIats[static_cast<std::size_t>(i - 1)].ns);
   }
   // Request order == party display order.
   for (int pos = 0; pos < 8; ++pos) {

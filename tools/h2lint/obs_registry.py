@@ -20,9 +20,8 @@ ACRONYMS holds the tokens whose canonical form does not split (GoAway is
 one RFC 7540 frame name, not two words).
 
 Counters referenced only inside metrics.hpp mapping helpers (e.g.
-h2_frame_sent_counter's contiguous kH2DataSent..kH2OtherSent block, or
-cache_outcome_counter's kCacheHits..kCacheStale block) count as
-incremented: the inclusive enum range between the anchors a helper names
+h2_frame_sent_counter's contiguous kH2DataSent..kH2OtherSent block) count
+as incremented: the inclusive enum range between the anchors a helper names
 is block-covered, PER HELPER BODY — ranges never span from one helper's
 anchors to another's, so counters that merely sit between two unrelated
 blocks in the enum stay visible to the dead-counter check.

@@ -16,7 +16,6 @@
 //   h2priv_trace score --corpus DIR --jobs 4 --classifier knn --out report.txt
 //   h2priv_trace grid --root DIR --runs 20 --gate --out grid.txt
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -41,6 +40,7 @@
 #include "h2priv/defense/grid.hpp"
 #include "h2priv/fleet/fleet.hpp"
 #include "h2priv/fleet/sweep.hpp"
+#include "h2priv/util/parse_number.hpp"
 
 using namespace h2priv;
 
@@ -96,21 +96,8 @@ void print_summary(const capture::TraceSummary& s, const char* heading) {
   std::printf("\n");
 }
 
-/// The one number parser: `text` must be all decimal digits (no sign, no
-/// blanks, nothing after them) and fit in T. Leaves `out` alone on failure.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end) return false;
-  out = value;
-  return true;
-}
-
 /// Where one `--flag value` argument lands, parsed as the target's type:
-/// text as is, numbers through parse_number.
+/// text as is, numbers through util::parse_number.
 using FlagTarget = std::variant<std::string*, int*, std::uint64_t*>;
 
 /// The one flag reader: walks `args` in order, storing each `--flag value`
@@ -141,7 +128,7 @@ bool read_flags(const char* cmd, const std::vector<std::string>& args,
             *target = value;
             return true;
           } else {
-            return parse_number(value, *target);
+            return util::parse_number(value, *target);
           }
         },
         flag->second);
@@ -291,6 +278,10 @@ int cmd_score(const std::vector<std::string>& args) {
                    {"--classifier", &classifier}, {"--features", &features},
                    {"--k", &knn_k}, {"--train-mod", &options.train_mod}, {"--out", &out}},
                   {{"--replay-verify", &options.replay_verify}})) {
+    return 2;
+  }
+  if (knn_k < 1) {
+    std::fprintf(stderr, "score: bad argument --k %d\n", knn_k);
     return 2;
   }
   options.knn_k = static_cast<std::size_t>(knn_k);
@@ -603,7 +594,7 @@ int cmd_fleet_sweep(const std::vector<std::string>& args) {
   options.parallelism = parallelism;
   std::vector<std::size_t> sizes_mb;
   for (const std::string& mb : split_list(cache_sizes)) {
-    if (!parse_number(mb, sizes_mb.emplace_back())) {
+    if (!util::parse_number(mb, sizes_mb.emplace_back())) {
       std::fprintf(stderr, "fleet-sweep: bad argument --cache-sizes %s\n",
                    cache_sizes.c_str());
       return 2;
