@@ -52,14 +52,20 @@ struct Harness {
 ///   <runs>            positional first argument, the smoke-run idiom
 ///   --runs N
 ///   --jobs N          batch worker threads; 0 = all hardware threads
-/// plus the H2PRIV_JOBS environment variable (overridden by --jobs). Counts
-/// parse whole (util::parse_number) and runs are at least 1; any other
-/// argument or value is a bad_argument. Returns the run count; the paper
-/// repeats each experiment 100 times.
+/// plus the H2PRIV_JOBS environment variable, read like --jobs and
+/// overridden by it; unset means all hardware threads. Counts parse whole
+/// (util::parse_number) and runs are at least 1; any other argument or
+/// value, H2PRIV_JOBS's included, is a bad_argument. Returns the run count;
+/// the paper repeats each experiment 100 times.
 inline int runs_from_argv(int argc, char** argv, int fallback = 100) {
   Harness& h = Harness::instance();
   h.runs = fallback;
-  h.jobs = core::Parallelism::from_env();
+  h.jobs = core::Parallelism{0};
+  if (const char* env = std::getenv("H2PRIV_JOBS")) {
+    if (!util::parse_number(env, h.jobs.jobs)) {
+      bad_argument(argv[0], std::string("H2PRIV_JOBS=") + env);
+    }
+  }
   const auto count = [argv](int at, int min, const std::string& what) {
     int n = 0;
     if (!util::parse_number(argv[at], n) || n < min) bad_argument(argv[0], what);

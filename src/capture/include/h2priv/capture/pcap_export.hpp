@@ -3,8 +3,8 @@
 // own tooling. The simulator's wire format is not IP, so Ethernet + IPv4 +
 // TCP headers are reconstructed: addresses/ports are fixed per direction
 // (10.0.0.1:49152 <-> 10.0.0.2:443), seq/ack/flags come from the
-// observation, payload bytes are zeros of the observed length (the
-// ciphertext itself is never stored), and both IP and TCP checksums are
+// observation, payload bytes are zeros of the observed length (record
+// bodies are never stored), and both IP and TCP checksums are
 // computed so dissectors raise no errors.
 #pragma once
 

@@ -133,7 +133,7 @@ void put_record(util::ByteWriter& w, const analysis::PacketObservation& p,
   tcp_hdr.u16(0);                                  // urgent pointer
 
   // TCP checksum: pseudo-header + header + payload. The payload is all
-  // zeros (ciphertext is never stored), so it contributes nothing.
+  // zeros (record bodies are never stored), so it contributes nothing.
   std::uint32_t pseudo = 0;
   pseudo += static_cast<std::uint32_t>(ep.src_ip[0]) << 8 | ep.src_ip[1];
   pseudo += static_cast<std::uint32_t>(ep.src_ip[2]) << 8 | ep.src_ip[3];

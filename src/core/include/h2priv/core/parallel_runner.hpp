@@ -21,11 +21,6 @@ struct Parallelism {
   /// Worker threads for batch runs: 0 = one per hardware thread, 1 = the
   /// plain serial loop (no threads spawned), n = exactly n workers.
   int jobs = 1;
-
-  /// Reads the H2PRIV_JOBS environment variable ("0" = all hardware
-  /// threads); defaults to all hardware threads when unset, since results
-  /// are invariant to the job count.
-  [[nodiscard]] static Parallelism from_env() noexcept;
 };
 
 /// Resolves a Parallelism request against the machine and the batch size:

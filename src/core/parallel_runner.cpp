@@ -1,7 +1,6 @@
 #include "h2priv/core/parallel_runner.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -10,14 +9,6 @@
 #include "h2priv/obs/metrics.hpp"
 
 namespace h2priv::core {
-
-Parallelism Parallelism::from_env() noexcept {
-  if (const char* env = std::getenv("H2PRIV_JOBS")) {
-    const int jobs = std::atoi(env);
-    if (jobs >= 0) return Parallelism{jobs};
-  }
-  return Parallelism{0};
-}
 
 int effective_jobs(Parallelism parallelism, int items) noexcept {
   int jobs = parallelism.jobs;

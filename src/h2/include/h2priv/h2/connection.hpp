@@ -47,7 +47,7 @@ class Connection {
   /// Sends the preface (client), our SETTINGS, and any initial window grant.
   void start();
 
-  /// Feeds transport bytes (decrypted TLS application data).
+  /// Feeds transport bytes (opened TLS application data).
   void on_bytes(util::BytesView bytes);
 
   // --- client API ----------------------------------------------------------

@@ -1,15 +1,15 @@
 // TLS record layer model.
 //
-// Real record framing (5-byte header: type, version, length) with a toy
-// stream cipher + 16-byte keyed checksum tag standing in for AEAD. The point
-// is not cryptographic strength — it is the *discipline*: payload bytes on
-// the wire are scrambled, so nothing in this codebase can accidentally
-// "cheat" by reading plaintext off a packet. An on-path observer sees exactly
-// what tshark's `ssl.record.content_type` filter sees: type and length. The
-// tag catches transport bugs (corrupted, reordered or replayed records), not
-// forgers. Sealing or opening a record is one pass over its body: each
-// 8-byte word is XORed with one keystream word and folded into a keyed word
-// polynomial (record.cpp documents the construction).
+// Real record framing (5-byte header: type, version, length) around the
+// plaintext body and a 16-byte keyed checksum tag, which stands in for AEAD
+// expansion and integrity. An on-path observer sees exactly what tshark's
+// `ssl.record.content_type` filter sees: type and length. No cipher keeps
+// the adversary off the body; the h2lint rule `adversary-plaintext` does,
+// by keeping its code from opening records or decoding frames (DESIGN.md
+// §12). The tag catches transport bugs (corrupted, reordered or replayed
+// records, wrong keys), not forgers. Sealing copies the body into place and
+// folds its 8-byte words into a keyed word polynomial; opening checks the
+// tag over the body where it lies (record.cpp documents the construction).
 #pragma once
 
 #include <algorithm>
@@ -41,7 +41,7 @@ class TlsError : public std::runtime_error {
 
 /// Seals plaintext into records / opens records back into plaintext. One
 /// SealContext per (session, direction); record sequence numbers key the
-/// keystream so replayed or reordered ciphertext fails authentication.
+/// tag so replayed or reordered records fail authentication.
 class SealContext {
  public:
   SealContext(std::uint64_t session_secret, std::uint8_t direction_domain) noexcept
@@ -90,14 +90,14 @@ class OpenContext {
 
   struct Record {
     ContentType type;
-    /// Decrypted body in a buffer this context owns: valid until the next
-    /// open_one() on the same context.
+    /// The record body (a quantized record's filler and marker stripped), a
+    /// view into the `wire` bytes given to open_one(): valid while they are.
     util::BytesView plaintext;
   };
 
   /// Opens exactly one record from the front of `wire`; advances `consumed`.
-  /// Throws TlsError on authentication failure or truncation. Decrypts into
-  /// the context's reusable buffer — no per-record allocation.
+  /// Throws TlsError on authentication failure or truncation. Checks the tag
+  /// over the body in place: no copy, no per-record allocation.
   [[nodiscard]] Record open_one(util::BytesView wire, std::size_t& consumed);
 
   /// Expect quantized application-data records (peer seals with a pad
@@ -111,7 +111,6 @@ class OpenContext {
   std::uint8_t domain_;
   std::uint64_t seq_ = 0;
   bool unpad_ = false;
-  util::Bytes plaintext_;  // open_one's output buffer; only ever grows
 };
 
 /// Incremental record-boundary scanner over a (possibly partial) byte

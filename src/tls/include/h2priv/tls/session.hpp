@@ -65,7 +65,7 @@ class Session {
   [[nodiscard]] tcp::Connection& transport() noexcept { return tcp_; }
 
   std::function<void()> on_established;                ///< handshake done
-  std::function<void(util::BytesView)> on_app_data;    ///< decrypted app bytes
+  std::function<void(util::BytesView)> on_app_data;    ///< opened app bytes
   std::function<void()> on_writable;                   ///< passthrough from TCP
   std::function<void(tcp::CloseReason)> on_closed;     ///< passthrough from TCP
 
@@ -91,7 +91,7 @@ class Session {
   OpenContext open_;
   HandshakeState hs_state_ = HandshakeState::kWaitTransport;
   std::size_t hs_bytes_pending_ = 0;  // handshake bytes still expected
-  util::Bytes rx_buf_;                // undecrypted partial records
+  util::Bytes rx_buf_;                // bytes of records not yet opened
   bool established_ = false;
   std::uint64_t app_bytes_sent_ = 0;
   std::uint64_t app_bytes_received_ = 0;

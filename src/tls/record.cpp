@@ -26,61 +26,45 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 constexpr std::uint64_t kK = 0xc2b2ae3d27d4eb4full;
 constexpr std::uint64_t kK2 = kK * kK, kK3 = kK2 * kK, kK4 = kK3 * kK;
 
-/// The record body pass. Word k of a record (bytes 8k..8k+7, little-endian)
-/// is XORed with the keystream word mix(secret ^ domain<<56 ^ seq*golden ^ k)
-/// (the last, partial word with its low bytes), and the plaintext words fold
-/// into the keyed word polynomial h = h*K + w, the partial word zero-padded;
-/// then the body length folds in (h = h*K + n), so a zero-padded tail never
-/// matches a longer body. Sealing folds the input words, opening the output
-/// words. Four words per step keep one multiply per 32 bytes on the
-/// dependency chain: h*K^4 + w0*K^3 + w1*K^2 + w2*K + w3 is four steps of
-/// the recurrence. src == dst is allowed. Returns the polynomial.
-template <bool kSealing>
-std::uint64_t crypt_body(std::uint64_t keystream_base, std::uint64_t h,
-                         const std::uint8_t* src, std::uint8_t* dst,
-                         std::size_t n) noexcept {
-  const auto step = [&](std::size_t at) {
-    const std::uint64_t in = util::load_le64(src + at);
-    const std::uint64_t out = in ^ mix(keystream_base ^ (at / 8));
-    util::store_le64(dst + at, out);
-    return kSealing ? in : out;
-  };
+/// The tag's word polynomial over a record body. Word k (bytes 8k..8k+7,
+/// little-endian, the last partial word zero-padded) folds in as
+/// h = h*K + w, then the body length does (h = h*K + n), so a zero-padded
+/// tail never matches a longer body. Four words per step keep one multiply
+/// per 32 bytes on the dependency chain: h*K^4 + w0*K^3 + w1*K^2 + w2*K + w3
+/// is four steps of the recurrence.
+std::uint64_t body_poly(std::uint64_t h, const std::uint8_t* body,
+                        std::size_t n) noexcept {
   std::size_t i = 0;
   for (; n - i >= 32; i += 32) {
-    const std::uint64_t w0 = step(i), w1 = step(i + 8), w2 = step(i + 16),
-                        w3 = step(i + 24);
+    const std::uint8_t* p = body + i;
+    const std::uint64_t w0 = util::load_le64(p);
+    const std::uint64_t w1 = util::load_le64(p + 8);
+    const std::uint64_t w2 = util::load_le64(p + 16);
+    const std::uint64_t w3 = util::load_le64(p + 24);
     h = h * kK4 + (w0 * kK3 + w1 * kK2 + w2 * kK + w3);
   }
-  for (; n - i >= 8; i += 8) h = h * kK + step(i);
+  for (; n - i >= 8; i += 8) h = h * kK + util::load_le64(body + i);
   if (i < n) {
-    std::uint64_t block = mix(keystream_base ^ (i / 8));
-    std::uint64_t word = 0;
-    for (unsigned shift = 0; i < n; ++i, block >>= 8, shift += 8) {
-      const std::uint8_t out = static_cast<std::uint8_t>(src[i] ^ block);
-      word |= static_cast<std::uint64_t>(kSealing ? src[i] : out) << shift;
-      dst[i] = out;
-    }
-    h = h * kK + word;
+    std::array<std::uint8_t, 8> tail{};
+    std::memcpy(tail.data(), body + i, n - i);
+    h = h * kK + util::load_le64(tail.data());
   }
   return h * kK + n;
 }
 
-/// Per-record keys, all derived from the record sequence number.
+/// Per-record keys, both derived from the record sequence number.
 struct RecordKeys {
-  std::uint64_t keystream_base;  ///< keystream word k is mix(keystream_base ^ k)
-  std::uint64_t h1;              ///< tag bytes 0..7 are mix(h1 ^ poly)
-  std::uint64_t poly_seed;       ///< initial h of the word polynomial
+  std::uint64_t h1;         ///< tag bytes 0..7 are mix(h1 ^ poly)
+  std::uint64_t poly_seed;  ///< initial h of the word polynomial
 };
 
 RecordKeys record_keys(std::uint64_t secret, std::uint8_t domain,
                        std::uint64_t seq) noexcept {
   const std::uint64_t h1 = mix(secret ^ 0x746167u ^ seq);  // "tag"
-  return {secret ^ (static_cast<std::uint64_t>(domain) << 56) ^
-              (seq * 0x9e3779b97f4a7c15ull),
-          h1, mix(h1 ^ domain)};
+  return {h1, mix(h1 ^ domain)};
 }
 
-/// 16-byte tag: bytes 8..15 are the word polynomial crypt_body returned,
+/// 16-byte tag: bytes 8..15 are the word polynomial body_poly returned,
 /// bytes 0..7 are mix(h1 ^ poly), both little-endian. open_one recomputes
 /// and compares all 16 bytes. A checksum, not a MAC — it catches
 /// corruption, reordering, replay and wrong keys, not a forger.
@@ -112,7 +96,6 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
   std::size_t off = 0;
   do {
     const std::size_t chunk = std::min(plaintext.size() - off, chunk_limit);
-    const std::uint8_t* src = plaintext.data() + off;
     std::size_t content_len = chunk;
     if (quantize) {
       // TLS 1.3-style inner framing: content || 0x17 marker || zero filler,
@@ -126,19 +109,17 @@ void SealContext::seal_into(util::ByteWriter& w, ContentType type,
     w.u8(static_cast<std::uint8_t>(type));
     w.u16(kVersionTls12);
     w.u16(util::narrow<std::uint16_t>(content_len + kAeadOverhead));
+    // The record body is the plaintext itself, padded in place when
+    // quantized; the tag is folded over it where it lies.
     std::uint8_t* body = w.extend(content_len + kAeadOverhead);
+    if (chunk > 0) std::memcpy(body, plaintext.data() + off, chunk);
     if (quantize) {
-      // The padded plaintext is laid out in place and sealed there.
-      if (chunk > 0) std::memcpy(body, src, chunk);
       body[chunk] = 0x17;
       std::memset(body + chunk + 1, 0, content_len - chunk - 1);
-      src = body;
       obs::count(obs::Counter::kTlsPadBytesSealed, content_len - chunk);
     }
     const RecordKeys keys = record_keys(secret_, domain_, seq);
-    const std::uint64_t poly =
-        crypt_body<true>(keys.keystream_base, keys.poly_seed, src, body, content_len);
-    store_tag(body + content_len, keys.h1, poly);
+    store_tag(body + content_len, keys.h1, body_poly(keys.poly_seed, body, content_len));
     obs::count(obs::Counter::kTlsRecordsSealed);
     obs::sample(obs::Hist::kTlsRecordBytes, content_len);
     off += chunk;
@@ -172,19 +153,13 @@ OpenContext::Record OpenContext::open_one(util::BytesView wire, std::size_t& con
 
   const std::uint64_t seq = seq_++;
   const std::size_t ptext_len = hdr.ciphertext_len - kAeadOverhead;
-  // Grown once (a peer's record can exceed kMaxPlaintext by at most what a
-  // u16 length allows), then reused: no per-record allocation.
-  if (plaintext_.size() < ptext_len) plaintext_.resize(std::max(ptext_len, kMaxPlaintext));
+  const std::uint8_t* body = wire.data() + kHeaderBytes;
   const RecordKeys keys = record_keys(secret_, domain_, seq);
-  const std::uint64_t poly =
-      crypt_body<false>(keys.keystream_base, keys.poly_seed,
-                        wire.data() + kHeaderBytes, plaintext_.data(), ptext_len);
   // All 16 tag bytes are checked: corruption, reordering, replay, a wrong
   // secret or a wrong direction each fail here.
   std::array<std::uint8_t, kAeadOverhead> expect{};
-  store_tag(expect.data(), keys.h1, poly);
-  if (!std::equal(expect.begin(), expect.end(), wire.begin() +
-                  static_cast<std::ptrdiff_t>(kHeaderBytes + ptext_len))) {
+  store_tag(expect.data(), keys.h1, body_poly(keys.poly_seed, body, ptext_len));
+  if (!std::equal(expect.begin(), expect.end(), body + ptext_len)) {
     throw TlsError("open_one: authentication failure (corrupted or out-of-order record)");
   }
   consumed = kHeaderBytes + hdr.ciphertext_len;
@@ -194,13 +169,13 @@ OpenContext::Record OpenContext::open_one(util::BytesView wire, std::size_t& con
     // Quantized record: strip the zero filler down to the 0x17 marker. The
     // filler is authenticated, so a missing or wrong marker is hostile
     // input (a peer padding with garbage), not corruption.
-    while (end > 0 && plaintext_[end - 1] == 0) --end;
-    if (end == 0 || plaintext_[end - 1] != 0x17) {
+    while (end > 0 && body[end - 1] == 0) --end;
+    if (end == 0 || body[end - 1] != 0x17) {
       throw TlsError("open_one: quantized record has no content marker");
     }
     --end;
   }
-  return Record{hdr.type, util::BytesView(plaintext_.data(), end)};
+  return Record{hdr.type, util::BytesView(body, end)};
 }
 
 bool parse_header(util::BytesView buf, RecordHeader& out) {

@@ -5,7 +5,7 @@
 namespace h2priv::tls {
 
 namespace {
-// Direction domains for the keystream: client-to-server = 0, reverse = 1.
+// Direction domains for the record tag: client-to-server = 0, reverse = 1.
 constexpr std::uint8_t kC2S = 0;
 constexpr std::uint8_t kS2C = 1;
 }  // namespace
@@ -51,6 +51,7 @@ void Session::on_transport_data(util::BytesView bytes) {
     if (!parse_header(window, hdr)) break;
     if (window.size() < kHeaderBytes + hdr.ciphertext_len) break;
     std::size_t consumed = 0;
+    // rec.plaintext points into rx_buf_, which is erased only after the loop.
     OpenContext::Record rec = open_.open_one(window, consumed);
     pos += consumed;
     switch (rec.type) {

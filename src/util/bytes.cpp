@@ -63,22 +63,6 @@ SharedBytes ByteWriter::take_shared() {
   return out;
 }
 
-void ByteWriter::u24(std::uint32_t v) {
-  if (v >= (1u << 24)) throw std::invalid_argument("u24 value out of range");
-  ensure(3);
-  data_[len_] = static_cast<std::uint8_t>(v >> 16);
-  data_[len_ + 1] = static_cast<std::uint8_t>(v >> 8);
-  data_[len_ + 2] = static_cast<std::uint8_t>(v);
-  len_ += 3;
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  ensure(8);
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    data_[len_++] = static_cast<std::uint8_t>(v >> shift);
-  }
-}
-
 void ByteWriter::bytes(std::string_view v) {
   ensure(v.size());
   if (!v.empty()) std::memcpy(data_ + len_, v.data(), v.size());
@@ -91,65 +75,9 @@ void ByteWriter::fill(std::size_t n, std::uint8_t fill_byte) {
   len_ += n;
 }
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw OutOfBounds("ByteReader: need " + std::to_string(n) + " bytes, have " +
-                      std::to_string(remaining()));
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  require(1);
-  return data_[pos_++];
-}
-
-std::uint8_t ByteReader::peek_u8() const {
-  require(1);
-  return data_[pos_];
-}
-
-std::uint16_t ByteReader::u16() {
-  require(2);
-  const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u24() {
-  require(3);
-  const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 16) |
-                          (static_cast<std::uint32_t>(data_[pos_ + 1]) << 8) |
-                          static_cast<std::uint32_t>(data_[pos_ + 2]);
-  pos_ += 3;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-BytesView ByteReader::bytes(std::size_t n) {
-  require(n);
-  const BytesView v = data_.subspan(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-void ByteReader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
+void ByteReader::out_of_bounds(std::size_t need, std::size_t have) {
+  throw OutOfBounds("ByteReader: need " + std::to_string(need) + " bytes, have " +
+                    std::to_string(have));
 }
 
 Bytes patterned_bytes(std::size_t n, std::uint32_t tag) {

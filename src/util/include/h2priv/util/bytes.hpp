@@ -33,6 +33,46 @@ class OutOfBounds : public std::runtime_error {
   explicit OutOfBounds(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Unaligned 16/32/64-bit loads and stores in a fixed byte order. Every host
+/// takes the same path — a memcpy, byte-swapped where the host's order
+/// differs — so the bytes produced never depend on the host. (A
+/// shift-per-byte loop gives the same bytes, but gcc 12 does not merge it
+/// into word accesses.)
+namespace detail {
+template <typename T>
+[[nodiscard]] inline T byteswap(T v) noexcept {
+  if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    static_assert(sizeof(T) == 8);
+    return __builtin_bswap64(v);
+  }
+}
+template <typename T, std::endian kOrder>
+[[nodiscard]] inline T load(const std::uint8_t* p) noexcept {
+  T v{};
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native != kOrder) v = byteswap(v);
+  return v;
+}
+template <typename T, std::endian kOrder>
+inline void store(std::uint8_t* p, T v) noexcept {
+  if constexpr (std::endian::native != kOrder) v = byteswap(v);
+  std::memcpy(p, &v, sizeof v);
+}
+}  // namespace detail
+
+/// Little-endian 64-bit words, for word-wide passes over byte buffers (the
+/// TLS record tag, synthetic object bodies).
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  return detail::load<std::uint64_t, std::endian::little>(p);
+}
+inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+  detail::store<std::uint64_t, std::endian::little>(p, v);
+}
+
 /// Appends big-endian scalars and byte runs to an owned buffer.
 ///
 /// Two backends share one write path: the default vector backend (take()
@@ -53,22 +93,18 @@ class ByteWriter {
     ensure(1);
     data_[len_++] = v;
   }
-  void u16(std::uint16_t v) {
-    ensure(2);
-    data_[len_] = static_cast<std::uint8_t>(v >> 8);
-    data_[len_ + 1] = static_cast<std::uint8_t>(v);
-    len_ += 2;
+  void u16(std::uint16_t v) { put_be(v); }
+  /// The low 24 bits; throws std::invalid_argument if v >= 2^24.
+  void u24(std::uint32_t v) {
+    if (v >= (1u << 24)) throw std::invalid_argument("u24 value out of range");
+    ensure(3);
+    const auto low = static_cast<std::uint16_t>(v);
+    data_[len_] = static_cast<std::uint8_t>(v >> 16);
+    detail::store<std::uint16_t, std::endian::big>(data_ + len_ + 1, low);
+    len_ += 3;
   }
-  void u24(std::uint32_t v);  ///< low 24 bits; throws std::invalid_argument if v >= 2^24
-  void u32(std::uint32_t v) {
-    ensure(4);
-    for (int i = 0; i < 4; ++i) {
-      data_[len_ + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (24 - 8 * i));
-    }
-    len_ += 4;
-  }
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { put_be(v); }
+  void u64(std::uint64_t v) { put_be(v); }
   void bytes(BytesView v) {
     ensure(v.size());
     if (!v.empty()) std::memcpy(data_ + len_, v.data(), v.size());
@@ -105,6 +141,12 @@ class ByteWriter {
     if (cap_ - len_ < extra) grow(extra);
   }
   void grow(std::size_t need);
+  template <typename T>
+  void put_be(T v) {
+    ensure(sizeof v);
+    detail::store<T, std::endian::big>(data_ + len_, v);
+    len_ += sizeof v;
+  }
 
   BufferPool* pool_ = nullptr;           // nullptr => vector backend
   Bytes buf_;                            // vector backend storage (size == cap_)
@@ -114,43 +156,62 @@ class ByteWriter {
   std::size_t cap_ = 0;
 };
 
-/// Little-endian 64-bit load/store at any alignment, for word-wide passes
-/// over byte buffers (the TLS keystream, synthetic object bodies). Every
-/// host takes the same path — a memcpy, byte-swapped on big-endian targets —
-/// so the bytes produced never depend on the host. (A shift-per-byte loop
-/// gives the same bytes, but gcc 12 does not merge it into word accesses.)
-[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
-  return v;
-}
-inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
-  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
-  std::memcpy(p, &v, sizeof v);
-}
-
-/// Consumes big-endian scalars and byte runs from a non-owned view.
+/// Consumes big-endian scalars and byte runs from a non-owned view. Every
+/// read is inline: a bounds check, then a load. A read past the end throws
+/// OutOfBounds and leaves position() where it was.
 class ByteReader {
  public:
   explicit ByteReader(BytesView data) noexcept : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
   /// Reads the next byte without consuming it.
-  [[nodiscard]] std::uint8_t peek_u8() const;
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u24();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] BytesView bytes(std::size_t n);
+  [[nodiscard]] std::uint8_t peek_u8() const {
+    require(1);
+    return data_[pos_];
+  }
+  [[nodiscard]] std::uint16_t u16() { return take_be<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u24() {
+    require(3);
+    const std::uint8_t* p = data_.data() + pos_;
+    const std::uint32_t low = detail::load<std::uint16_t, std::endian::big>(p + 1);
+    pos_ += 3;
+    return (std::uint32_t{p[0]} << 16) | low;
+  }
+  [[nodiscard]] std::uint32_t u32() { return take_be<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return take_be<std::uint64_t>(); }
+  [[nodiscard]] BytesView bytes(std::size_t n) {
+    require(n);
+    const BytesView v(data_.data() + pos_, n);
+    pos_ += n;
+    return v;
+  }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) out_of_bounds(n, remaining());
+  }
+  /// Throws OutOfBounds("ByteReader: need N bytes, have M"); out of line so
+  /// the inlined reads stay small.
+  [[noreturn]] static void out_of_bounds(std::size_t need, std::size_t have);
+  template <typename T>
+  [[nodiscard]] T take_be() {
+    require(sizeof(T));
+    const T v = detail::load<T, std::endian::big>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
   BytesView data_;
   std::size_t pos_ = 0;
 };

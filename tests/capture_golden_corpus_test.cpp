@@ -1,10 +1,11 @@
 // Golden-corpus regression: the committed .h2t traces under
 // tests/data/corpus must (a) still match their manifest digests, (b) replay
-// to the exact stored verdicts through today's analysis stack, and (c) be
-// regenerable bit-for-bit by today's simulator. Any mismatch means the wire
-// format, the data path, or the scoring changed — either fix it or
-// regenerate the corpus (tools/h2priv_trace generate --corpus) and commit
-// the new files with an explanation.
+// to the exact stored verdicts through today's analysis stack, (c) be
+// regenerable bit-for-bit by today's simulator, and (d) export to the same
+// pcap image. Any mismatch means the wire format, the data path, or the
+// scoring changed — either fix it or regenerate the corpus
+// (tools/h2priv_trace generate --corpus) and commit the new files with an
+// explanation.
 //
 // H2PRIV_TEST_DATA_DIR is injected by tests/CMakeLists.txt.
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/pcap_export.hpp"
 #include "h2priv/capture/record.hpp"
 #include "h2priv/capture/replay.hpp"
 #include "h2priv/capture/trace_view.hpp"
@@ -66,6 +68,18 @@ TEST(GoldenCorpus, TodaysSimulatorRegeneratesTheCommittedBytes) {
       << "live capture of seed " << e.seed
       << " no longer reproduces the committed golden trace";
   std::remove(fresh.c_str());
+}
+
+// pcap export synthesizes each packet from the .h2t alone: headers from the
+// observation, a payload of zeros (record bodies are never stored). The image
+// of a committed trace is pinned, so no change to the live record layer can
+// move it. Digest taken while record bodies were still keystream-scrambled.
+TEST(GoldenCorpus, PcapExportOfACommittedTraceIsPinned) {
+  const std::string pcap = testing::scratch_path("golden_export.pcap").string();
+  const capture::TraceFile trace = capture::TraceFile::open(kCorpusDir + "/run_1000.h2t");
+  EXPECT_EQ(capture::export_pcap(trace.packets(), pcap), 5692u);
+  EXPECT_EQ(capture::digest_file(pcap), 0x5edc2d1ccf3976d4ull);
+  std::remove(pcap.c_str());
 }
 
 }  // namespace

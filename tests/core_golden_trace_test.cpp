@@ -21,6 +21,13 @@
 // per-byte one (h = h*31 + b), so tag bytes 0-7, which mix that value, moved
 // with them. Ciphertext bodies, every length, expect_scored and
 // expect_packets are unchanged again.
+//
+// They were re-captured a third time when the record layer dropped its
+// keystream: a record body on the wire is now the plaintext itself, where it
+// was the plaintext XORed with one mix() word per 8 bytes. The tag is
+// computed as before (it always folded the plaintext), so tag bytes, every
+// record, frame and packet length, expect_scored and expect_packets are
+// unchanged; only the body bytes, and with them the wire digests, moved.
 #include "trace_hash.hpp"
 
 #include <cinttypes>
@@ -47,16 +54,16 @@ struct GoldenCase {
 // build to the next.
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
-// Wire digests re-captured for the word-polynomial tag (see file comment).
+// Wire digests re-captured for plaintext record bodies (see file comment).
 constexpr GoldenCase kCases[] = {
     {"fig2_spacing50_seed1000", 1000, false, 50,
-     0x3c8fc228aacb9afbull, 0x4a7dbe2272a1ca5aull, 3348},
+     0x42a0b9445d71d7aeull, 0x4a7dbe2272a1ca5aull, 3348},
     {"fig2_spacing50_seed1001", 1001, false, 50,
-     0x293baf200de015eeull, 0x84610254b25132ccull, 3532},
+     0x497e8ca57e5c21a6ull, 0x84610254b25132ccull, 3532},
     {"table2_attack_seed1000", 1000, true, 0,
-     0x453d23f0f297a348ull, 0x6876aa6f9e75ea2cull, 5692},
+     0x523ed34658bad6d4ull, 0x6876aa6f9e75ea2cull, 5692},
     {"table2_attack_seed1001", 1001, true, 0,
-     0xa7725ca2648e941cull, 0xfa83d05631f1a3caull, 5706},
+     0x58c30ac5ffc207efull, 0xfa83d05631f1a3caull, 5706},
 };
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};

@@ -36,6 +36,7 @@ DETERMINISM_RULES = (
     "thread-local",
     "float-merge-accum",
 )
+ADVERSARY_RULE = "adversary-plaintext"
 WHOLE_PROGRAM_RULES = ("layering", "obs-registry", "h2t-tags", "rng-fork")
 
 
@@ -270,6 +271,53 @@ class TraceTagsFixture(unittest.TestCase):
         )  # flags |= 0x06 is annotated
 
 
+class AdversaryPlaintextFixture(unittest.TestCase):
+    """The text engine over miniature copies of the adversary's files: an
+    hpack and an h2 include, a named tls::OpenContext and an unqualified
+    Session after a using-directive fire; a comment, a string, a waived
+    include and a non-adversary file that wires sessions do not."""
+
+    ROOT = FIXTURES / "adversary"
+
+    def lint(self, *paths):
+        return run_h2lint(
+            "--root", str(self.ROOT), "--engine", "text",
+            "--rules", ADVERSARY_RULE, *paths,
+        )
+
+    def test_each_seeded_violation_fires_at_its_line(self):
+        result = self.lint()
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertEqual(
+            findings(result.stdout),
+            {
+                ("src/analysis/include/h2priv/analysis/monitor_stream.hpp", 5,
+                 ADVERSARY_RULE),  # h2/ include
+                ("src/core/attack.cpp", 8, ADVERSARY_RULE),  # tls::OpenContext
+                ("src/core/include/h2priv/core/monitor.hpp", 8,
+                 ADVERSARY_RULE),  # unqualified Session
+                ("src/core/predictor.cpp", 4, ADVERSARY_RULE),  # hpack/ include
+            },
+        )
+
+    def test_comments_and_strings_are_not_code(self):
+        result = self.lint("src/core/monitor.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_lint_allow_suppresses_the_annotated_include(self):
+        result = self.lint("src/core/controller.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_files_outside_the_adversary_are_not_linted(self):
+        result = self.lint("src/core/experiment.cpp")
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_scope_names_existing_files_of_the_tree(self):
+        adversary = import_h2lint("adversary")
+        for rel in sorted(adversary.ADVERSARY_FILES):
+            self.assertTrue((REPO / rel).is_file(), rel)
+
+
 class RngForkFixture(unittest.TestCase):
     ROOT = FIXTURES / "rngfork"
 
@@ -311,11 +359,14 @@ class RealTree(unittest.TestCase):
         )
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
-    def test_list_rules_names_all_ten(self):
+    def test_list_rules_names_all_eleven(self):
         result = run_h2lint("--list-rules")
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
         listed = {line.split(":")[0] for line in result.stdout.splitlines() if line}
-        self.assertEqual(listed, set(DETERMINISM_RULES) | set(WHOLE_PROGRAM_RULES))
+        self.assertEqual(
+            listed,
+            set(DETERMINISM_RULES) | {ADVERSARY_RULE} | set(WHOLE_PROGRAM_RULES),
+        )
 
     def test_explain_dag_covers_every_module(self):
         result = run_h2lint("--explain-dag")
@@ -381,6 +432,22 @@ class Injection(unittest.TestCase):
             self.assertEqual(result.returncode, 1)
             self.assertIn("edge core -> capture", result.stdout)
 
+    def test_injected_adversary_plaintext_violation_fails(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            dst = root / "src" / "core"
+            dst.mkdir(parents=True)
+            (dst / "monitor.cpp").write_text(
+                "#include \"h2priv/tcp/segment.hpp\"\n"
+            )
+            rules = ("--rules", ADVERSARY_RULE)
+            self.assertEqual(run_h2lint("--root", str(root), *rules).returncode, 0)
+            with open(dst / "monitor.cpp", "a") as f:
+                f.write("#include \"h2priv/h2/frame.hpp\"\n")
+            result = run_h2lint("--root", str(root), *rules)
+            self.assertEqual(result.returncode, 1)
+            self.assertIn("src/core/monitor.cpp:2: [adversary-plaintext]", result.stdout)
+
     def test_injected_rng_fork_violation_fails(self):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -408,8 +475,9 @@ class Injection(unittest.TestCase):
 
 @unittest.skipUnless(have_libclang(), "libclang Python bindings not available")
 class AstEngine(unittest.TestCase):
-    """The two regex blind spots the AST engine exists to close. CI
-    installs libclang and runs these; locally they skip."""
+    """The two regex blind spots the AST engine exists to close, and an
+    alias that hides tls::OpenContext from the adversary-plaintext text
+    engine. CI installs libclang and runs these; locally they skip."""
 
     ROOT = FIXTURES / "ast"
 
@@ -454,6 +522,27 @@ class AstEngine(unittest.TestCase):
                 if p == "src/sim/multiline_clock.cpp" and rule == "wall-clock"
             }
             self.assertTrue(clock, f"no wall-clock finding in {got}")
+
+    def test_alias_of_open_context_fires_in_an_adversary_file(self):
+        inc = self.ROOT / "src" / "tls" / "include"
+        entries = [
+            {
+                "directory": str(self.ROOT),
+                "file": str(self.ROOT / "src" / "core" / "attack.cpp"),
+                "command": f"c++ -std=c++17 -I{inc} -c src/core/attack.cpp",
+            }
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "compile_commands.json"
+            db.write_text(json.dumps(entries))
+            result = run_h2lint(
+                "--root", str(self.ROOT), "--engine", "ast",
+                "--compile-db", str(db), "--rules", ADVERSARY_RULE,
+            )
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn(
+            ("src/core/attack.cpp", 8, ADVERSARY_RULE), findings(result.stdout)
+        )
 
     def test_text_engine_misses_both_blind_spots(self):
         result = run_h2lint(

@@ -23,13 +23,36 @@ TEST(TlsRecord, SealOpenRoundTrip) {
   EXPECT_EQ(util::Bytes(rec.plaintext.begin(), rec.plaintext.end()), plaintext);
 }
 
-TEST(TlsRecord, CiphertextIsScrambled) {
+TEST(TlsRecord, BodyOnTheWireIsPlaintextThenTag) {
   SealContext seal(kSecret, 0);
   const util::Bytes plaintext = util::patterned_bytes(100, 1);
   const util::Bytes wire = seal.seal(ContentType::kApplicationData, plaintext);
-  // The body (after the 5-byte header) must not equal the plaintext.
-  EXPECT_FALSE(std::equal(plaintext.begin(), plaintext.end(), wire.begin() +
-               kHeaderBytes));
+  // Header, then the plaintext as it was, then the 16-byte tag: no cipher
+  // stands between an observer and the body (h2lint's adversary-plaintext
+  // rule keeps the adversary's code off it).
+  ASSERT_EQ(wire.size(), kHeaderBytes + plaintext.size() + kAeadOverhead);
+  const auto body = util::BytesView(wire).subspan(kHeaderBytes, plaintext.size());
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), plaintext.begin()));
+}
+
+TEST(TlsRecord, OpenReturnsBodyInPlace) {
+  SealContext seal(kSecret, 0);
+  const util::Bytes plaintext = util::patterned_bytes(300, 8);
+  const util::Bytes wire = seal.seal(ContentType::kApplicationData, plaintext);
+  {
+    OpenContext open(kSecret, 0);
+    std::size_t consumed = 0;
+    const auto rec = open.open_one(wire, consumed);
+    // The opened plaintext is the body where it lies in the caller's buffer.
+    EXPECT_EQ(rec.plaintext.data(), wire.data() + kHeaderBytes);
+    EXPECT_EQ(rec.plaintext.size(), plaintext.size());
+  }
+  // The tag is still checked over that body: one flipped tag byte fails.
+  util::Bytes tampered = wire;
+  tampered[kHeaderBytes + plaintext.size() + 3] ^= 0x10;
+  OpenContext open(kSecret, 0);
+  std::size_t consumed = 0;
+  EXPECT_THROW((void)open.open_one(tampered, consumed), TlsError);
 }
 
 TEST(TlsRecord, LargePlaintextChunksIntoMultipleRecords) {
@@ -154,11 +177,11 @@ TEST(TlsRecord, EmptyPlaintextSealsOneRecord) {
   EXPECT_EQ(rec.type, ContentType::kAlert);
 }
 
-// Scalar reference definitions of the record layer's keystream (one mix()
-// block per 8 bytes, applied a byte at a time) and of the tag's polynomial
-// half (h = h*K + w over the plaintext's little-endian 8-byte words, the last
-// one zero-padded, then h = h*K + length). The fused, unrolled
-// implementation must produce exactly these bytes.
+// Scalar reference definition of the record tag: its polynomial half is
+// h = h*K + w over the plaintext's little-endian 8-byte words, assembled a
+// byte at a time and the last one zero-padded, then h = h*K + length. The
+// body on the wire is the plaintext itself. The unrolled implementation must
+// produce exactly these bytes.
 std::uint64_t ref_mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdull;
@@ -166,18 +189,6 @@ std::uint64_t ref_mix(std::uint64_t x) {
   x *= 0xc4ceb9fe1a85ec53ull;
   x ^= x >> 33;
   return x;
-}
-
-util::Bytes ref_keystream_xor(std::uint8_t domain, std::uint64_t seq,
-                              util::BytesView in) {
-  const std::uint64_t base = kSecret ^ (static_cast<std::uint64_t>(domain) << 56) ^
-                             (seq * 0x9e3779b97f4a7c15ull);
-  util::Bytes out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const std::uint64_t block = ref_mix(base ^ (i / 8));
-    out[i] = static_cast<std::uint8_t>(in[i] ^ (block >> ((i % 8) * 8)));
-  }
-  return out;
 }
 
 std::uint64_t ref_h1(std::uint64_t seq) { return ref_mix(kSecret ^ 0x746167u ^ seq); }
@@ -215,8 +226,7 @@ std::size_t expect_reference_record(util::BytesView wire, std::uint8_t domain,
     return wire.size();
   }
   const util::BytesView body = wire.subspan(kHeaderBytes, content.size());
-  const util::Bytes expect_body = ref_keystream_xor(domain, seq, content);
-  EXPECT_TRUE(std::equal(body.begin(), body.end(), expect_body.begin()))
+  EXPECT_TRUE(std::equal(body.begin(), body.end(), content.begin()))
       << "body, len " << content.size() << " seq " << seq;
   const std::uint64_t poly = ref_poly(domain, seq, content);
   const std::size_t tag_at = kHeaderBytes + content.size();

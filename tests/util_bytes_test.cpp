@@ -1,5 +1,7 @@
 #include "h2priv/util/bytes.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace h2priv::util {
@@ -97,6 +99,51 @@ TEST(ByteReader, SkipAdvancesAndChecksBounds) {
   r.skip(2);
   EXPECT_EQ(r.remaining(), 1u);
   EXPECT_THROW(r.skip(2), OutOfBounds);
+}
+
+// Every read primitive, at exactly enough bytes and at one byte short. The
+// short read throws OutOfBounds saying what it needed and had, and consumes
+// nothing: every hostile-input parser (tcp segments, h2 frames, HPACK, TLS
+// headers, .h2t sections) relies on these inline checks.
+TEST(ByteReader, EveryPrimitiveChecksBoundsAtTheEdge) {
+  struct Primitive {
+    const char* name;
+    std::size_t need;
+    std::size_t advance;  // bytes a successful read consumes
+    void (*read)(ByteReader&);
+  };
+  const Primitive kPrimitives[] = {
+      {"u8", 1, 1, [](ByteReader& r) { (void)r.u8(); }},
+      {"peek_u8", 1, 0, [](ByteReader& r) { (void)r.peek_u8(); }},
+      {"u16", 2, 2, [](ByteReader& r) { (void)r.u16(); }},
+      {"u24", 3, 3, [](ByteReader& r) { (void)r.u24(); }},
+      {"u32", 4, 4, [](ByteReader& r) { (void)r.u32(); }},
+      {"u64", 8, 8, [](ByteReader& r) { (void)r.u64(); }},
+      {"bytes(5)", 5, 5, [](ByteReader& r) { (void)r.bytes(5); }},
+      {"skip(5)", 5, 5, [](ByteReader& r) { r.skip(5); }},
+  };
+  for (const Primitive& p : kPrimitives) {
+    for (const std::size_t have : {p.need, p.need - 1}) {
+      // One byte is consumed first, so "unchanged" is not just "zero".
+      const Bytes data(1 + have, 0xa5);
+      ByteReader r(data);
+      (void)r.u8();
+      if (have == p.need) {
+        EXPECT_NO_THROW(p.read(r)) << p.name;
+        EXPECT_EQ(r.position(), 1 + p.advance) << p.name;
+        continue;
+      }
+      try {
+        p.read(r);
+        ADD_FAILURE() << p.name << " read past the end";
+      } catch (const OutOfBounds& e) {
+        std::string want = "ByteReader: need " + std::to_string(p.need);
+        want += " bytes, have " + std::to_string(have);
+        EXPECT_EQ(e.what(), want) << p.name;
+      }
+      EXPECT_EQ(r.position(), 1u) << p.name;
+    }
+  }
 }
 
 TEST(PatternedBytes, DeterministicPerTag) {

@@ -1,8 +1,9 @@
-"""The six determinism rules (DESIGN.md §7) at the AST/type level.
+"""The six determinism rules (DESIGN.md §7) and the adversary-plaintext
+rule at the AST/type level.
 
 Rule ids, scopes and messages come from the one rule table,
-determinism.RULES, which the text engine also runs. What changes is *how*
-a violation is recognized:
+determinism.RULES, and from adversary.py, whose text engines also run them.
+What changes is *how* a violation is recognized:
 
   - Types are matched on their **canonical** spelling, so a typedef or
     alias of std::unordered_map is caught at the use site even when the
@@ -11,6 +12,9 @@ a violation is recognized:
   - Calls and declarations are matched on **cursors**, whose extents span
     physical lines, so `std::chrono::\n  steady_clock::now()` is caught
     (the text engine's multi-line blind spot).
+  - An adversary file's includes are read from the translation unit, and a
+    plaintext type is matched on the declaration a cursor references or on
+    its canonical type, so an alias of tls::OpenContext is caught too.
 
 Findings are attributed to the file and line of the cursor location, and
 honor the shared `// lint:allow(<rule>)` syntax by consulting the raw
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from . import ast_backend
+from . import adversary, ast_backend
 from .determinism import RULES, SIM_CRITICAL, THREAD_LOCAL_EXEMPT, in_dirs
 from .source import Finding, SourceFile
 
@@ -79,7 +83,8 @@ class AstLinter:
         line = location.line
         if rule in self._source(rel).allowed(line):
             return
-        self._findings.add(Finding(rel, line, rule, RULES[rule]["message"]))
+        message = adversary.MESSAGE if rule == adversary.RULE else RULES[rule]["message"]
+        self._findings.add(Finding(rel, line, rule, message))
 
     # --- per-cursor checks --------------------------------------------------
 
@@ -133,14 +138,32 @@ class AstLinter:
                 if re.search(r"\b(float|double)\b", canonical):
                     self._report("float-merge-accum", c.location)
 
+    def _check_adversary_includes(self, tu) -> None:
+        for inc in tu.get_includes():
+            rel = self._rel(inc.location)
+            if rel is None or not adversary.in_scope(rel):
+                continue
+            if adversary.HEADER_PATH_RE.search(str(inc.include.name)):
+                self._report(adversary.RULE, inc.location)
+
+    def _check_plaintext_type(self, cursor) -> None:
+        ref = cursor.referenced
+        named = ast_backend.fully_qualified(ref) if ref is not None else ""
+        canonical = cursor.type.get_canonical().spelling if cursor.type else ""
+        if any(adversary.QUALIFIED_RE.search(s) for s in (named, canonical)):
+            self._report(adversary.RULE, cursor.location)
+
     # --- TU walk ------------------------------------------------------------
 
     def lint_tu(self, tu) -> None:
         kinds = ast_backend.CINDEX.CursorKind
+        self._check_adversary_includes(tu)
         for cursor in tu.cursor.walk_preorder():
             rel = self._rel(cursor.location)
             if rel is None or not rel.startswith("src/"):
                 continue
+            if adversary.in_scope(rel):
+                self._check_plaintext_type(cursor)
             if cursor.kind == kinds.CALL_EXPR:
                 self._check_call(cursor, rel)
             elif cursor.kind in (

@@ -9,10 +9,11 @@ h2lint is the repo's one determinism linter, and it also runs the
 whole-program rules.
 
 Engines:
-  - The six determinism rules run on the AST backend (libclang +
-    compile_commands.json) when available; otherwise they fall back to the
-    text engine (determinism.py). Both engines take ids, scopes and
-    messages from the one rule table, determinism.RULES.
+  - The six determinism rules and the file-level adversary-plaintext rule
+    run on the AST backend (libclang + compile_commands.json) when
+    available; otherwise they fall back to the text engines
+    (determinism.py, adversary.py). Both engines take ids, scopes and
+    messages from determinism.RULES and adversary.py.
   - The four whole-program rules (layering, obs-registry, h2t-tags,
     rng-fork) are pure Python and always run.
 
@@ -27,7 +28,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import ast_backend, determinism, layering, obs_registry, rng_fork, trace_tags
+from . import (
+    adversary,
+    ast_backend,
+    determinism,
+    layering,
+    obs_registry,
+    rng_fork,
+    trace_tags,
+)
 from .source import Finding, iter_source_files
 
 WHOLE_PROGRAM_RULES = {
@@ -40,9 +49,18 @@ WHOLE_PROGRAM_RULES = {
 }
 
 DETERMINISM_RULES = tuple(determinism.RULES)
+# Rules with an AST and a text engine.
+ENGINE_RULES = (*DETERMINISM_RULES, adversary.RULE)
 
 
-def run_ast_determinism(
+def run_text_engine(root: Path, rels: list[str], rules: set[str]) -> list[Finding]:
+    findings = determinism.check(root, rels, rules)
+    if adversary.RULE in rules:
+        findings.extend(adversary.check(root, rels))
+    return findings
+
+
+def run_ast_engine(
     root: Path, compile_db: Path, rels: list[str], rules: set[str]
 ) -> tuple[list[Finding], list[str]]:
     from .ast_rules import AstLinter  # deferred: needs the backend
@@ -97,11 +115,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("paths", nargs="*")
     args = parser.parse_args(argv)
 
-    all_rules = dict.fromkeys(DETERMINISM_RULES)
+    all_rules = dict.fromkeys(ENGINE_RULES)
     all_rules.update(dict.fromkeys(WHOLE_PROGRAM_RULES))
     if args.list_rules:
         for rid in DETERMINISM_RULES:
             print(f"{rid}: {determinism.RULES[rid]['message']} [ast/regex]")
+        print(f"{adversary.RULE}: {adversary.MESSAGE} [ast/regex]")
         for rid, desc in WHOLE_PROGRAM_RULES.items():
             print(f"{rid}: {desc} [whole-program]")
         return 0
@@ -136,8 +155,8 @@ def main(argv: list[str]) -> int:
 
     findings: list[Finding] = []
     engine_used = "text"
-    det_rules = rules & set(DETERMINISM_RULES)
-    if det_rules:
+    engine_rules = rules & set(ENGINE_RULES)
+    if engine_rules:
         compile_db = Path(
             args.compile_db
             if args.compile_db
@@ -147,15 +166,15 @@ def main(argv: list[str]) -> int:
         have_ast = ast_backend.available() and compile_db.is_file()
         if want_ast and have_ast:
             engine_used = "ast"
-            ast_findings, failures = run_ast_determinism(
-                root, compile_db, rels, det_rules
+            ast_findings, failures = run_ast_engine(
+                root, compile_db, rels, engine_rules
             )
             findings.extend(ast_findings)
             for rel in failures:
                 print(f"h2lint: parse failed, text fallback for {rel}",
                       file=sys.stderr)
             if failures:
-                findings.extend(determinism.check(root, failures, det_rules))
+                findings.extend(run_text_engine(root, failures, engine_rules))
         else:
             if args.engine == "ast" or (args.strict and want_ast):
                 missing = (
@@ -166,7 +185,7 @@ def main(argv: list[str]) -> int:
                 print(f"h2lint: AST engine unavailable ({missing})",
                       file=sys.stderr)
                 return 2
-            findings.extend(determinism.check(root, rels, det_rules))
+            findings.extend(run_text_engine(root, rels, engine_rules))
 
     if "layering" in rules:
         findings.extend(layering.check(root, rels))

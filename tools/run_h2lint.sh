@@ -8,9 +8,9 @@
 #                compile_commands.json); exit 2 if either is missing. CI
 #                always passes --strict so the semantic rules can never
 #                silently degrade there. The default is to let h2lint fall
-#                back to the text engine for the determinism rules — the
-#                whole-program rules (layering, obs-registry, h2t-tags,
-#                rng-fork) run either way.
+#                back to the text engines for the determinism and
+#                adversary-plaintext rules — the whole-program rules
+#                (layering, obs-registry, h2t-tags, rng-fork) run either way.
 #   --build-dir  compilation database location (default: build). Configured
 #                automatically if compile_commands.json is missing.
 #
