@@ -1,7 +1,7 @@
 // .h2t v2 block-codec throughput: the adaptive range coder (order-1 model,
 // 64 KiB blocks) measured on the real column streams of freshly captured
 // traces, plus the end-to-end v2 read path (TraceFile::open, then every
-// section decoded through the block cache).
+// section decoded through the TraceFile's decoded-block table).
 //
 // Phase 1 captures a corpus. Phase 2 pulls every compressed section's raw
 // column bytes back out by decoding its blocks directly with rc_decompress —
@@ -182,8 +182,7 @@ int main(int argc, char** argv) {
                    : 0.0;
 
   // Phase 5: end-to-end cold read — open each trace and decode every
-  // section through the block cache: packets, both record sections, ground
-  // truth, summary.
+  // section: packets, both record sections, ground truth, summary.
   const int open_reps = 5;
   std::uint64_t decoded_packets = 0;
   const double o0 = bench::now_s();

@@ -16,21 +16,15 @@ std::string trace_filename(std::uint64_t seed) {
 }
 
 std::uint64_t digest_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceError("cannot open for digest: " + path);
-  // Stream in fixed-size chunks — digesting a trace must not cost its file
-  // size in memory. Chunking matches digest_view(), so a digest computed
-  // over an mmap'd image is bit-identical by construction.
-  util::Bytes chunk(util::kFileChunkBytes);
-  std::uint64_t h = kFnv1aInit;
-  while (in) {
-    in.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(chunk.size()));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    h = fnv1a_update(h, util::BytesView{chunk.data(), got});
+  // Mapped, so digesting a trace does not cost its file size in memory (the
+  // kernel pages it in), and the same fold as TraceFile::digest().
+  util::MappedFile file;
+  try {
+    file = util::MappedFile::open(path);
+  } catch (const std::runtime_error& e) {
+    throw TraceError(std::string("cannot open for digest: ") + e.what());
   }
-  if (!in.eof()) throw TraceError("read failed during digest: " + path);
-  return h;
+  return fnv1a_update(kFnv1aInit, file.view());
 }
 
 ManifestEntry manifest_entry(const std::string& dir, const std::string& file,

@@ -1,5 +1,5 @@
 // .h2t v2 block compression: stream-split sections, the block index, and the
-// cursor that decodes only the blocks a reader touches.
+// cursor that decodes only the blocks a reader touches, each once.
 //
 // v2 turns each compressible section into a set of *streams* (columns):
 // the packets section stores its tag bytes and five delta fields as six
@@ -22,12 +22,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "h2priv/capture/trace_format.hpp"
-#include "h2priv/util/block_cache.hpp"
 #include "h2priv/util/bytes.hpp"
 #include "h2priv/util/range_coder.hpp"
 
@@ -73,12 +74,21 @@ struct SectionBlocks {
   std::vector<std::vector<std::uint32_t>> by_stream;  ///< block idx, raw order
 };
 
-/// Parsed once per TraceFile: the decoded kBlockIndex section plus the
-/// shared decode scratch (LRU block cache + range-coder model). Mutable
-/// through a const TraceFile; single-threaded like the TraceFile itself.
+/// Parsed once per TraceFile: the decoded kBlockIndex section, the
+/// decoded-block table and the range-coder model. Mutable through a const
+/// TraceFile; single-threaded like the TraceFile itself.
 struct BlockDirectory {
+  explicit BlockDirectory(std::vector<SectionBlocks> parsed)
+      : sections(std::move(parsed)) {
+    for (const SectionBlocks& s : sections) decoded.emplace_back(s.blocks.size());
+  }
+
   std::vector<SectionBlocks> sections;
-  util::BlockCache cache;
+  /// The decoded-block table, parallel to `sections`: one buffer per block
+  /// index. A coded block decodes into its entry on its first read and keeps
+  /// it until the TraceFile closes, so a view into it never dangles; stored
+  /// blocks leave their entry empty and are read from the image.
+  std::vector<std::vector<util::Bytes>> decoded;
   util::RcModel model;
 
   [[nodiscard]] const SectionBlocks* find(Section id) const noexcept {
@@ -87,6 +97,14 @@ struct BlockDirectory {
     }
     return nullptr;
   }
+
+  /// Raw bytes of block `index` of `blocks` (an element of `sections`) whose
+  /// section payload is `section_payload`: a view into the payload when the
+  /// block is stored, else into its table entry, decoded on the first read
+  /// (a lookup counts a codec.cache_hits or codec.cache_misses). A decode
+  /// that throws leaves the entry empty. Throws TraceError.
+  [[nodiscard]] util::BytesView block(util::BytesView section_payload,
+                                      const SectionBlocks& blocks, std::uint32_t index);
 };
 
 struct SectionInfo;  // trace_view.hpp
@@ -95,9 +113,11 @@ struct SectionInfo;  // trace_view.hpp
 /// every compressed section must be directoried exactly once with the right
 /// stream count, per-block coded lengths must sum to the section's byte
 /// length, per-stream blocks must tile the declared raw lengths, coded
-/// blocks must be strictly smaller than their raw form, and the count-vs-
-/// length plausibility check moves to the raw domain (stream 0 carries
-/// exactly one byte per entry). Throws TraceError on any inconsistency.
+/// blocks must be strictly smaller than their raw form and no more than
+/// util::kRcMaxExpansion times smaller, and the count-vs-length plausibility
+/// check moves to the raw domain (stream 0 carries exactly one byte per
+/// entry). So no declared raw length or count exceeds ~46× the file's size.
+/// Throws TraceError on any inconsistency.
 [[nodiscard]] std::vector<SectionBlocks> decode_block_index(
     util::BytesView payload, const std::vector<SectionInfo>& sections);
 
@@ -105,37 +125,33 @@ struct SectionInfo;  // trace_view.hpp
 void encode_block_index(util::ByteWriter& out,
                         const std::vector<SectionBlocks>& sections);
 
-/// Decompresses one whole section into `out` (ground truth / summary — the
-/// single-shot sections where random access buys nothing). Throws TraceError.
+/// Decompresses one whole section into `out` (ground truth, summary, fleet:
+/// the single-shot sections where random access buys nothing), decoding
+/// each of its blocks once per call, outside the decoded-block table.
+/// Throws TraceError.
 void decompress_section(util::BytesView section_payload, const SectionBlocks& blocks,
                         util::RcModel& model, util::Bytes& out);
 
-/// Sequential cursor over one stream of a compressed section. Pulls decoded
-/// blocks through the TraceFile's BlockCache on demand — a reader that stops
-/// early never decodes the blocks past its position. Throws TraceError
-/// (via util::OutOfBounds mapped by the caller) when reads pass the
-/// stream's declared raw length.
+/// Sequential cursor over one byte stream: a column of a compressed section,
+/// whose blocks it takes from the BlockDirectory on demand (a reader that
+/// stops early never decodes the blocks past its position), or a raw
+/// payload read whole. Throws util::OutOfBounds (mapped to TraceError by the
+/// caller) when reads pass the stream's end.
 ///
-/// Holds views into the TraceFile's image and directory: it must not
-/// outlive the TraceFile that produced it.
+/// Holds views into the TraceFile's image and decoded-block table: it must
+/// not outlive the TraceFile that produced it.
 class StreamReader {
  public:
   /// Empty stream (absent section).
   StreamReader() = default;
 
+  /// A raw payload as one stream: a v1 section, whose rows interleave every
+  /// column, so the one reader stands in for all of them.
+  explicit StreamReader(util::BytesView raw) : cur_(raw) {}
+
+  /// Column `stream` of a compressed section.
   StreamReader(util::BytesView section_payload, const SectionBlocks& blocks,
                std::uint32_t stream, BlockDirectory& dir);
-  StreamReader(const StreamReader&) = delete;
-  StreamReader& operator=(const StreamReader&) = delete;
-  StreamReader(StreamReader&& o) noexcept { swap(o); }
-  StreamReader& operator=(StreamReader&& o) noexcept {
-    if (this != &o) {
-      release_pin();
-      swap(o);
-    }
-    return *this;
-  }
-  ~StreamReader() { release_pin(); }
 
   [[nodiscard]] std::uint8_t u8() {
     if (pos_ == cur_.size()) refill();
@@ -152,18 +168,48 @@ class StreamReader {
 
  private:
   void refill();
-  void release_pin() noexcept;
-  void swap(StreamReader& o) noexcept;
 
   util::BytesView payload_;
-  const SectionBlocks* blocks_ = nullptr;
+  const SectionBlocks* blocks_ = nullptr;  ///< nullptr: raw payload, all in cur_
   BlockDirectory* dir_ = nullptr;
   std::uint32_t stream_ = 0;
   std::size_t next_block_ = 0;  ///< index into blocks_->by_stream[stream_]
   util::BytesView cur_;
   std::size_t pos_ = 0;
   std::uint64_t left_ = 0;      ///< raw bytes in blocks not yet loaded into cur_
-  std::int32_t pinned_ = -1;    ///< cache slot backing cur_, -1 = none/stored
+};
+
+/// The N column readers of one packets or records section. A v2 section
+/// splits its columns into streams, each read on its own; a v1 payload
+/// interleaves them row by row, so one raw reader stands in for every
+/// column and the row decoders read both versions through the same loop.
+template <std::size_t N>
+class ColumnReaders {
+ public:
+  /// Absent section: every read throws.
+  ColumnReaders() = default;
+
+  /// v1 row-interleaved payload.
+  explicit ColumnReaders(util::BytesView raw) { readers_[0] = StreamReader(raw); }
+
+  /// v2 stream-split payload.
+  ColumnReaders(util::BytesView section_payload, const SectionBlocks& blocks,
+                BlockDirectory& dir)
+      : split_(true) {
+    for (std::uint32_t c = 0; c < N; ++c) {
+      readers_[c] = StreamReader(section_payload, blocks, c, dir);
+    }
+  }
+
+  [[nodiscard]] StreamReader& operator[](std::size_t column) noexcept {
+    return readers_[split_ ? column : 0];
+  }
+  /// True for v2, whose columns also carry residuals against predictors.
+  [[nodiscard]] bool split() const noexcept { return split_; }
+
+ private:
+  std::array<StreamReader, N> readers_;
+  bool split_ = false;
 };
 
 /// Writer-side block emitter for one section: accumulates per-stream column

@@ -6,9 +6,10 @@
 //                asks for — a scorer that needs meta + records never touches
 //                the packet bytes.
 //   PacketCursor streaming: yields one PacketObservation at a time from the
-//                packets section, O(1) memory — what replay, pcap export and
-//                recompression iterate, so multi-hour traces never
-//                materialize a packet vector.
+//                packets section — what replay, pcap export and
+//                recompression iterate, so no trace materializes a packet
+//                vector. The blocks it decodes stay in the TraceFile's
+//                decoded-block table until the file closes.
 //
 // Validation here is hardened against hostile input: wrong magics, truncated
 // trailers, section offsets past EOF, overlapping sections and implausible
@@ -44,10 +45,6 @@ struct SectionInfo {
 /// folds `data` into a running hash. Seed with kFnv1aInit.
 inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
 [[nodiscard]] std::uint64_t fnv1a_update(std::uint64_t h, util::BytesView data) noexcept;
-/// FNV-1a over a view walked in util::kFileChunkBytes chunks — the exact
-/// code path capture::digest_file streams a file through, so an mmap'd
-/// image and a buffered read digest identically by construction.
-[[nodiscard]] std::uint64_t digest_view(util::BytesView data) noexcept;
 
 /// Validates the .h2t skeleton of `image` (magics, version, trailer) and
 /// returns the section table in file order. Accepts every version from
@@ -69,8 +66,6 @@ inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
 // --- section decoders (each throws TraceError on malformed payloads) --------
 
 [[nodiscard]] TraceMeta decode_meta(util::BytesView payload);
-[[nodiscard]] std::vector<analysis::RecordObservation> decode_records(
-    util::BytesView payload, std::uint64_t count, net::Direction dir);
 [[nodiscard]] analysis::GroundTruth decode_ground_truth(util::BytesView payload);
 [[nodiscard]] TraceSummary decode_summary(util::BytesView payload);
 /// Decodes a raw kFleet payload; `count` is the section's trailer count and
@@ -79,20 +74,19 @@ inline constexpr std::uint64_t kFnv1aInit = 0xcbf29ce484222325ULL;
                                                   std::uint64_t count);
 
 /// Streaming decoder over the packets section: one PacketObservation per
-/// next() call, O(1) state. Restartable by constructing a fresh cursor.
+/// next() call. Restartable by constructing a fresh cursor.
 ///
-/// Two modes share the decode logic: v1 walks the row-interleaved payload
-/// with a ByteReader; v2 walks six column StreamReaders that decode blocks
-/// on demand through the owning TraceFile's cache — a cursor that stops
-/// early never pays for the blocks past its position. A v2 cursor borrows
-/// the TraceFile's image and block directory and must not outlive it.
+/// v1 and v2 read through the same loop over six ColumnReaders. A v2 column
+/// decodes its blocks on demand into the owning TraceFile's decoded-block
+/// table, so a cursor that stops early never pays for the blocks past its
+/// position, and a second cursor decodes nothing the first already did. The
+/// cursor's own state is O(1); the blocks it decoded stay in the table until
+/// the TraceFile closes, at most the raw size of the coded packet columns.
+/// A cursor borrows the TraceFile's image and table and must not outlive it.
 class PacketCursor {
  public:
-  /// v1 row-interleaved payload.
-  PacketCursor(util::BytesView payload, std::uint64_t count);
-  /// v2 stream-split payload.
-  PacketCursor(util::BytesView payload, const SectionBlocks& blocks,
-               BlockDirectory& dir, std::uint64_t count);
+  PacketCursor(ColumnReaders<6> columns, std::uint64_t count)
+      : cols_(columns), left_(count) {}
 
   /// Decodes the next packet into `out`; false when the section is
   /// exhausted. Throws TraceError on malformed input, including a
@@ -106,9 +100,7 @@ class PacketCursor {
     std::uint64_t seq = 0, ack = 0, len = 0;
     std::int64_t wire = 0;
   };
-  util::ByteReader reader_;
-  std::array<StreamReader, 6> streams_;  ///< v2 columns (unused in v1 mode)
-  bool v2_ = false;
+  ColumnReaders<6> cols_;  ///< tag, dtime, dwire, dseq, dack, dlen
   std::uint64_t left_ = 0;
   std::int64_t prev_time_ns_ = 0;
   std::array<DirState, 2> dirs_{};
@@ -164,7 +156,7 @@ class TraceFile {
   [[nodiscard]] ConnIdColumns conn_ids() const;
 
   [[nodiscard]] std::uint64_t file_size() const noexcept { return image_.size(); }
-  /// FNV-1a 64 of the whole image, chunk-streamed; computed once, cached.
+  /// FNV-1a 64 of the whole image; computed once, cached.
   [[nodiscard]] std::uint64_t digest() const;
   [[nodiscard]] util::BytesView image() const noexcept { return image_; }
 
@@ -178,10 +170,22 @@ class TraceFile {
   TraceMeta meta_;
   std::uint16_t version_ = kFormatVersion;
   std::vector<SectionInfo> sections_;
-  /// v2 decode state (directory + LRU cache + coder model); allocated only
-  /// when the file has compressed sections. Mutable because decoding through
-  /// the cache is a logically-const read. Like the rest of a TraceFile, it
-  /// is single-threaded — corpus workers each open their own TraceFile.
+  /// Column readers of the packets or records section `s`.
+  template <std::size_t N>
+  [[nodiscard]] ColumnReaders<N> columns(const SectionInfo& s) const;
+  /// Raw payload of a section read whole (ground truth, summary, fleet): a
+  /// view into the image when stored raw, else decompressed into `buf`.
+  [[nodiscard]] util::BytesView whole_section(Section id, const char* name,
+                                              util::Bytes& buf) const;
+
+  /// v2 decode state (directory, decoded-block table, coder model);
+  /// allocated only when the file has compressed sections. Mutable because
+  /// decoding a block into the table is a logically-const read. The table
+  /// keeps every coded block a reader decoded until the TraceFile closes: at
+  /// most the raw size of the columns read (1.8× their stored bytes on a
+  /// 16-client fleet trace), never more than util::kRcMaxExpansion× the
+  /// file. Like the rest of a TraceFile, it is single-threaded — corpus
+  /// workers each open their own.
   mutable std::unique_ptr<BlockDirectory> blocks_;
   mutable std::optional<std::uint64_t> digest_;
 };

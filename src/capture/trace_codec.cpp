@@ -49,6 +49,10 @@ void finalize_section(SectionBlocks& sb, const SectionInfo& info) {
       // The writer always falls back to stored when coding does not shrink,
       // so a coded block at least as large as its raw form is corruption.
       throw TraceError("block index: coded block not smaller than raw");
+    } else if (b.raw_length > util::kRcMaxExpansion * b.comp_length) {
+      // No coded byte carries more than kRcMaxExpansion raw bytes; a block
+      // claiming more would size buffers and counts the file cannot back.
+      throw TraceError("block index: coded block expands past the coder's limit");
     }
     consumed[b.stream] += b.raw_length;
     disk += b.comp_length;
@@ -209,6 +213,23 @@ void decompress_section(util::BytesView section_payload, const SectionBlocks& bl
   }
 }
 
+util::BytesView BlockDirectory::block(util::BytesView section_payload,
+                                      const SectionBlocks& blocks, std::uint32_t index) {
+  const BlockInfo& b = blocks.blocks[index];
+  const util::BytesView disk = block_disk_bytes(section_payload, b);
+  if (b.stored) return disk;  // zero-copy straight from the mapped image
+  util::Bytes& raw = decoded[static_cast<std::size_t>(&blocks - sections.data())][index];
+  if (!raw.empty()) {  // a coded block is never empty once decoded
+    obs::count(obs::Counter::kCodecCacheHits);
+    return {raw.data(), raw.size()};
+  }
+  obs::count(obs::Counter::kCodecCacheMisses);
+  util::Bytes out(static_cast<std::size_t>(b.raw_length));
+  decode_block(disk, model, std::span<std::uint8_t>(out));
+  raw = std::move(out);
+  return {raw.data(), raw.size()};
+}
+
 StreamReader::StreamReader(util::BytesView section_payload,
                            const SectionBlocks& blocks, std::uint32_t stream,
                            BlockDirectory& dir)
@@ -220,46 +241,11 @@ StreamReader::StreamReader(util::BytesView section_payload,
 
 void StreamReader::refill() {
   if (blocks_ == nullptr || next_block_ >= blocks_->by_stream[stream_].size()) {
-    throw util::OutOfBounds("compressed stream exhausted");
+    throw util::OutOfBounds("stream exhausted");
   }
-  const std::uint32_t block_idx = blocks_->by_stream[stream_][next_block_++];
-  const BlockInfo& b = blocks_->blocks[block_idx];
-  const util::BytesView disk = block_disk_bytes(payload_, b);
-  release_pin();
-  if (b.stored) {
-    cur_ = disk;  // zero-copy straight from the mapped image
-  } else {
-    const util::BlockKey key{
-        (static_cast<std::uint32_t>(blocks_->id) << 8) | stream_, b.raw_offset};
-    const util::BlockCache::Ref ref = dir_->cache.get(key, [&](util::Bytes& buf) {
-      buf.resize(static_cast<std::size_t>(b.raw_length));
-      decode_block(disk, dir_->model, std::span<std::uint8_t>(buf));
-    });
-    cur_ = ref.view;
-    dir_->cache.pin(ref.slot);
-    pinned_ = static_cast<std::int32_t>(ref.slot);
-  }
-  left_ -= b.raw_length;
+  cur_ = dir_->block(payload_, *blocks_, blocks_->by_stream[stream_][next_block_++]);
+  left_ -= cur_.size();
   pos_ = 0;
-}
-
-void StreamReader::release_pin() noexcept {
-  if (pinned_ >= 0 && dir_ != nullptr) {
-    dir_->cache.unpin(static_cast<std::uint32_t>(pinned_));
-  }
-  pinned_ = -1;
-}
-
-void StreamReader::swap(StreamReader& o) noexcept {
-  std::swap(payload_, o.payload_);
-  std::swap(blocks_, o.blocks_);
-  std::swap(dir_, o.dir_);
-  std::swap(stream_, o.stream_);
-  std::swap(next_block_, o.next_block_);
-  std::swap(cur_, o.cur_);
-  std::swap(pos_, o.pos_);
-  std::swap(left_, o.left_);
-  std::swap(pinned_, o.pinned_);
 }
 
 std::uint64_t StreamReader::varint() {

@@ -100,15 +100,6 @@ std::uint64_t fnv1a_update(std::uint64_t h, util::BytesView data) noexcept {
   return h;
 }
 
-std::uint64_t digest_view(util::BytesView data) noexcept {
-  std::uint64_t h = kFnv1aInit;
-  for (std::size_t off = 0; off < data.size(); off += util::kFileChunkBytes) {
-    const std::size_t n = std::min(util::kFileChunkBytes, data.size() - off);
-    h = fnv1a_update(h, data.subspan(off, n));
-  }
-  return h;
-}
-
 std::vector<SectionInfo> validate_and_index(util::BytesView image,
                                             std::uint16_t* version_out) {
   const std::size_t min_size = kHeaderBytes + kTrailerTailBytes;
@@ -251,35 +242,6 @@ TraceMeta decode_meta(util::BytesView payload) {
   });
 }
 
-std::vector<analysis::RecordObservation> decode_records(util::BytesView payload,
-                                                        std::uint64_t count,
-                                                        net::Direction dir) {
-  if (payload.size() / 4 < count) {  // >= 4 bytes per encoded record
-    throw TraceError("record count exceeds payload");
-  }
-  return decode_guard([&] {
-    util::ByteReader r(payload);
-    std::vector<analysis::RecordObservation> out;
-    out.reserve(static_cast<std::size_t>(count));
-    std::int64_t prev_time_ns = 0;
-    std::uint64_t prev_len = 0, prev_off = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      analysis::RecordObservation rec;
-      rec.dir = dir;
-      rec.type = static_cast<tls::ContentType>(r.u8());
-      rec.time.ns = wrapping_add(prev_time_ns, get_svarint(r));
-      rec.ciphertext_len = static_cast<std::size_t>(
-          prev_len + static_cast<std::uint64_t>(get_svarint(r)));
-      rec.stream_offset = prev_off + static_cast<std::uint64_t>(get_svarint(r));
-      prev_time_ns = rec.time.ns;
-      prev_len = rec.ciphertext_len;
-      prev_off = rec.stream_offset;
-      out.push_back(rec);
-    }
-    return out;
-  });
-}
-
 analysis::GroundTruth decode_ground_truth(util::BytesView payload) {
   return decode_guard([&] {
     util::ByteReader r(payload);
@@ -360,50 +322,28 @@ TraceSummary decode_summary(util::BytesView payload) {
   });
 }
 
-PacketCursor::PacketCursor(util::BytesView payload, std::uint64_t count)
-    : reader_(payload), left_(count) {
-  if (payload.size() / 6 < count) {  // >= 6 bytes per encoded packet
-    throw TraceError("packet count exceeds payload");
-  }
-}
-
-PacketCursor::PacketCursor(util::BytesView payload, const SectionBlocks& blocks,
-                           BlockDirectory& dir, std::uint64_t count)
-    : reader_(util::BytesView{}), v2_(true), left_(count) {
-  for (std::uint32_t s = 0; s < streams_.size(); ++s) {
-    streams_[s] = StreamReader(payload, blocks, s, dir);
-  }
-}
-
 bool PacketCursor::next(analysis::PacketObservation& out) {
   if (left_ == 0) return false;
   return decode_guard([&] {
-    const std::uint8_t tag = v2_ ? streams_[0].u8() : reader_.u8();
+    const std::uint8_t tag = cols_[0].u8();
     out.dir = static_cast<net::Direction>(tag >> 7);
     out.flags = static_cast<std::uint8_t>(tag & 0x7f);
     DirState& d = dirs_[static_cast<std::size_t>(out.dir)];
-    const auto sv = [&](std::size_t s) {
-      return v2_ ? streams_[s].svarint() : get_svarint(reader_);
-    };
-    out.time.ns = wrapping_add(prev_time_ns_, sv(1));
-    if (v2_) {
-      // v2 columns 2-3 are residuals against TCP-structure predictors (see
-      // TraceWriter::add_packet); invert them from already-decoded state.
-      const std::int64_t overhead =
-          wrapping_add(d.wire - static_cast<std::int64_t>(d.len), sv(2));
-      out.seq = d.seq + d.len + static_cast<std::uint64_t>(sv(3));
-      out.ack = d.ack + static_cast<std::uint64_t>(sv(4));
-      out.payload_len =
-          static_cast<std::size_t>(d.len + static_cast<std::uint64_t>(sv(5)));
-      out.wire_size =
-          overhead + static_cast<std::int64_t>(out.payload_len);
-    } else {
-      out.wire_size = wrapping_add(d.wire, sv(2));
-      out.seq = d.seq + static_cast<std::uint64_t>(sv(3));
-      out.ack = d.ack + static_cast<std::uint64_t>(sv(4));
-      out.payload_len =
-          static_cast<std::size_t>(d.len + static_cast<std::uint64_t>(sv(5)));
-    }
+    out.time.ns = wrapping_add(prev_time_ns_, cols_[1].svarint());
+    // v2 stores columns 2-3 as residuals against TCP-structure predictors
+    // (see TraceWriter::add_packet), v1 as plain deltas: v2 predicts seq as
+    // the previous seq advanced by the previous payload, and wire_size minus
+    // payload_len as a constant per-direction overhead.
+    const bool v2 = cols_.split();
+    const std::int64_t wire_delta = cols_[2].svarint();
+    out.seq =
+        (v2 ? d.seq + d.len : d.seq) + static_cast<std::uint64_t>(cols_[3].svarint());
+    out.ack = d.ack + static_cast<std::uint64_t>(cols_[4].svarint());
+    out.payload_len = static_cast<std::size_t>(
+        d.len + static_cast<std::uint64_t>(cols_[5].svarint()));
+    const std::uint64_t payload_change = v2 ? out.payload_len - d.len : 0;
+    out.wire_size = wrapping_add(wrapping_add(d.wire, wire_delta),
+                                 static_cast<std::int64_t>(payload_change));
     if (out.payload_len > kMaxPacketPayload) {
       throw TraceError("packet payload_len " + std::to_string(out.payload_len) +
                        " exceeds " + std::to_string(kMaxPacketPayload));
@@ -445,8 +385,8 @@ void TraceFile::index() {
     if (bi == nullptr) {
       throw TraceError("compressed sections without a block index");
     }
-    blocks_ = std::make_unique<BlockDirectory>();
-    blocks_->sections = decode_block_index(section_view(image_, *bi), sections_);
+    blocks_ = std::make_unique<BlockDirectory>(
+        decode_block_index(section_view(image_, *bi), sections_));
     for (SectionInfo& s : sections_) {
       if (!s.compressed) continue;
       const SectionBlocks* sb = blocks_->find(s.id);
@@ -473,13 +413,27 @@ std::uint64_t TraceFile::packet_count() const noexcept {
   return s != nullptr ? s->count : 0;
 }
 
+template <std::size_t N>
+ColumnReaders<N> TraceFile::columns(const SectionInfo& s) const {
+  const util::BytesView payload = section_view(image_, s);
+  if (!s.compressed) return ColumnReaders<N>(payload);
+  return {payload, *blocks_->find(s.id), *blocks_};
+}
+
+util::BytesView TraceFile::whole_section(Section id, const char* name,
+                                         util::Bytes& buf) const {
+  const SectionInfo* s = section(id);
+  if (s == nullptr) throw TraceError(std::string("trace has no ") + name + " section");
+  const util::BytesView payload = section_view(image_, *s);
+  if (!s->compressed) return payload;
+  decompress_section(payload, *blocks_->find(id), blocks_->model, buf);
+  return {buf.data(), buf.size()};
+}
+
 PacketCursor TraceFile::packets() const {
   const SectionInfo* s = section(Section::kPackets);
-  if (s == nullptr) return {util::BytesView{}, 0};
-  if (s->compressed) {
-    return {section_view(image_, *s), *blocks_->find(s->id), *blocks_, s->count};
-  }
-  return {section_view(image_, *s), s->count};
+  if (s == nullptr) return {ColumnReaders<6>{}, 0};
+  return {columns<6>(*s), s->count};
 }
 
 std::vector<analysis::RecordObservation> TraceFile::records(
@@ -488,14 +442,8 @@ std::vector<analysis::RecordObservation> TraceFile::records(
                                                             : Section::kRecordsS2C;
   const SectionInfo* s = section(id);
   if (s == nullptr) return {};
-  if (!s->compressed) return decode_records(section_view(image_, *s), s->count, dir);
-  const util::BytesView payload = section_view(image_, *s);
-  const SectionBlocks& sb = *blocks_->find(id);
   return decode_guard([&] {
-    StreamReader type(payload, sb, 0, *blocks_);
-    StreamReader dtime(payload, sb, 1, *blocks_);
-    StreamReader dlen(payload, sb, 2, *blocks_);
-    StreamReader doff(payload, sb, 3, *blocks_);
+    ColumnReaders<4> cols = columns<4>(*s);  // type, dtime, dlen, doff
     std::vector<analysis::RecordObservation> out;
     out.reserve(static_cast<std::size_t>(s->count));
     std::int64_t prev_time_ns = 0;
@@ -503,14 +451,15 @@ std::vector<analysis::RecordObservation> TraceFile::records(
     for (std::uint64_t i = 0; i < s->count; ++i) {
       analysis::RecordObservation rec;
       rec.dir = dir;
-      rec.type = static_cast<tls::ContentType>(type.u8());
-      rec.time.ns = wrapping_add(prev_time_ns, dtime.svarint());
+      rec.type = static_cast<tls::ContentType>(cols[0].u8());
+      rec.time.ns = wrapping_add(prev_time_ns, cols[1].svarint());
       rec.ciphertext_len = static_cast<std::size_t>(
-          prev_len + static_cast<std::uint64_t>(dlen.svarint()));
+          prev_len + static_cast<std::uint64_t>(cols[2].svarint()));
       // v2 stores the offset residual against the contiguous-records
-      // predictor (see TraceWriter::add_record).
-      rec.stream_offset = prev_off + prev_len + tls::kHeaderBytes +
-                          static_cast<std::uint64_t>(doff.svarint());
+      // predictor (see TraceWriter::add_record), v1 the plain delta.
+      const std::uint64_t predicted =
+          cols.split() ? prev_off + prev_len + tls::kHeaderBytes : prev_off;
+      rec.stream_offset = predicted + static_cast<std::uint64_t>(cols[3].svarint());
       prev_time_ns = rec.time.ns;
       prev_len = rec.ciphertext_len;
       prev_off = rec.stream_offset;
@@ -521,33 +470,19 @@ std::vector<analysis::RecordObservation> TraceFile::records(
 }
 
 analysis::GroundTruth TraceFile::ground_truth() const {
-  const SectionInfo* s = section(Section::kGroundTruth);
-  if (s == nullptr) throw TraceError("trace has no ground-truth section");
-  if (!s->compressed) return decode_ground_truth(section_view(image_, *s));
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_ground_truth(util::BytesView{raw.data(), raw.size()});
+  util::Bytes buf;
+  return decode_ground_truth(whole_section(Section::kGroundTruth, "ground-truth", buf));
 }
 
 TraceSummary TraceFile::summary() const {
-  const SectionInfo* s = section(Section::kSummary);
-  if (s == nullptr) throw TraceError("trace has no summary section");
-  if (!s->compressed) return decode_summary(section_view(image_, *s));
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_summary(util::BytesView{raw.data(), raw.size()});
+  util::Bytes buf;
+  return decode_summary(whole_section(Section::kSummary, "summary", buf));
 }
 
 std::vector<FleetConn> TraceFile::fleet() const {
-  const SectionInfo* s = section(Section::kFleet);
-  if (s == nullptr) throw TraceError("trace has no fleet section");
-  if (!s->compressed) return decode_fleet(section_view(image_, *s), s->count);
-  util::Bytes raw;
-  decompress_section(section_view(image_, *s), *blocks_->find(s->id), blocks_->model,
-                     raw);
-  return decode_fleet(util::BytesView{raw.data(), raw.size()}, s->count);
+  util::Bytes buf;
+  const util::BytesView payload = whole_section(Section::kFleet, "fleet", buf);
+  return decode_fleet(payload, section(Section::kFleet)->count);
 }
 
 ConnIdColumns TraceFile::conn_ids() const {
@@ -594,7 +529,7 @@ ConnIdColumns TraceFile::conn_ids() const {
 }
 
 std::uint64_t TraceFile::digest() const {
-  if (!digest_) digest_ = digest_view(image_);
+  if (!digest_) digest_ = fnv1a_update(kFnv1aInit, image_);
   return *digest_;
 }
 

@@ -88,7 +88,8 @@ enum class Counter : std::uint16_t {
   kCapturePacketsWritten,
   kCaptureRecordsWritten,
   kCaptureRawBytes,
-  // codec: .h2t v2 block compression (cache hits/misses = decode locality)
+  // codec: .h2t v2 block compression (cache hits/misses = lookups in a
+  // TraceFile's decoded-block table; a miss decodes the block)
   kCodecBlocksEncoded,
   kCodecBlocksStored,
   kCodecBlocksDecoded,

@@ -16,9 +16,8 @@
 
 namespace h2priv::util {
 
-/// Chunk size for every streaming file read/digest in the tree (the
-/// fallback reader here, capture::digest_file, ...). One constant so the
-/// I/O granularity story stays in one place.
+/// Chunk size of the buffered fallback reader below: the largest single
+/// read it asks the OS for.
 inline constexpr std::size_t kFileChunkBytes = 64 * 1024;
 
 class MappedFile {

@@ -36,6 +36,14 @@ inline constexpr unsigned kRcMoveBits = 5;
 /// Renormalization threshold: emit/consume one byte whenever the range
 /// drops below 2^24.
 inline constexpr std::uint32_t kRcTopValue = 1u << 24;
+/// Most raw bytes one coded byte can carry, rounded up. A probability moves
+/// 1/32 of its distance to the observed outcome, rounded down, so it never
+/// comes within 31/2048 of either end: the likelier outcome of a decision
+/// has probability at most 2017/2048 and costs at least 0.022 bits, eight
+/// decisions per byte, so one coded byte carries at most 45.45 raw bytes.
+/// The .h2t reader rejects a block that claims more, which bounds every size
+/// a block index declares by the file's size.
+inline constexpr std::uint64_t kRcMaxExpansion = 46;
 
 /// Order-1 byte model: 256 bit-trees of 256 probabilities (indices 1..255
 /// are the tree nodes), selected by the previous byte. ~128 KiB; reset()

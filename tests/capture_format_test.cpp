@@ -1,6 +1,7 @@
 // .h2t container: varint primitives, exact writer→reader round trips over
 // arbitrary observation sequences (property-style, seeded), and structural
 // rejection of corrupt or truncated files.
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include "h2priv/capture/trace_view.hpp"
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
+#include "h2priv/obs/metrics.hpp"
 #include "h2priv/sim/rng.hpp"
 #include "scratch_path.hpp"
 #include "trace_decode.hpp"
@@ -393,6 +395,106 @@ TEST_F(TraceCorruption, RejectsTrailerOffsetOutOfRange) {
   const std::size_t at = bad.size() - 16;
   for (std::size_t i = 0; i < 8; ++i) bad[at + i] = 0xff;
   EXPECT_THROW(decode_image(bad), TraceError);
+}
+
+// --- decoded-block table ---------------------------------------------------
+
+/// `n` packets whose six columns repeat with short periods, so every column
+/// block codes (none is stored): 150,000 packets make 23 coded blocks, more
+/// than the 16 a fixed-slot cache would hold.
+std::vector<analysis::PacketObservation> periodic_packets(int n) {
+  std::vector<analysis::PacketObservation> out;
+  std::int64_t t = 0;
+  std::array<std::uint64_t, 2> seq{1'000, 9'000};
+  for (int i = 0; i < n; ++i) {
+    analysis::PacketObservation p;
+    t += 1'000 + 10 * (i % 5);
+    p.time = util::TimePoint{t};
+    p.dir = i % 3 == 2 ? net::Direction::kClientToServer
+                       : net::Direction::kServerToClient;
+    const auto d = static_cast<std::size_t>(p.dir);
+    p.payload_len = static_cast<std::size_t>(200 * (i % 7));
+    p.wire_size = 40 + static_cast<std::int64_t>(p.payload_len);
+    p.seq = seq[d];
+    p.ack = seq[1 - d];
+    p.flags = 0x10;
+    seq[d] += p.payload_len;
+    out.push_back(p);
+  }
+  return out;
+}
+
+[[nodiscard]] std::uint64_t coded_blocks(const TraceFile& trace, Section id) {
+  std::uint64_t n = 0;
+  for (const BlockInfo& b : trace.section_blocks(id)->blocks) n += b.stored ? 0 : 1;
+  return n;
+}
+
+TEST(BlockTable, SecondFullReadDecodesNoBlock) {
+  const std::string path = temp_path("decode_once");
+  const auto packets = periodic_packets(150'000);
+  {
+    TraceWriter writer(path, TraceMeta{});
+    for (const auto& p : packets) writer.add_packet(p);
+    writer.finish();
+  }
+  const TraceFile trace = TraceFile::open(path);
+  const std::uint64_t coded = coded_blocks(trace, Section::kPackets);
+  ASSERT_GT(coded, 16u);
+
+  obs::ScopedRegistry scoped;
+  const obs::Registry& reg = scoped.registry();
+  for (int pass = 1; pass <= 2; ++pass) {
+    const auto got = testing::drain_packets(trace);
+    ASSERT_EQ(got.size(), packets.size()) << "pass " << pass;
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      ASSERT_TRUE(same_packet(got[i], packets[i])) << "pass " << pass << " packet " << i;
+    }
+    // Each coded block decodes on its first read, once per TraceFile; the
+    // second pass finds every one of them in the table.
+    EXPECT_EQ(reg.get(obs::Counter::kCodecBlocksDecoded), coded) << "pass " << pass;
+    EXPECT_EQ(reg.get(obs::Counter::kCodecCacheMisses), coded) << "pass " << pass;
+    EXPECT_EQ(reg.get(obs::Counter::kCodecCacheHits), pass == 1 ? 0u : coded)
+        << "pass " << pass;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockTable, TwoLiveCursorsReadLikeOne) {
+  // Views into decoded blocks must survive other readers pulling blocks in:
+  // two cursors over one TraceFile, alive at once, the second starting 40,000
+  // packets behind and both advanced in turn, each yield what one cursor
+  // does alone.
+  const std::string path = temp_path("two_cursors");
+  {
+    TraceWriter writer(path, TraceMeta{});
+    for (const auto& p : periodic_packets(150'000)) writer.add_packet(p);
+    writer.finish();
+  }
+  const auto single = testing::drain_packets(TraceFile::open(path));
+  const TraceFile trace = TraceFile::open(path);
+  ASSERT_GT(coded_blocks(trace, Section::kPackets), 16u);
+  PacketCursor lead = trace.packets();
+  PacketCursor trail = trace.packets();
+  analysis::PacketObservation p;
+  std::size_t i = 0, j = 0;
+  for (; i < 40'000; ++i) {
+    ASSERT_TRUE(lead.next(p));
+    ASSERT_TRUE(same_packet(p, single[i])) << "lead " << i;
+  }
+  while (i < single.size() || j < single.size()) {
+    if (i < single.size()) {
+      ASSERT_TRUE(lead.next(p));
+      ASSERT_TRUE(same_packet(p, single[i])) << "lead " << i;
+      ++i;
+    }
+    ASSERT_TRUE(trail.next(p));
+    ASSERT_TRUE(same_packet(p, single[j])) << "trail " << j;
+    ++j;
+  }
+  EXPECT_FALSE(lead.next(p));
+  EXPECT_FALSE(trail.next(p));
+  std::remove(path.c_str());
 }
 
 // --- digest + pcap ----------------------------------------------------------

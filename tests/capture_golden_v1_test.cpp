@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +112,52 @@ TEST(GoldenV1, RecompressProducesTheLiveV2Bytes) {
   EXPECT_EQ(again.upgraded, 0u);
   EXPECT_EQ(again.bytes_after, stats.bytes_after);
   fs::remove_all(work);
+}
+
+TEST(GoldenV1, CountsPastTheStoredRowsAreTraceErrors) {
+  // v1 rows read through the same column loops as v2, one raw reader standing
+  // in for every column. A trailer count one past the stored rows still
+  // passes the open-time length check, so the loop itself must run off the
+  // payload's end into a TraceError.
+  const std::string bytes = slurp(kV1Dir + "/run_1000.h2t");
+  const util::Bytes golden(bytes.begin(), bytes.end());
+  const std::vector<capture::SectionInfo> sections =
+      capture::validate_and_index(util::BytesView{golden.data(), golden.size()});
+  std::uint64_t table = 0;  // trailer table offset, the u64 before the end magic
+  for (std::size_t k = golden.size() - 16; k < golden.size() - 8; ++k) {
+    table = (table << 8) | golden[k];
+  }
+  const auto raised = [&](capture::Section id) {
+    util::Bytes image = golden;
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      if (sections[i].id != id) continue;
+      const std::uint64_t count = sections[i].count + 1;
+      const auto at =
+          static_cast<std::size_t>(table) + i * capture::kSectionEntryBytes + 20;
+      for (std::size_t b = 0; b < 8; ++b) {
+        image[at + b] = static_cast<std::uint8_t>(count >> (56 - 8 * b));
+      }
+    }
+    return capture::TraceFile{image};
+  };
+  for (const auto dir :
+       {net::Direction::kClientToServer, net::Direction::kServerToClient}) {
+    const capture::Section id = dir == net::Direction::kClientToServer
+                                    ? capture::Section::kRecordsC2S
+                                    : capture::Section::kRecordsS2C;
+    const capture::TraceFile trace = raised(id);
+    EXPECT_EQ(trace.version(), 1u);
+    EXPECT_THROW((void)trace.records(dir), capture::TraceError);
+  }
+  const capture::TraceFile trace = raised(capture::Section::kPackets);
+  capture::PacketCursor cursor = trace.packets();
+  analysis::PacketObservation p;
+  EXPECT_THROW(
+      {
+        while (cursor.next(p)) {
+        }
+      },
+      capture::TraceError);
 }
 
 }  // namespace

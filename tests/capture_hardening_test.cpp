@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "h2priv/capture/trace_writer.hpp"
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "h2priv/util/range_coder.hpp"
 #include "scratch_path.hpp"
 #include "trace_decode.hpp"
 
@@ -367,12 +369,89 @@ TEST_F(TraceHardening, CorruptedCompressedPayloadNeverEscapesTraceError) {
   SUCCEED() << parsed << " parsed, " << rejected << " rejected";
 }
 
+/// A v2 image built in memory, as a hostile writer would: one compressed
+/// section `id` with trailer count `count` and `n_streams` streams of 1,024
+/// blocks, each `block_raw` raw bytes coded in a single byte. At 4 MiB per
+/// block that declares 2^32 raw bytes per stream from a file of a few KiB.
+util::Bytes forged_expansion_image(Section id, std::uint64_t count,
+                                   std::uint64_t n_streams, std::uint64_t block_raw) {
+  constexpr std::uint64_t kBlocksPerStream = 1024;
+  const std::uint64_t n_blocks = n_streams * kBlocksPerStream;
+  util::ByteWriter w;
+  w.bytes(util::BytesView{kMagic.data(), kMagic.size()});
+  w.u16(kFormatVersion);
+  w.u16(0);
+  w.u32(0);
+  w.u64(0);  // seed
+  const std::uint64_t payload_at = w.size();
+  for (std::uint64_t i = 0; i < n_blocks; ++i) w.u8(0);
+  const std::uint64_t index_at = w.size();
+  put_varint(w, 1);  // one directoried section
+  put_varint(w, static_cast<std::uint64_t>(id));
+  put_varint(w, n_streams);
+  put_varint(w, block_raw);
+  for (std::uint64_t s = 0; s < n_streams; ++s) {
+    put_varint(w, kBlocksPerStream * block_raw);
+  }
+  put_varint(w, n_blocks);
+  for (std::uint64_t s = 0; s < n_streams; ++s) {
+    for (std::uint64_t b = 0; b < kBlocksPerStream; ++b) {
+      put_varint(w, s);
+      put_varint(w, 0);  // coded, not stored
+      put_varint(w, 1);  // one coded byte
+    }
+  }
+  const std::uint64_t index_len = w.size() - index_at;
+  const std::uint64_t table_at = w.size();
+  w.u32(static_cast<std::uint32_t>(id) | kSectionCompressedFlag);
+  w.u64(payload_at);
+  w.u64(n_blocks);
+  w.u64(count);
+  w.u32(static_cast<std::uint32_t>(Section::kBlockIndex));
+  w.u64(index_at);
+  w.u64(index_len);
+  w.u64(0);
+  w.u32(2);  // sections
+  w.u64(table_at);
+  w.bytes(util::BytesView{kEndMagic.data(), kEndMagic.size()});
+  return w.take();
+}
+
+TEST_F(TraceHardening, BlocksClaimingMoreThanTheCoderCanCarryAreRejected) {
+  // No coded byte carries more than util::kRcMaxExpansion raw bytes. Without
+  // that bound, a 16 KB file declaring 2^32 client records (4 streams of
+  // 1,024 4-MiB blocks) made records() reserve 128 GiB and end in
+  // std::bad_alloc, and a 4 KB one made ground_truth() reserve 4 GiB before
+  // its first block failed.
+  constexpr std::uint64_t kStream = std::uint64_t{1} << 32;
+  const util::Bytes records =
+      forged_expansion_image(Section::kRecordsC2S, kStream, 4, kMaxBlockBytes);
+  EXPECT_LT(records.size(), 17'000u);
+  expect_rejected(records, "2^32 records from 4,096 coded bytes");
+  const util::Bytes truth =
+      forged_expansion_image(Section::kGroundTruth, 0, 1, kMaxBlockBytes);
+  EXPECT_LT(truth.size(), 4'300u);
+  expect_rejected(truth, "4 GiB of ground truth from 1,024 coded bytes");
+
+  // The bound itself: one coded byte may claim kRcMaxExpansion raw bytes
+  // (the index validates, and the one-byte blocks then fail to decode), but
+  // not one more.
+  const std::uint64_t at_bound = util::kRcMaxExpansion;
+  const util::Bytes ok = forged_expansion_image(Section::kRecordsC2S, 1024 * at_bound,
+                                                4, at_bound);
+  const TraceFile file{ok};
+  EXPECT_THROW((void)file.records(net::Direction::kClientToServer), TraceError);
+  expect_rejected(forged_expansion_image(Section::kRecordsC2S, 1024 * (at_bound + 1), 4,
+                                         at_bound + 1),
+                  "one raw byte past the bound");
+}
+
 TEST_F(TraceHardening, StreamedFileDigestMatchesWholeImageDigest) {
-  // digest_file streams in 64 KiB chunks; it must agree with the one-shot
-  // fnv1a and the chunk-walking digest_view on a file spanning several
-  // chunks. The fixture trace is small, so pad a copy out past 3 chunks
-  // with a second image's worth of appended bytes (digest input is raw
-  // bytes; validity as a trace is irrelevant here).
+  // digest_file reads the file mapped; it must agree with the one-shot
+  // fnv1a on a file spanning several 64 KiB chunks. The fixture trace is
+  // small, so pad a copy out past 3 chunks with a second image's worth of
+  // appended bytes (digest input is raw bytes; validity as a trace is
+  // irrelevant here).
   util::Bytes big = image_;
   while (big.size() < 3 * util::kFileChunkBytes + 17) {
     big.insert(big.end(), image_.begin(), image_.end());
@@ -382,7 +461,6 @@ TEST_F(TraceHardening, StreamedFileDigestMatchesWholeImageDigest) {
   const util::BytesView view{big.data(), big.size()};
   const std::uint64_t whole = fnv1a_update(kFnv1aInit, view);
   EXPECT_EQ(digest_file(path), whole);
-  EXPECT_EQ(digest_view(view), whole);
   std::remove(path.c_str());
 }
 
@@ -463,6 +541,45 @@ TEST_F(TraceHardening, PayloadLengthOnePastTheCeilingIsRejected) {
   analysis::PacketObservation p;
   EXPECT_THROW((void)cursor.next(p), TraceError);
   std::remove(path.c_str());
+}
+
+TEST_F(TraceHardening, HostileWireResidualsWrapInsteadOfOverflowing) {
+  // The packets' wire-size column stores residuals against a per-direction
+  // overhead predictor. A hostile residual can put the running overhead at
+  // INT64_MAX; adding the payload length (and, on the next packet, taking it
+  // back off) must wrap like every other delta sum, not overflow a signed
+  // integer (undefined behaviour, which UBSan reports).
+  const std::string path = temp_path("wire");
+  analysis::PacketObservation p;
+  p.dir = net::Direction::kServerToClient;
+  p.payload_len = 100;
+  p.wire_size = -(std::int64_t{1} << 62);
+  {
+    TraceWriter writer(path, TraceMeta{});
+    writer.add_packet(p);
+    writer.add_packet(p);
+    writer.finish();
+  }
+  util::Bytes image = slurp(path);
+  std::remove(path.c_str());
+  // The first residual is (wire - payload) - 0; rewrite its 10-byte varint
+  // (each one-packet column is stored raw) to zigzag(INT64_MAX).
+  util::ByteWriter from, to;
+  put_svarint(from, p.wire_size - 100);
+  put_svarint(to, std::numeric_limits<std::int64_t>::max());
+  ASSERT_EQ(from.size(), to.size());
+  const auto at = std::search(image.begin(), image.end(), from.view().begin(),
+                              from.view().end());
+  ASSERT_NE(at, image.end());
+  std::copy(to.view().begin(), to.view().end(), at);
+
+  const TraceFile trace{image};
+  PacketCursor cursor = trace.packets();
+  analysis::PacketObservation got;
+  ASSERT_TRUE(cursor.next(got));
+  EXPECT_EQ(got.wire_size, std::numeric_limits<std::int64_t>::min() + 99);
+  ASSERT_TRUE(cursor.next(got));
+  EXPECT_EQ(got.payload_len, 100u);
 }
 
 /// A ground-truth section payload: `fields` as varints, then `tail` zero

@@ -113,7 +113,7 @@ TEST(TlsRecord, OutOfOrderOpenFailsAuthentication) {
                                        util::patterned_bytes(8, 2));
   std::size_t consumed = 0;
   EXPECT_THROW((void)open.open_one(second, consumed), TlsError)
-      << "record sequence numbers key the cipher";
+      << "record sequence numbers key the tag";
 }
 
 TEST(TlsRecord, WrongSecretFails) {

@@ -105,6 +105,21 @@ TEST(RangeCoder, CompressesRedundantDataAndIsDeterministic) {
   EXPECT_LT(first.size(), redundant.size() / 2);
 }
 
+TEST(RangeCoder, NoCodedByteCarriesMoreThanTheExpansionBound) {
+  // The most compressible block there is, one byte value repeated, at the
+  // largest block size the .h2t reader accepts (4 MiB): it must still code
+  // under kRcMaxExpansion raw bytes per coded byte, the bound the reader
+  // enforces on every block an index declares.
+  RcModel model;
+  for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    const Bytes raw(std::size_t{4} << 20, value);
+    const Bytes coded = compress(raw, model);
+    EXPECT_LT(raw.size(), util::kRcMaxExpansion * coded.size()) << int{value};
+    EXPECT_GT(raw.size(), (util::kRcMaxExpansion - 1) * coded.size()) << int{value};
+    EXPECT_EQ(decompress(coded, raw.size(), model), raw);
+  }
+}
+
 TEST(RangeCoder, IncompressibleDataExpandsOnlySlightly) {
   sim::Rng rng(1234);
   RcModel model;
