@@ -10,9 +10,10 @@
 // tables.
 //
 // Each stream is cut into kBlockBytes blocks, coded independently (model
-// reset per block), and the blocks of all streams are concatenated in the
-// writer's flush order to form the section payload. A block whose coded form
-// would not shrink is stored raw and read zero-copy from the mapped image.
+// reset per block, so in any order or side by side), and the blocks of all
+// streams are concatenated in the writer's cut order to form the section
+// payload. A block whose coded form would not shrink by 1/8 is stored raw
+// and read zero-copy from the mapped image.
 // The uncompressed kBlockIndex section is the directory: per section, the
 // stream count, per-stream raw lengths, and per-block {stream, flags,
 // coded length} in disk order — everything else (disk offsets, per-stream
@@ -25,6 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -212,58 +214,54 @@ class ColumnReaders {
   bool split_ = false;
 };
 
-/// Writer-side block emitter for one section: accumulates per-stream column
-/// bytes, compresses full kBlockBytes blocks as they fill (packets stream to
-/// disk mid-run with bounded memory), and remembers the index rows. The
-/// `sink` callable receives each block's on-disk bytes in flush order.
+/// Writer-side column set for one compressed section: accumulates per-stream
+/// column bytes and cuts them into kBlockBytes blocks, remembering each cut's
+/// (stream, raw offset) in disk order. The columns stay in memory until the
+/// section is committed; coding happens in between, for every block at once
+/// (TraceWriter::finish), so blocks can be coded on several workers and still
+/// land in one order.
 class BlockColumnWriter {
  public:
   BlockColumnWriter(Section id, std::uint32_t n_streams);
 
   [[nodiscard]] util::ByteWriter& stream(std::uint32_t s) { return *cols_[s]; }
 
-  /// Compresses and emits every stream's full blocks (called after each
-  /// appended entry; cheap no-op until a column crosses kBlockBytes).
-  template <typename Sink>
-  void flush_full_blocks(Sink&& sink) {
-    for (std::uint32_t s = 0; s < n_streams(); ++s) {
-      while (cols_[s]->size() >= kBlockBytes) emit_first_block(s, sink);
-    }
-  }
-
-  /// Emits all remaining column tails in stream order. Call once, at the
+  /// Cuts every stream's full blocks, in stream order. Called after each
+  /// appended packet (a no-op until a column crosses kBlockBytes), so packet
+  /// blocks land on disk interleaved by the packet that filled them.
+  void cut_full_blocks();
+  /// Cuts every stream's remaining bytes, stream by stream. Call once, at the
   /// end of the section.
+  void cut_tails();
+
+  [[nodiscard]] std::size_t n_cuts() const noexcept { return cuts_.size(); }
+  /// Raw bytes of cut block `i` (disk order); valid until a stream is written.
+  [[nodiscard]] util::BytesView cut_block(std::size_t i) const;
+
+  /// Commits every cut block in disk order, given `coded[i]`, block i's
+  /// range-coded form: records its directory row and hands its on-disk bytes
+  /// to `sink` — the coded form, or the raw block when coding would not save
+  /// at least 1/8 of it.
   template <typename Sink>
-  void finish(Sink&& sink) {
-    for (std::uint32_t s = 0; s < n_streams(); ++s) {
-      while (cols_[s]->size() > 0) emit_first_block(s, sink);
-    }
+  void commit(std::span<const util::Bytes> coded, Sink&& sink) {
+    for (std::size_t i = 0; i < cuts_.size(); ++i) sink(commit_block(i, coded[i]));
   }
 
-  /// The accumulated directory entry (valid after finish()).
+  /// The section's directory entry (complete after commit()).
   [[nodiscard]] const SectionBlocks& directory() const noexcept { return dir_; }
-  [[nodiscard]] std::uint32_t n_streams() const noexcept { return dir_.n_streams; }
-  [[nodiscard]] bool empty() const noexcept { return dir_.blocks.empty(); }
 
  private:
-  template <typename Sink>
-  void emit_first_block(std::uint32_t s, Sink&& sink) {
-    const std::size_t take =
-        std::min<std::size_t>(cols_[s]->size(), static_cast<std::size_t>(kBlockBytes));
-    sink(encode_block(s, cols_[s]->view().first(take)));
-    consume_front(s, take);
-  }
+  struct Cut {
+    std::uint32_t stream = 0;
+    std::size_t offset = 0;  ///< into the stream's raw bytes
+  };
 
-  /// Compresses (or stores) one block, records its index row, and returns
-  /// the on-disk bytes (valid until the next encode_block call).
-  [[nodiscard]] util::BytesView encode_block(std::uint32_t s, util::BytesView raw);
-  void consume_front(std::uint32_t s, std::size_t n);
+  [[nodiscard]] util::BytesView commit_block(std::size_t i, util::BytesView coded);
 
   SectionBlocks dir_;
   std::vector<std::unique_ptr<util::ByteWriter>> cols_;
-  util::ByteWriter scratch_;
-  util::Bytes carry_;  ///< tail copy while consuming a flushed block
-  util::RcModel model_;
+  std::vector<std::size_t> cut_end_;  ///< per stream: raw bytes already cut
+  std::vector<Cut> cuts_;             ///< disk order
 };
 
 }  // namespace h2priv::capture

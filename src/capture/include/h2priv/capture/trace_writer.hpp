@@ -1,18 +1,20 @@
-// Streaming .h2t v2 writer.
+// .h2t v2 writer.
 //
 // Each compressible section is written as per-field column streams (see
-// trace_codec.hpp). Packet columns compress and stream to disk one
-// kBlockBytes block at a time as packets are added, so the writer's memory
-// stays bounded however many packets it is fed; the smaller sections — TLS
-// records per direction, ground truth, summary — buffer their columns and
-// land after the packets section at finish(), followed by the uncompressed
-// meta and block-index sections and the trailer table. Its callers feed it
-// after the fact: capture::record_run from a finished run's observations,
-// the fleet merger from every client's, recompress from a v1 trace.
+// trace_codec.hpp). The writer keeps every column in memory, about 10 bytes
+// per packet, and cuts it into kBlockBytes blocks as it fills; finish() codes
+// every cut block of the trace in one pass, on the caller's workers, then
+// writes the sections in a fixed order: packets, the uncompressed meta, TLS
+// records per direction, ground truth, summary, the fleet sections, the
+// uncompressed block index and the trailer table. Its callers feed it after
+// the fact and already hold more than that per packet:
+// capture::record_run from a finished run's observations, the fleet merger
+// from every client's, recompress from a v1 trace.
 //
-// Everything is deterministic: block boundaries depend only on the stream
-// byte counts, so re-encoding the same observations (live capture or a
-// recompress of a v1 file) produces byte-identical output.
+// Everything is deterministic: block boundaries and disk order depend only
+// on the stream byte counts, and each block is coded from a reset model, so
+// re-encoding the same observations (live capture or a recompress of a v1
+// file) produces byte-identical output at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "h2priv/capture/trace_codec.hpp"
 #include "h2priv/capture/trace_format.hpp"
 #include "h2priv/util/bytes.hpp"
+#include "h2priv/util/parallel.hpp"
 
 namespace h2priv::capture {
 
@@ -64,10 +67,11 @@ class TraceWriter {
   void set_ground_truth(const analysis::GroundTruth& truth);
   void set_summary(const TraceSummary& summary);
 
-  /// Writes the buffered sections, the block index, and the trailer, closes
-  /// the file, and bumps the capture.* obs counters. Returns total file
-  /// bytes. Idempotent.
-  std::uint64_t finish();
+  /// Codes every block on up to `parallelism` workers (the bytes do not
+  /// depend on it), writes the sections, the block index and the trailer,
+  /// closes the file, and bumps the capture.* and codec.blocks_* obs
+  /// counters. Returns total file bytes. Idempotent.
+  std::uint64_t finish(util::Parallelism parallelism = {});
 
  private:
   struct DirDeltas {
@@ -84,16 +88,14 @@ class TraceWriter {
   /// Appends one trailer-table row and writes an *uncompressed* section
   /// payload (meta, block index).
   void write_section(Section id, util::BytesView payload, std::uint64_t count);
-  /// Flushes a buffered column set as one compressed section.
-  void emit_compressed(BlockColumnWriter& cols, Section id, std::uint64_t count);
 
   TraceMeta meta_;
   std::ofstream out_;
   std::uint64_t offset_ = 0;  ///< bytes written to the file so far
   bool finished_ = false;
 
-  BlockColumnWriter pkt_cols_;      // streams to disk block by block
-  BlockColumnWriter rec_cols_c2s_;  // buffered until finish()
+  BlockColumnWriter pkt_cols_;  // blocks cut as packets arrive
+  BlockColumnWriter rec_cols_c2s_;
   BlockColumnWriter rec_cols_s2c_;
   BlockColumnWriter truth_cols_;
   BlockColumnWriter summary_cols_;

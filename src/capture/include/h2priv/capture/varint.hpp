@@ -55,4 +55,21 @@ inline void put_svarint(util::ByteWriter& w, std::int64_t v) {
   return unzigzag(get_varint(r));
 }
 
+/// Two's-complement addition and subtraction without signed-overflow UB, for
+/// the signed delta columns (times, wire overhead). The writer subtracts and
+/// the reader adds back, so any int64 values round-trip, including hostile
+/// ones a v1 trace hands to recompress; for a valid trace they equal plain
+/// `a + b` and `a - b`.
+[[nodiscard]] constexpr std::int64_t wrapping_add(std::int64_t a,
+                                                  std::int64_t b) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
+[[nodiscard]] constexpr std::int64_t wrapping_sub(std::int64_t a,
+                                                  std::int64_t b) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 }  // namespace h2priv::capture

@@ -260,7 +260,8 @@ std::uint64_t StreamReader::varint() {
 
 std::int64_t StreamReader::svarint() { return unzigzag(varint()); }
 
-BlockColumnWriter::BlockColumnWriter(Section id, std::uint32_t n_streams) {
+BlockColumnWriter::BlockColumnWriter(Section id, std::uint32_t n_streams)
+    : cut_end_(n_streams, 0) {
   dir_.id = id;
   dir_.n_streams = n_streams;
   dir_.block_size = kBlockBytes;
@@ -271,38 +272,52 @@ BlockColumnWriter::BlockColumnWriter(Section id, std::uint32_t n_streams) {
   }
 }
 
-util::BytesView BlockColumnWriter::encode_block(std::uint32_t s, util::BytesView raw) {
-  model_.reset();
-  scratch_.clear();
-  const std::size_t coded = util::rc_compress(raw, model_, scratch_);
+void BlockColumnWriter::cut_full_blocks() {
+  for (std::uint32_t s = 0; s < dir_.n_streams; ++s) {
+    while (cols_[s]->size() - cut_end_[s] >= kBlockBytes) {
+      cuts_.push_back({s, cut_end_[s]});
+      cut_end_[s] += kBlockBytes;
+    }
+  }
+}
+
+void BlockColumnWriter::cut_tails() {
+  for (std::uint32_t s = 0; s < dir_.n_streams; ++s) {
+    while (cut_end_[s] < cols_[s]->size()) {
+      cuts_.push_back({s, cut_end_[s]});
+      cut_end_[s] += std::min<std::size_t>(cols_[s]->size() - cut_end_[s], kBlockBytes);
+    }
+  }
+}
+
+util::BytesView BlockColumnWriter::cut_block(std::size_t i) const {
+  const Cut& c = cuts_[i];
+  const util::BytesView col = cols_[c.stream]->view();
+  return col.subspan(c.offset, std::min<std::size_t>(col.size() - c.offset, kBlockBytes));
+}
+
+util::BytesView BlockColumnWriter::commit_block(std::size_t i, util::BytesView coded) {
+  const util::BytesView raw = cut_block(i);
   BlockInfo b;
-  b.stream = s;
+  b.stream = cuts_[i].stream;
   b.raw_length = raw.size();
-  dir_.stream_raw_len[s] += raw.size();
+  dir_.stream_raw_len[b.stream] += raw.size();
   // Store-raw threshold: coding must save at least 1/8 of the block, else
   // the block ships uncompressed and decodes as a zero-copy view. The
   // near-incompressible time-delta column (entropy ~7.4 bits/byte) lands
   // here, which cuts most of the range-coder work out of the read path for
   // ~2% of file size.
-  if (coded + (raw.size() >> 3) >= raw.size()) {
+  if (coded.size() + (raw.size() >> 3) >= raw.size()) {
     b.stored = true;
     b.comp_length = raw.size();
     dir_.blocks.push_back(b);
     obs::count(obs::Counter::kCodecBlocksStored);
     return raw;
   }
-  b.comp_length = coded;
+  b.comp_length = coded.size();
   dir_.blocks.push_back(b);
   obs::count(obs::Counter::kCodecBlocksEncoded);
-  return scratch_.view();
-}
-
-void BlockColumnWriter::consume_front(std::uint32_t s, std::size_t n) {
-  util::ByteWriter& col = *cols_[s];
-  const util::BytesView rest = col.view().subspan(n);
-  carry_.assign(rest.begin(), rest.end());
-  col.clear();
-  col.bytes(util::BytesView{carry_.data(), carry_.size()});
+  return coded;
 }
 
 }  // namespace h2priv::capture

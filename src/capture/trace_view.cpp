@@ -66,15 +66,6 @@ void get_intervals(util::ByteReader& r, std::vector<analysis::ByteInterval>& out
   }
 }
 
-/// Two's-complement addition without signed-overflow UB. Hostile delta
-/// streams can drive the running sums past the int64 range; for a valid
-/// trace the result is identical to plain `a + b`.
-[[nodiscard]] constexpr std::int64_t wrapping_add(std::int64_t a,
-                                                  std::int64_t b) noexcept {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                   static_cast<std::uint64_t>(b));
-}
-
 /// Minimum encoded footprint of one entry, used to reject section counts the
 /// byte length cannot possibly hold (a fuzzed count would otherwise drive a
 /// multi-gigabyte reserve()).

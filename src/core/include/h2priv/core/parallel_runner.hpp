@@ -10,31 +10,18 @@
 // regression test).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "h2priv/core/experiment.hpp"
+#include "h2priv/util/parallel.hpp"
 
 namespace h2priv::core {
 
-struct Parallelism {
-  /// Worker threads for batch runs: 0 = one per hardware thread, 1 = the
-  /// plain serial loop (no threads spawned), n = exactly n workers.
-  int jobs = 1;
-};
-
-/// Resolves a Parallelism request against the machine and the batch size:
-/// expands jobs=0 to hardware_concurrency() and never returns more workers
-/// than there are items (or fewer than 1).
-[[nodiscard]] int effective_jobs(Parallelism parallelism, int items) noexcept;
-
-/// Runs `body(i)` for every i in [0, n) across the requested number of
-/// worker threads (the calling thread is one of them). Indices are handed
-/// out through an atomic counter, so uneven per-seed run times self-balance.
-/// The first exception thrown by any body is rethrown on the caller after
-/// all workers drain.
-void parallel_for(int n, Parallelism parallelism,
-                  const std::function<void(int)>& body);
+// The loop itself lives in util, so layers below core (the .h2t writer) can
+// run on it too; core's callers keep naming it here.
+using util::effective_jobs;
+using util::parallel_for;
+using util::Parallelism;
 
 /// Runs seeds {config.seed .. config.seed+n-1} across `parallelism.jobs`
 /// workers; bit-identical to the serial run_many for every job count.

@@ -109,8 +109,9 @@ CachePrepass run_prepass(const core::RunConfig& config,
 /// begin_fleet first (provenance + per-client truth/verdict blobs), then
 /// k-way merges ordered by (client-local time + start offset, client index)
 /// — a pure function of the per-client results, so the bytes are identical
-/// for any job count.
-void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) {
+/// for any job count. The fleet's workers code the trace's blocks.
+void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet,
+                       core::Parallelism parallelism) {
   capture::TraceWriter writer(capture::capture_path(config),
                               capture::capture_meta(config));
 
@@ -172,7 +173,7 @@ void write_fleet_trace(const core::RunConfig& config, const FleetResult& fleet) 
         [&](const analysis::RecordObservation& r, std::uint32_t id) {
           writer.add_record(r, id);
         });
-  writer.finish();
+  writer.finish(parallelism);
 }
 
 }  // namespace
@@ -286,7 +287,7 @@ FleetResult run_fleet(const core::RunConfig& config, core::Parallelism paralleli
                      std::llround(*c.result.html.primary_dom * 1000.0)));
     }
   }
-  if (config.capture.enabled()) write_fleet_trace(config, fleet);
+  if (config.capture.enabled()) write_fleet_trace(config, fleet, parallelism);
   return fleet;
 }
 

@@ -18,7 +18,9 @@
 //     (ServerConfig::origin_delay), so clients are independent and
 //     embarrassingly parallel.
 //  3. All joining (DoM histogram samples, trace merging, manifests) is
-//     serial again, in client order.
+//     serial again, in client order. The merged trace's blocks are then
+//     coded on the same workers, each block from a reset model into its own
+//     slot, and written in one fixed order.
 //
 // The merged .h2t fleet trace carries per-packet/per-record connection ids
 // (Section::kConnIds) and per-connection provenance + ground truth + summary
@@ -72,7 +74,8 @@ struct FleetResult {
 
 /// Runs one fleet: serial cache pre-pass, parallel per-client page loads,
 /// serial join. With config.capture enabled, writes one merged fleet .h2t
-/// (config.capture.path, or <corpus_dir>/run_<seed>.h2t). Requires
+/// (config.capture.path, or <corpus_dir>/run_<seed>.h2t), whose blocks
+/// `parallelism`'s workers code. Requires
 /// config.fleet.enabled(); throws std::invalid_argument otherwise.
 [[nodiscard]] FleetResult run_fleet(const core::RunConfig& config,
                                     core::Parallelism parallelism);

@@ -14,7 +14,7 @@
 //    thread-local load. Being trivially destructible also spares the
 //    thread_local default registry a TLS init call on every access.
 //  - Each thread has a *current* registry (thread-local). Monte-Carlo
-//    workers (core::parallel_for) install a private registry for the span of
+//    workers (util::parallel_for) install a private registry for the span of
 //    their work and merge it into the caller's registry at join. Merging is
 //    commutative (sums / maxes), so every exported number is bit-identical
 //    for any --jobs count.

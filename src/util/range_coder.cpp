@@ -4,6 +4,28 @@ namespace h2priv::util {
 
 namespace {
 
+/// The point a 1 bit pulls its probability toward: p + ((31 - p) >> 5),
+/// with an arithmetic shift, equals p - (p >> 5) for every p in [0, 2048).
+constexpr std::uint32_t kRcProbFloor = (1u << kRcMoveBits) - 1;
+
+/// `bit` ? `one` : `zero`, without a branch on `bit`. gcc 12 compiles the
+/// encoder written with ternaries into a jump, which mispredicts on every
+/// high-entropy bit; once `low` and the probability use masks it happens to
+/// pick a cmov for `range` too, but nothing holds it to that, so x86-64 gets
+/// an explicit cmov and other targets a mask.
+[[nodiscard]] inline std::uint32_t select_u32(unsigned bit, std::uint32_t zero,
+                                              std::uint32_t one) noexcept {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __asm__("test %[bit], %[bit]\n\tcmovnz %[one], %[out]"
+          : [out] "+r"(zero)
+          : [one] "r"(one), [bit] "r"(bit)
+          : "cc");
+  return zero;
+#else
+  return zero ^ ((zero ^ one) & (0u - bit));
+#endif
+}
+
 /// Carry-counting byte-at-a-time emitter. `low_` holds 33 significant bits:
 /// the top bit is the pending carry, the next 8 are the byte scheduled for
 /// emission, the low 24 overlap the live range. A run of 0xFF bytes is
@@ -12,16 +34,22 @@ class RangeEncoder {
  public:
   explicit RangeEncoder(ByteWriter& out) : out_(out) {}
 
+  /// Codes `bit` (0 or 1) without branching on it: the encoder holds the
+  /// bit, but on high-entropy columns a branch on it mispredicts about half
+  /// the time. A 0 keeps [low, low + bound) and moves `prob` 1/32 of the way
+  /// to 2048; a 1 keeps [low + bound, low + range) and moves it 1/32 of the
+  /// way to 31, where the arithmetic shift of the negative distance rounds
+  /// exactly as `prob - (prob >> 5)` does. The decoder mirrors the branchy
+  /// form, which codes the same bytes.
   void encode_bit(RcProb& prob, unsigned bit) {
     const std::uint32_t bound = (range_ >> kRcProbBits) * prob;
-    if (bit == 0) {
-      range_ = bound;
-      prob = static_cast<RcProb>(prob + (((1u << kRcProbBits) - prob) >> kRcMoveBits));
-    } else {
-      low_ += bound;
-      range_ -= bound;
-      prob = static_cast<RcProb>(prob - (prob >> kRcMoveBits));
-    }
+    const std::uint32_t mask = 0u - bit;
+    low_ += bound & mask;
+    range_ = select_u32(bit, bound, range_ - bound);
+    const auto target = static_cast<std::int32_t>(
+        (1u << kRcProbBits) ^ (((1u << kRcProbBits) ^ kRcProbFloor) & mask));
+    const std::int32_t p = prob;
+    prob = static_cast<RcProb>(p + ((target - p) >> kRcMoveBits));
     if (range_ < kRcTopValue) {
       range_ <<= 8;
       shift_low();

@@ -1,7 +1,6 @@
 // .h2t container: varint primitives, exact writer→reader round trips over
 // arbitrary observation sequences (property-style, seeded), and structural
 // rejection of corrupt or truncated files.
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +16,7 @@
 #include "h2priv/capture/varint.hpp"
 #include "h2priv/obs/metrics.hpp"
 #include "h2priv/sim/rng.hpp"
+#include "periodic_packets.hpp"
 #include "scratch_path.hpp"
 #include "trace_decode.hpp"
 
@@ -399,30 +399,7 @@ TEST_F(TraceCorruption, RejectsTrailerOffsetOutOfRange) {
 
 // --- decoded-block table ---------------------------------------------------
 
-/// `n` packets whose six columns repeat with short periods, so every column
-/// block codes (none is stored): 150,000 packets make 23 coded blocks, more
-/// than the 16 a fixed-slot cache would hold.
-std::vector<analysis::PacketObservation> periodic_packets(int n) {
-  std::vector<analysis::PacketObservation> out;
-  std::int64_t t = 0;
-  std::array<std::uint64_t, 2> seq{1'000, 9'000};
-  for (int i = 0; i < n; ++i) {
-    analysis::PacketObservation p;
-    t += 1'000 + 10 * (i % 5);
-    p.time = util::TimePoint{t};
-    p.dir = i % 3 == 2 ? net::Direction::kClientToServer
-                       : net::Direction::kServerToClient;
-    const auto d = static_cast<std::size_t>(p.dir);
-    p.payload_len = static_cast<std::size_t>(200 * (i % 7));
-    p.wire_size = 40 + static_cast<std::int64_t>(p.payload_len);
-    p.seq = seq[d];
-    p.ack = seq[1 - d];
-    p.flags = 0x10;
-    seq[d] += p.payload_len;
-    out.push_back(p);
-  }
-  return out;
-}
+using testing::periodic_packets;
 
 [[nodiscard]] std::uint64_t coded_blocks(const TraceFile& trace, Section id) {
   std::uint64_t n = 0;

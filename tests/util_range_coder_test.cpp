@@ -2,12 +2,18 @@
 // backs .h2t v2 block compression. The codec must be exact (every byte
 // sequence round-trips), deterministic (same input, same coded bytes), and
 // hostile-input safe (truncated or garbage streams throw, never over-read).
+// The branch-free encoder must also code every input to the bytes of the
+// branchy reference kept here.
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "h2priv/capture/corpus.hpp"
+#include "h2priv/capture/trace_view.hpp"
 #include "h2priv/sim/rng.hpp"
 #include "h2priv/util/range_coder.hpp"
 
@@ -195,4 +201,166 @@ TEST(RangeCoder, ResetModelCodesLikeAFreshOne) {
       EXPECT_EQ(decompress(want, raw->size(), reused), *raw) << "round " << round;
     }
   }
+}
+
+namespace {
+
+/// The encoder as first written: one branch per coded bit. It defines the
+/// coded bytes of every .h2t v2 block. It also records the longest run of
+/// deferred 0xFF bytes that a carry settled, so a test can show it drove
+/// that path.
+class ReferenceEncoder {
+ public:
+  explicit ReferenceEncoder(ByteWriter& out) : out_(out) {}
+
+  void encode_bit(util::RcProb& prob, unsigned bit) {
+    const std::uint32_t bound = (range_ >> util::kRcProbBits) * prob;
+    if (bit == 0) {
+      range_ = bound;
+      prob = static_cast<util::RcProb>(
+          prob + (((1u << util::kRcProbBits) - prob) >> util::kRcMoveBits));
+    } else {
+      low_ += bound;
+      range_ -= bound;
+      prob = static_cast<util::RcProb>(prob - (prob >> util::kRcMoveBits));
+    }
+    if (range_ < util::kRcTopValue) {
+      range_ <<= 8;
+      shift_low();
+    }
+  }
+
+  void flush() {
+    for (int i = 0; i < 5; ++i) shift_low();
+    for (std::uint64_t i = 1; i < cache_size_; ++i) {
+      out_.u8(i == 1 ? cache_ : std::uint8_t{0xFF});
+    }
+  }
+
+  [[nodiscard]] std::uint64_t longest_carried_run() const noexcept {
+    return longest_carried_run_;
+  }
+
+ private:
+  void shift_low() {
+    if (static_cast<std::uint32_t>(low_) < 0xFF000000u ||
+        static_cast<std::uint32_t>(low_ >> 32) != 0) {
+      const auto carry = static_cast<std::uint8_t>(low_ >> 32);
+      if (carry != 0) longest_carried_run_ = std::max(longest_carried_run_, cache_size_);
+      std::uint8_t pending = cache_;
+      do {
+        out_.u8(static_cast<std::uint8_t>(pending + carry));
+        pending = 0xFF;
+      } while (--cache_size_ != 0);
+      cache_ = static_cast<std::uint8_t>(low_ >> 24);
+    }
+    ++cache_size_;
+    low_ = (low_ & 0x00FFFFFFu) << 8;
+  }
+
+  ByteWriter& out_;
+  std::uint64_t low_ = 0;
+  std::uint32_t range_ = 0xFFFFFFFFu;
+  std::uint8_t cache_ = 0;
+  std::uint64_t cache_size_ = 1;
+  std::uint64_t longest_carried_run_ = 0;
+};
+
+/// rc_compress's byte loop over the reference encoder, from a fresh model.
+Bytes reference_compress(const Bytes& raw, std::uint64_t* longest_carried_run = nullptr) {
+  RcModel model;
+  ByteWriter out;
+  ReferenceEncoder encoder(out);
+  unsigned context = 0;
+  for (const std::uint8_t byte : raw) {
+    util::RcProb* tree = model.tree(context);
+    unsigned node = 1;
+    for (int shift = 7; shift >= 0; --shift) {
+      const unsigned bit = (byte >> static_cast<unsigned>(shift)) & 1u;
+      encoder.encode_bit(tree[node], bit);
+      node = (node << 1) | bit;
+    }
+    context = byte;
+  }
+  encoder.flush();
+  if (longest_carried_run != nullptr) {
+    *longest_carried_run = encoder.longest_carried_run();
+  }
+  return out.take();
+}
+
+void expect_reference_bytes(const Bytes& raw, const std::string& what) {
+  RcModel model;
+  EXPECT_EQ(compress(raw, model), reference_compress(raw)) << what;
+}
+
+}  // namespace
+
+TEST(RangeCoder, EncodesLikeTheBranchyReference) {
+  expect_reference_bytes({}, "empty");
+  expect_reference_bytes({0x5A}, "one byte");
+  expect_reference_bytes(Bytes(65536, 0x00), "64 KiB of 0x00");
+  expect_reference_bytes(Bytes(65536, 0xFF), "64 KiB of 0xFF");
+  Bytes alternating(65536);
+  for (std::size_t i = 0; i < alternating.size(); ++i) {
+    alternating[i] = (i % 2 == 0) ? 0x55 : 0xAA;
+  }
+  expect_reference_bytes(alternating, "64 KiB alternating");
+  sim::Rng rng(0xC0DE);
+  for (const std::size_t size : {std::size_t{3}, std::size_t{4096}, std::size_t{65536}}) {
+    Bytes raw(size);
+    for (auto& b : raw) b = static_cast<std::uint8_t>(rng.next());
+    expect_reference_bytes(raw, "random " + std::to_string(size));
+  }
+}
+
+TEST(RangeCoder, LongCarriedFFRunEncodesLikeTheReference) {
+  // Decoding a chosen coded stream yields raw bytes whose coding reproduces
+  // that stream. Here the encoder makes the chosen 0x43 and forty 0x00 bytes
+  // as 0x42 and forty deferred 0xFF bytes that one carry settles (the
+  // reference records it), the longest path through shift_low.
+  sim::Rng rng(31);
+  Bytes chosen{0x00};
+  for (int i = 0; i < 200; ++i) chosen.push_back(static_cast<std::uint8_t>(rng.next()));
+  chosen.push_back(0x43);
+  chosen.insert(chosen.end(), 40, 0x00);
+  for (int i = 0; i < 200; ++i) chosen.push_back(static_cast<std::uint8_t>(rng.next()));
+  RcModel model;
+  Bytes raw(300);
+  (void)util::rc_decompress(chosen, model, raw);
+
+  std::uint64_t longest = 0;
+  const Bytes want = reference_compress(raw, &longest);
+  EXPECT_GE(longest, 40u);
+  EXPECT_EQ(compress(raw, model), want);
+}
+
+TEST(RangeCoder, EveryCodedGoldenBlockEncodesToItsStoredBytes) {
+  // Each coded block, decoded back to raw, must code to the bytes on disk
+  // with both encoders.
+  const std::string dir = std::string(H2PRIV_TEST_DATA_DIR) + "/corpus";
+  const capture::Manifest manifest = capture::read_manifest(dir + "/manifest.txt");
+  std::size_t blocks = 0;
+  RcModel model;
+  for (const capture::ManifestEntry& e : manifest.entries) {
+    const capture::TraceFile trace = capture::TraceFile::open(dir + "/" + e.file);
+    for (const capture::SectionInfo& s : trace.sections()) {
+      if (!s.compressed) continue;
+      const util::BytesView payload = trace.section_bytes(s.id);
+      for (const capture::BlockInfo& b : trace.section_blocks(s.id)->blocks) {
+        if (b.stored) continue;
+        const util::BytesView disk =
+            payload.subspan(static_cast<std::size_t>(b.disk_offset),
+                            static_cast<std::size_t>(b.comp_length));
+        const Bytes coded(disk.begin(), disk.end());
+        const auto raw_length = static_cast<std::size_t>(b.raw_length);
+        const Bytes raw = decompress(coded, raw_length, model);
+        const std::string where = e.file + " section " + std::to_string(int(s.id));
+        EXPECT_EQ(compress(raw, model), coded) << where;
+        EXPECT_EQ(reference_compress(raw), coded) << where;
+        ++blocks;
+      }
+    }
+  }
+  EXPECT_GT(blocks, 0u);
 }

@@ -9,7 +9,7 @@ independent child via `rng.fork()`, never the parent reference.
 
 Detection is function-scoped: inside any function with a `sim::Rng&`
 parameter, every use of that parameter inside the argument extent of a
-parallel-spawn call (core::parallel_for, run_many, std::thread/jthread,
+parallel-spawn call (util::parallel_for, run_many, std::thread/jthread,
 std::async) must be a `.fork()` call. The extent includes lambdas passed
 to the spawn, so capturing the parent by reference is also caught.
 
