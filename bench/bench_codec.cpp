@@ -114,21 +114,16 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // Phase 3: coder-only encode throughput, single-core, over the blocks the
-  // writer actually codes (stored-raw blocks never touch the coder). Two
-  // passes must agree byte for byte (adaptive coding is a pure function of
-  // the block).
-  std::uint64_t coded_raw_bytes = 0;
-  for (const BlockSample& s : samples) {
-    if (!s.stored) coded_raw_bytes += s.raw.size();
-  }
+  // Phase 3: coder-only encode throughput, single-core, over every block the
+  // writer codes: TraceWriter::finish range-codes each block, then stores
+  // raw the ones the coder did not shrink. Two passes must agree byte for
+  // byte (adaptive coding is a pure function of the block).
   const int enc_reps = 20;
   bool deterministic = true;
   util::ByteWriter scratch;
   const double e0 = bench::now_s();
   for (int rep = 0; rep < enc_reps; ++rep) {
     for (BlockSample& s : samples) {
-      if (s.stored) continue;
       scratch.clear();
       model.reset();
       (void)util::rc_compress(util::BytesView{s.raw.data(), s.raw.size()},
@@ -143,7 +138,7 @@ int main(int argc, char** argv) {
   }
   const double enc_wall = bench::now_s() - e0;
   const double enc_mib_s =
-      enc_wall > 0 ? static_cast<double>(coded_raw_bytes) * enc_reps /
+      enc_wall > 0 ? static_cast<double>(raw_bytes) * enc_reps /
                          (1024.0 * 1024.0) / enc_wall
                    : 0.0;
 
@@ -151,6 +146,10 @@ int main(int argc, char** argv) {
   // stored block is a copy, a coded block runs the range decoder. Reported
   // both ways: coder-only (coded blocks / coder time) and effective (all
   // raw bytes / total time). Hard-fails unless every round trip is exact.
+  std::uint64_t coded_raw_bytes = 0;
+  for (const BlockSample& s : samples) {
+    if (!s.stored) coded_raw_bytes += s.raw.size();
+  }
   const int dec_reps = 20;
   bool roundtrip_ok = true;
   util::Bytes decoded;

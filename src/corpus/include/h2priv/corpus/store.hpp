@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "h2priv/capture/corpus.hpp"
 #include "h2priv/core/experiment.hpp"
@@ -38,26 +37,15 @@ struct ShardOptions {
 };
 
 /// Generates `n` seeded runs {config.seed .. config.seed+n-1} as a sharded
-/// corpus under `config.capture.corpus_dir`: each shard is produced by
-/// capture::record_corpus (which writes the shard's traces and its own
-/// manifest), then the shard manifests are folded into `<root>/manifest.txt`
-/// with shard-relative file paths. Returns the merged manifest. Bit-identical
-/// output for any `parallelism` — the per-shard manifests are sorted by
-/// seed and the fold is a pure function of them.
+/// corpus under `config.capture.corpus_dir`: shard i holds the next
+/// `shard_capacity` seeds, produced by capture::record_corpus (which writes
+/// the shard's traces and its own manifest). `<root>/manifest.txt` lists
+/// every shard's entries in shard order, so in seed order, with
+/// root-relative file paths. Returns that manifest. Bit-identical output for
+/// any `parallelism`: each shard manifest is sorted by seed.
 capture::Manifest generate_sharded(const core::RunConfig& config, int n,
                                    const ShardOptions& options,
                                    core::Parallelism parallelism);
-
-/// Folds shard manifests into one: `prefixes[i]` (e.g. "shard_000") is
-/// prepended to every file path of `shards[i]`, entries are sorted by seed,
-/// and exact duplicates (same seed, packets and digest) collapse to the
-/// lexicographically smallest path. Two entries for one seed with different
-/// digests or packet counts are corruption, not redundancy — TraceError.
-/// The merged scenario is taken from the shards, which must agree;
-/// base_seed is the smallest shard base_seed.
-[[nodiscard]] capture::Manifest fold_manifests(
-    const std::vector<capture::Manifest>& shards,
-    const std::vector<std::string>& prefixes);
 
 /// A corpus located on disk: its root directory plus the parsed manifest
 /// (merged manifest for sharded corpora, the flat manifest otherwise —

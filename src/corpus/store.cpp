@@ -28,8 +28,12 @@ capture::Manifest generate_sharded(const core::RunConfig& config, int n,
     throw capture::TraceError("shard_capacity must be >= 1");
   }
   const std::string root = config.capture.corpus_dir;
-  std::vector<capture::Manifest> shards;
-  std::vector<std::string> prefixes;
+  // Shard s holds seeds [seed + s*capacity, ...) and record_corpus lists
+  // them in seed order, so the root manifest is every shard's entries, in
+  // shard order, under the shard's directory.
+  capture::Manifest merged;
+  merged.scenario = config.capture.scenario;
+  merged.base_seed = config.seed;
   for (int shard = 0, done = 0; done < n; ++shard) {
     const int count = std::min(options.shard_capacity, n - done);
     core::RunConfig cfg = config;
@@ -37,61 +41,16 @@ capture::Manifest generate_sharded(const core::RunConfig& config, int n,
     cfg.capture.corpus_dir = root + "/" + shard_name(shard);
     // record_corpus writes the shard's traces and its manifest.txt, parallel
     // across seeds within the shard, and returns that manifest.
-    shards.push_back(capture::record_corpus(cfg, count, parallelism).manifest);
-    prefixes.push_back(shard_name(shard));
+    for (capture::ManifestEntry& entry :
+         capture::record_corpus(cfg, count, parallelism).manifest.entries) {
+      entry.file = shard_name(shard) + "/" + entry.file;
+      merged.entries.push_back(std::move(entry));
+    }
     obs::count(obs::Counter::kCorpusShardsWritten);
     done += count;
   }
-  capture::Manifest merged = fold_manifests(shards, prefixes);
-  // Authoritative even for an empty corpus (no shards to take them from).
-  merged.scenario = config.capture.scenario;
-  merged.base_seed = config.seed;
-  capture::write_manifest(merged, root + "/manifest.txt");
-  return merged;
-}
-
-capture::Manifest fold_manifests(const std::vector<capture::Manifest>& shards,
-                                 const std::vector<std::string>& prefixes) {
-  if (shards.size() != prefixes.size()) {
-    throw capture::TraceError("fold_manifests: one prefix per shard required");
-  }
-  capture::Manifest merged;
-  bool first = true;
-  // seed -> canonical entry; std::map keeps the fold ordered and deterministic.
-  std::map<std::uint64_t, capture::ManifestEntry> by_seed;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const capture::Manifest& shard = shards[s];
-    if (first) {
-      merged.scenario = shard.scenario;
-      merged.base_seed = shard.base_seed;
-      first = false;
-    } else {
-      if (shard.scenario != merged.scenario) {
-        throw capture::TraceError("fold_manifests: scenario mismatch (\"" +
-                                  merged.scenario + "\" vs \"" + shard.scenario +
-                                  "\")");
-      }
-      merged.base_seed = std::min(merged.base_seed, shard.base_seed);
-    }
-    for (capture::ManifestEntry entry : shard.entries) {
-      if (!prefixes[s].empty()) entry.file = prefixes[s] + "/" + entry.file;
-      const auto [it, inserted] = by_seed.emplace(entry.seed, entry);
-      if (inserted) continue;
-      capture::ManifestEntry& kept = it->second;
-      if (kept.digest != entry.digest || kept.packets != entry.packets) {
-        throw capture::TraceError(
-            "fold_manifests: conflicting entries for seed " +
-            std::to_string(entry.seed) + " (" + kept.file + " vs " + entry.file +
-            ")");
-      }
-      // Exact duplicate (a re-generated shard, say): keep the smallest path
-      // so the fold is independent of shard order.
-      if (entry.file < kept.file) kept.file = entry.file;
-    }
-  }
-  merged.entries.reserve(by_seed.size());
-  for (const auto& [seed, entry] : by_seed) merged.entries.push_back(entry);
   obs::count(obs::Counter::kCorpusManifestsMerged);
+  capture::write_manifest(merged, root + "/manifest.txt");
   return merged;
 }
 

@@ -169,92 +169,46 @@ void Connection::send_header_block(std::uint32_t stream_id, util::Bytes block,
   }
 }
 
-void Connection::send_data(std::uint32_t stream_id, util::BytesView data,
-                           bool end_stream) {
+std::size_t Connection::send_data(std::uint32_t stream_id, util::BytesView data,
+                                  bool end_stream) {
   Stream& s = require_stream(stream_id);
-  if (s.state == StreamState::kClosed) return;  // raced with RST: drop quietly
+  if (s.state == StreamState::kClosed) return data.size();  // raced with RST: drop
   if (!s.can_send_data()) {
     throw std::logic_error("send_data in state " + std::string(to_string(s.state)));
   }
-  s.pending.append(data);
-  if (end_stream) s.pending_end_stream = true;
-  flush_stream_pending(s);
-}
-
-void Connection::flush_stream_pending(Stream& s) {
   // With a pad provider installed, keep room for the pad-length byte plus a
   // maximal pad inside the frame-size limit (max_frame_size >= 16384 >> 256).
   const bool padded = static_cast<bool>(data_pad_provider);
   const std::int64_t frame_cap =
       static_cast<std::int64_t>(peer_settings_.max_frame_size) - (padded ? 256 : 0);
-  bool drained_now = false;
-  while (!s.pending.empty()) {
+  std::size_t written = 0;
+  while (true) {
+    const std::size_t left = data.size() - written;
     const std::int64_t window = std::min(s.send_window, conn_send_window_);
-    const std::int64_t allowed = std::min<std::int64_t>(
-        {static_cast<std::int64_t>(s.pending.size()), frame_cap, window});
-    if (allowed <= 0) break;
+    const std::int64_t n = std::max<std::int64_t>(
+        0, std::min<std::int64_t>({static_cast<std::int64_t>(left), frame_cap, window}));
+    const bool last = static_cast<std::size_t>(n) == left;
+    // A closed window stops the body; an empty END_STREAM frame needs none.
+    if (n == 0 && !(last && end_stream)) break;
     // Pad bytes share the flow-control window with body bytes (the receive
     // side credits data + pad symmetrically), so clamp the pad to whatever
     // headroom the window leaves beyond the body.
     std::uint8_t pad = 0;
     if (padded) {
-      pad = data_pad_provider(static_cast<std::size_t>(allowed));
-      pad = static_cast<std::uint8_t>(
-          std::min<std::int64_t>(pad, window - allowed));
+      pad = static_cast<std::uint8_t>(std::min<std::int64_t>(
+          data_pad_provider(static_cast<std::size_t>(n)),
+          std::max<std::int64_t>(0, window - n)));
     }
-    // Encode straight from the queue's contiguous front — no DataFrame, no
-    // per-frame body copy. The view stays valid until the next append(),
-    // which cannot happen inside write_data().
-    const util::BytesView payload = s.pending.front(static_cast<std::size_t>(allowed));
-    const bool end_stream =
-        s.pending.size() == static_cast<std::size_t>(allowed) && s.pending_end_stream;
-    s.send_window -= allowed + pad;
-    conn_send_window_ -= allowed + pad;
-    if (end_stream) s.end_local();
-    write_data(s.id, payload, end_stream, pad);
-    s.pending.pop(static_cast<std::size_t>(allowed));
-    if (s.pending.empty()) drained_now = true;
+    s.send_window -= n + pad;
+    conn_send_window_ -= n + pad;
+    if (last && end_stream) s.end_local();
+    // Encode straight from the caller's view: no DataFrame, no body copy.
+    write_data(s.id, data.subspan(written, static_cast<std::size_t>(n)),
+               last && end_stream, pad);
+    written += static_cast<std::size_t>(n);
+    if (last) break;
   }
-  // END_STREAM on an empty tail (e.g. zero-length body or end after flush).
-  if (s.pending.empty() && s.pending_end_stream && !s.local_end_sent &&
-      s.state != StreamState::kClosed) {
-    DataFrame df;
-    df.stream_id = s.id;
-    df.end_stream = true;
-    if (padded) {
-      const std::int64_t window =
-          std::max<std::int64_t>(0, std::min(s.send_window, conn_send_window_));
-      df.pad_length = static_cast<std::uint8_t>(
-          std::min<std::int64_t>(data_pad_provider(0), window));
-      s.send_window -= df.pad_length;
-      conn_send_window_ -= df.pad_length;
-      if (df.pad_length > 0) {
-        obs::count(obs::Counter::kH2PadBytesSent, df.pad_length);
-      }
-    }
-    s.end_local();
-    write_frame(df);
-    drained_now = true;
-  }
-  if (drained_now && on_stream_drained) on_stream_drained(s.id);
-}
-
-void Connection::drain_blocked_streams() {
-  // Round-robin over streams with pending bytes, starting past the cursor so
-  // one hungry stream cannot starve the rest when the window reopens.
-  std::vector<std::uint32_t> blocked;
-  for (auto& [id, s] : streams_) {
-    if (!s.pending.empty()) blocked.push_back(id);
-  }
-  if (blocked.empty()) return;
-  const auto pivot = std::upper_bound(blocked.begin(), blocked.end(), rr_cursor_);
-  std::rotate(blocked.begin(), pivot, blocked.end());
-  for (const std::uint32_t id : blocked) {
-    Stream& s = require_stream(id);
-    flush_stream_pending(s);
-    rr_cursor_ = id;
-    if (conn_send_window_ <= 0) break;
-  }
+  return written;
 }
 
 std::uint32_t Connection::push_promise(std::uint32_t parent_stream_id,
@@ -285,7 +239,7 @@ std::uint32_t Connection::push_promise(std::uint32_t parent_stream_id,
 void Connection::rst_stream(std::uint32_t stream_id, ErrorCode error) {
   Stream& s = require_stream(stream_id);
   if (s.state == StreamState::kClosed) return;
-  s.reset();  // flushes the pending queue — the paper's queue-flush semantics
+  s.reset();
   RstStreamFrame rf;
   rf.stream_id = stream_id;
   rf.error = error;
@@ -381,7 +335,7 @@ void Connection::handle_frame(Frame&& f) {
             for (auto& [id, s] : streams_) s.send_window += delta;
           }
           write_frame(SettingsFrame{.ack = true, .settings = {}});
-          if (delta > 0) drain_blocked_streams();
+          if (delta > 0 && on_window_update) on_window_update(0);
 
         } else if constexpr (std::is_same_v<T, HeadersFrame>) {
           if (continuation_stream_ != 0) {
@@ -416,12 +370,13 @@ void Connection::handle_frame(Frame&& f) {
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           if (frame.stream_id == 0) {
             conn_send_window_ += frame.increment;
-            drain_blocked_streams();
           } else if (const auto it = streams_.find(frame.stream_id); it !=
                                                    streams_.end()) {
             it->second.send_window += frame.increment;
-            flush_stream_pending(it->second);
+          } else {
+            return;  // a stream we never opened has no window to grow
           }
+          if (on_window_update) on_window_update(frame.stream_id);
 
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
           obs::count(obs::Counter::kH2RstStreamsReceived);

@@ -126,21 +126,29 @@ struct Encoder {
   }
 };
 
+/// Payload bytes left for a frame's own fields once its padding is set
+/// aside. A PADDED frame (DATA, HEADERS, PUSH_PROMISE) opens with a pad
+/// length, and padding that reaches past the payload is a PROTOCOL_ERROR
+/// (RFC 7540 §6.1, §6.2, §6.6).
+std::size_t unpadded_length(const FrameHeader& h, util::ByteReader& r,
+                            std::uint8_t& pad, const char* type) {
+  if ((h.flags & kFlagPadded) == 0) return h.length;
+  if (h.length == 0) throw FrameError(std::string(type) + " too short for its pad length");
+  pad = r.u8();
+  if (pad + 1u > h.length) throw FrameError(std::string(type) + " padding exceeds length");
+  return h.length - 1u - pad;
+}
+
 Frame decode_payload(const FrameHeader& h, util::ByteReader& r) {
   switch (h.type) {
     case FrameType::kData: {
       DataFrame f;
       f.stream_id = h.stream_id;
       f.end_stream = (h.flags & kFlagEndStream) != 0;
-      std::size_t data_len = h.length;
-      if (h.flags & kFlagPadded) {
-        f.pad_length = r.u8();
-        if (f.pad_length + 1u > h.length) throw FrameError("DATA padding exceeds length");
-        data_len = h.length - 1 - f.pad_length;
-      }
+      const std::size_t data_len = unpadded_length(h, r, f.pad_length, "DATA");
       const auto body = r.bytes(data_len);
       f.data.assign(body.begin(), body.end());
-      if (h.flags & kFlagPadded) r.skip(f.pad_length);
+      r.skip(f.pad_length);
       return f;
     }
     case FrameType::kHeaders: {
@@ -148,13 +156,10 @@ Frame decode_payload(const FrameHeader& h, util::ByteReader& r) {
       f.stream_id = h.stream_id;
       f.end_stream = (h.flags & kFlagEndStream) != 0;
       f.end_headers = (h.flags & kFlagEndHeaders) != 0;
-      std::size_t block_len = h.length;
       std::uint8_t pad = 0;
-      if (h.flags & kFlagPadded) {
-        pad = r.u8();
-        block_len -= 1u + pad;
-      }
+      std::size_t block_len = unpadded_length(h, r, pad, "HEADERS");
       if (h.flags & kFlagPriority) {
+        if (block_len < 5) throw FrameError("HEADERS too short for its priority");
         f.has_priority = true;
         const std::uint32_t dep = r.u32();
         f.exclusive = (dep & 0x80000000u) != 0;
@@ -202,9 +207,13 @@ Frame decode_payload(const FrameHeader& h, util::ByteReader& r) {
       PushPromiseFrame f;
       f.stream_id = h.stream_id;
       f.end_headers = (h.flags & kFlagEndHeaders) != 0;
+      std::uint8_t pad = 0;
+      const std::size_t rest = unpadded_length(h, r, pad, "PUSH_PROMISE");
+      if (rest < 4) throw FrameError("PUSH_PROMISE too short for its promised id");
       f.promised_stream_id = r.u32() & kMaxStreamId;
-      const auto body = r.bytes(h.length - 4);
+      const auto body = r.bytes(rest - 4);
       f.header_block.assign(body.begin(), body.end());
+      r.skip(pad);
       return f;
     }
     case FrameType::kPing: {

@@ -8,8 +8,14 @@
 // byte range the write occupies in the underlying TCP stream, which the
 // server uses for ground-truth annotation of which object each DATA frame
 // carried (the simulator-side oracle the adversary never sees).
+//
+// The connection is a codec plus flow-control accounting: it holds no body
+// bytes. send_data writes what the stream and connection windows allow and
+// returns that count; the caller keeps the rest and offers it again when
+// on_window_update reports a window that grew.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -57,10 +63,12 @@ class Connection {
   // --- server API ----------------------------------------------------------
   void send_response_headers(std::uint32_t stream_id, const hpack::HeaderList& headers,
                              bool end_stream = false);
-  /// Queues body bytes on the stream and transmits as much as flow control
-  /// allows; the rest drains on WINDOW_UPDATEs. end_stream marks the final
-  /// write for this stream.
-  void send_data(std::uint32_t stream_id, util::BytesView data, bool end_stream);
+  /// Writes DATA frames from `data` while the send windows allow and returns
+  /// the bytes written. END_STREAM rides on the frame with the last byte (an
+  /// empty `data` still gets one); a stream closed by RST_STREAM drops the
+  /// bytes and reports them written.
+  [[nodiscard]] std::size_t send_data(std::uint32_t stream_id, util::BytesView data,
+                                      bool end_stream);
   /// Reserves a promised stream (server push); returns the promised id.
   std::uint32_t push_promise(std::uint32_t parent_stream_id,
                              const hpack::HeaderList& request_headers);
@@ -72,6 +80,11 @@ class Connection {
     return streams_.contains(id);
   }
   [[nodiscard]] const Stream& stream(std::uint32_t id) const;
+  /// DATA bytes the stream may send now: the smaller of its own and the
+  /// connection's send window (zero or less: closed).
+  [[nodiscard]] std::int64_t send_window(std::uint32_t stream_id) const {
+    return std::min(stream(stream_id).send_window, conn_send_window_);
+  }
   [[nodiscard]] std::int64_t connection_send_window() const noexcept {
     return conn_send_window_;
   }
@@ -97,8 +110,10 @@ class Connection {
       on_push_promise;
   /// Every frame actually written, with the transport range it landed in.
   std::function<void(std::uint32_t stream_id, FrameType, WireSpan)> on_frame_sent;
-  /// A stream's queued bytes became fully flushed (used by the scheduler).
-  std::function<void(std::uint32_t stream_id)> on_stream_drained;
+  /// A send window grew: a WINDOW_UPDATE for `stream_id` (0 = the
+  /// connection), or, with id 0, a SETTINGS frame that raised
+  /// INITIAL_WINDOW_SIZE. Whoever holds unsent body bytes offers them again.
+  std::function<void(std::uint32_t stream_id)> on_window_update;
   /// Defense hook (RFC 7540 §6.1): called once per DATA frame with the body
   /// length about to be written; returns the pad length (0 = no PADDED
   /// flag). Pad bytes consume flow-control window like body bytes, so the
@@ -113,10 +128,8 @@ class Connection {
   void dispatch_headers(std::uint32_t stream_id, util::Bytes block, bool end_stream);
   Stream& require_stream(std::uint32_t id);
   Stream& ensure_remote_stream(std::uint32_t id);
-  void flush_stream_pending(Stream& s);
   WireSpan write_data(std::uint32_t stream_id, util::BytesView payload, bool end_stream,
                       std::uint8_t pad_length);
-  void drain_blocked_streams();
   void grant_receive_credit(Stream* s, std::size_t consumed);
 
   Role role_;
@@ -137,7 +150,6 @@ class Connection {
   std::int64_t conn_recv_consumed_ = 0;
   std::int64_t conn_recv_window_ = 65'535;
   std::size_t preface_remaining_;  // server: preface bytes still expected
-  std::uint32_t rr_cursor_ = 0;    // round-robin position for blocked drains
   // CONTINUATION reassembly state (one header block may span frames).
   std::uint32_t continuation_stream_ = 0;
   util::Bytes continuation_block_;

@@ -41,7 +41,7 @@ enum class FrameType : std::uint8_t {
 inline constexpr std::uint8_t kFlagEndStream = 0x01;   // DATA, HEADERS
 inline constexpr std::uint8_t kFlagAck = 0x01;         // SETTINGS, PING
 inline constexpr std::uint8_t kFlagEndHeaders = 0x04;  // HEADERS, CONTINUATION
-inline constexpr std::uint8_t kFlagPadded = 0x08;      // DATA, HEADERS
+inline constexpr std::uint8_t kFlagPadded = 0x08;      // DATA, HEADERS, PUSH_PROMISE
 inline constexpr std::uint8_t kFlagPriority = 0x20;    // HEADERS
 
 enum class ErrorCode : std::uint32_t {

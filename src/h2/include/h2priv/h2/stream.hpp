@@ -1,11 +1,10 @@
-// Per-stream state (RFC 7540 §5.1) plus flow-control windows and the
-// pending-body queue used when flow control blocks a DATA write.
+// Per-stream state (RFC 7540 §5.1) plus flow-control windows. A stream
+// holds no body bytes: Connection::send_data writes what the windows allow
+// and the caller keeps the rest, so a peer that never opens its window
+// leaves nothing queued here.
 #pragma once
 
 #include <cstdint>
-
-#include "h2priv/util/byte_queue.hpp"
-#include "h2priv/util/bytes.hpp"
 
 namespace h2priv::h2 {
 
@@ -30,12 +29,6 @@ struct Stream {
   std::int64_t recv_window = 65'535;
   std::int64_t recv_consumed = 0;  // bytes to return via WINDOW_UPDATE
 
-  // Body bytes accepted by send_data but still blocked on flow control.
-  // Contiguous, so flush can encode DATA frames straight from a view.
-  util::ByteQueue pending;
-  bool pending_end_stream = false;
-  bool local_end_sent = false;
-
   [[nodiscard]] bool can_send_data() const noexcept {
     return state == StreamState::kOpen || state == StreamState::kHalfClosedRemote;
   }
@@ -48,7 +41,7 @@ struct Stream {
   void open_remote(bool end_stream);  // peer sent HEADERS
   void end_local();                   // we sent END_STREAM
   void end_remote();                  // peer sent END_STREAM
-  void reset() noexcept { state = StreamState::kClosed; pending.clear(); }
+  void reset() noexcept { state = StreamState::kClosed; }
 };
 
 }  // namespace h2priv::h2

@@ -28,7 +28,6 @@ void Stream::open_local(bool end_stream) {
     default:
       throw std::logic_error("HEADERS sent in state " + std::string(to_string(state)));
   }
-  if (end_stream) local_end_sent = true;
 }
 
 void Stream::open_remote(bool end_stream) {
@@ -46,7 +45,6 @@ void Stream::open_remote(bool end_stream) {
 }
 
 void Stream::end_local() {
-  local_end_sent = true;
   if (state == StreamState::kOpen) {
     state = StreamState::kHalfClosedLocal;
   } else if (state == StreamState::kHalfClosedRemote) {

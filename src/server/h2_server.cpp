@@ -68,17 +68,23 @@ H2Server::H2Server(sim::Simulator& sim, const web::Site& site, ServerConfig conf
     rr_order_.erase(std::remove(rr_order_.begin(), rr_order_.end(), stream_id),
                     rr_order_.end());
   };
-  conn_->on_stream_drained = [this](std::uint32_t) { schedule_pump(); };
+  conn_->on_window_update = [this](std::uint32_t) {
+    if (!window_blocked_) return;
+    window_blocked_ = false;
+    schedule_pump();
+  };
 
   if (truth_ != nullptr) {
+    // Only a live handler writes HEADERS or DATA, so its entry names the
+    // instance every such frame belongs to.
     conn_->on_frame_sent = [this](std::uint32_t stream_id, h2::FrameType type,
                                   h2::WireSpan span) {
-      const auto it = stream_instances_.find(stream_id);
-      if (it == stream_instances_.end()) return;
+      const auto it = handlers_.find(stream_id);
+      if (it == handlers_.end()) return;
       if (type == h2::FrameType::kData) {
-        truth_->record_data(it->second, span);
+        truth_->record_data(it->second.instance, span);
       } else if (type == h2::FrameType::kHeaders) {
-        truth_->record_headers(it->second, span);
+        truth_->record_headers(it->second.instance, span);
       }
     };
   }
@@ -115,7 +121,6 @@ void H2Server::spawn_handler(std::uint32_t stream_id, const web::SiteObject& obj
   h.body = cached_body(object);
   if (truth_ != nullptr) {
     h.instance = truth_->register_instance(object.id, stream_id, duplicate);
-    stream_instances_[stream_id] = h.instance;
   }
   handlers_.emplace(stream_id, std::move(h));
 
@@ -164,7 +169,7 @@ void H2Server::schedule_pump() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
   // Shaped servers wake only on the pacing clock: whatever triggered the
-  // pump (writability, a drained stream, a fresh handler), emission waits
+  // pump (writability, a full write, a fresh handler), emission waits
   // for the next tick, so bursts coalesce and the rate cap holds.
   util::Duration delay{0};
   if (shaping() && next_shape_tick_ > sim_.now()) {
@@ -191,9 +196,14 @@ bool H2Server::write_chunk(Handler& h, std::size_t chunk) {
   }
   const std::size_t n = std::min(chunk, h.remaining());
   const bool last = n == h.remaining();
-  conn_->send_data(h.stream_id,
-                   util::BytesView(h.body.data() + h.offset, n), last);
-  h.offset += n;
+  const std::size_t written = conn_->send_data(h.stream_id, h.body.subspan(h.offset, n),
+                                               last);
+  h.offset += written;
+  if (written < n) return false;  // window closed: the rest waits in the body view
+  // A full write re-arms the pump (a no-op while one is pending). Many of
+  // these pumps write nothing, but dropping them would move the event order
+  // the golden traces pin.
+  schedule_pump();
   return last;
 }
 
@@ -226,9 +236,10 @@ void H2Server::pump() {
     const std::size_t chunk = config_.chunk_bytes;
 
     Handler& h = handlers_.at(stream_id);
-    // If HTTP/2 flow control has this stream blocked, writing more would just
-    // grow the in-memory pending queue — rotate past it instead.
-    if (!conn_->stream(stream_id).pending.empty()) {
+    // HTTP/2 flow control has this stream's window closed: rotate past it
+    // (or, sequentially, wait for it) until a WINDOW_UPDATE reopens one.
+    if (conn_->send_window(stream_id) <= 0) {
+      window_blocked_ = true;
       if (config_.policy == InterleavePolicy::kSequential) {
         if (!shaped) return;
         break;
@@ -236,15 +247,11 @@ void H2Server::pump() {
       rr_order_.erase(rr_order_.begin() + static_cast<std::ptrdiff_t>(pick));
       rr_order_.push_back(stream_id);
       // If every handler is blocked we would spin; detect a full cycle.
-      bool any_unblocked = false;
-      for (const std::uint32_t id : rr_order_) {
-        if (conn_->stream(id).pending.empty()) {
-          any_unblocked = true;
-          break;
-        }
-      }
-      if (any_unblocked) continue;
-      if (!shaped) return;  // resume on on_stream_drained
+      const bool any_open =
+          std::any_of(rr_order_.begin(), rr_order_.end(),
+                      [this](std::uint32_t id) { return conn_->send_window(id) > 0; });
+      if (any_open) continue;
+      if (!shaped) return;  // resume on on_window_update
       break;
     }
 
@@ -262,7 +269,7 @@ void H2Server::pump() {
     }
   }
   // Shaped servers with work left re-arm on the pacing clock (unshaped ones
-  // resume on writability / drain callbacks instead).
+  // resume on writability, full writes and window updates instead).
   if (shaped && !rr_order_.empty()) schedule_pump();
 }
 

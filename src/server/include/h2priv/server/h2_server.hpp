@@ -11,6 +11,12 @@
 // Pumping is driven by transport backpressure: the scheduler fills the TCP
 // send buffer to a target depth and resumes on the writable callback.
 //
+// Response bytes wait only here: a handler keeps its body view and offset,
+// h2::Connection::send_data writes what flow control allows, and a handler
+// whose window is closed waits for the connection's on_window_update. An
+// RST_STREAM drops the handler, and with it every byte not yet written: the
+// queue flush of the paper's Fig. 6.
+//
 // A duplicate GET for an object already being served spawns a *new* handler
 // on the new stream — the paper's observed behaviour under request
 // retransmission (DESIGN.md §2) and the source of "intensified multiplexing".
@@ -86,7 +92,8 @@ class H2Server {
   };
   [[nodiscard]] const ServerStats& stats() const noexcept { return stats_; }
 
-  /// Fires when a response is fully handed to the connection (not yet ACKed).
+  /// Fires when a response's last byte is written to the connection (not yet
+  /// ACKed).
   std::function<void(web::ObjectId, std::uint32_t stream_id)> on_response_complete;
 
  private:
@@ -112,7 +119,8 @@ class H2Server {
                      bool duplicate);
   void schedule_pump();
   void pump();
-  /// Writes one chunk for the handler; returns true if the handler finished.
+  /// Offers the handler's next chunk to the connection and advances its
+  /// offset by what was written; returns true if the handler finished.
   bool write_chunk(Handler& h, std::size_t chunk);
   [[nodiscard]] bool shaping() const noexcept { return config_.defense.shaping(); }
 
@@ -134,10 +142,11 @@ class H2Server {
   /// connection's lifetime.
   std::map<web::ObjectId, util::Bytes> body_cache_;
   std::map<web::ObjectId, int> serve_counts_;  // duplicate detection
-  /// Outlives handlers: flow-control drains may land after a handler is gone.
-  std::map<std::uint32_t, analysis::InstanceId> stream_instances_;
   std::deque<std::uint32_t> rr_order_;         // round-robin turn order
   bool pump_scheduled_ = false;
+  /// The pump held a handler back on a closed send window; the next
+  /// window update re-arms it.
+  bool window_blocked_ = false;
   /// Shaping clock: the pacing tick the next pump may run at, and the byte
   /// budget one tick may emit (shape_rate * shape_interval).
   util::TimePoint next_shape_tick_{};

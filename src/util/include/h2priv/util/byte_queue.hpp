@@ -1,5 +1,5 @@
 // FIFO byte queue over contiguous storage — the pattern behind both the
-// h2 per-stream pending-body queue and (with stream offsets layered on
+// h2 frame decoder's reassembly buffer and (with stream offsets layered on
 // top) tcp::SendBuffer. A dead-byte prefix makes pop() O(1); append()
 // reclaims the prefix by sliding the live bytes down once the prefix is at
 // least as large as the live region, so each byte is moved at most once

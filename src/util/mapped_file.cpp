@@ -1,52 +1,16 @@
 #include "h2priv/util/mapped_file.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define H2PRIV_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define H2PRIV_HAVE_MMAP 0
-#include <fstream>
-#endif
+
+#include <stdexcept>
+#include <utility>
 
 namespace h2priv::util {
 
-namespace {
-
-[[nodiscard]] bool mmap_disabled() noexcept {
-  const char* env = std::getenv("H2PRIV_NO_MMAP");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-#if H2PRIV_HAVE_MMAP
-/// Chunked pread loop shared by the no-mmap path; a short read means the
-/// file changed size underneath us, which we treat as an I/O failure.
-[[nodiscard]] Bytes read_all(int fd, std::size_t size, const std::string& path) {
-  Bytes buf(size);
-  std::size_t done = 0;
-  while (done < size) {
-    const std::size_t want = std::min(kFileChunkBytes, size - done);
-    const ::ssize_t got =
-        ::pread(fd, buf.data() + done, want, static_cast<::off_t>(done));
-    if (got <= 0) throw std::runtime_error("short read: " + path);
-    done += static_cast<std::size_t>(got);
-  }
-  return buf;
-}
-#endif
-
-}  // namespace
-
 MappedFile MappedFile::open(const std::string& path) {
-  MappedFile f;
-#if H2PRIV_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT(cppcoreguidelines-pro-type-vararg)
   if (fd < 0) throw std::runtime_error("cannot open file: " + path);
   struct ::stat st{};
@@ -54,62 +18,33 @@ MappedFile MappedFile::open(const std::string& path) {
     ::close(fd);
     throw std::runtime_error("cannot stat file: " + path);
   }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  f.size_ = size;
-  if (size == 0) {
-    ::close(fd);
-    return f;  // empty view; nothing to map
-  }
-  if (!mmap_disabled()) {
-    void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (p != MAP_FAILED) {  // NOLINT(performance-no-int-to-ptr)
+  MappedFile f;
+  f.size_ = static_cast<std::size_t>(st.st_size);
+  if (f.size_ > 0) {  // an empty file has nothing to map
+    void* p = ::mmap(nullptr, f.size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (p == MAP_FAILED) {  // NOLINT(performance-no-int-to-ptr)
       ::close(fd);
-      f.mapped_ = static_cast<const std::uint8_t*>(p);
-      return f;
+      throw std::runtime_error("cannot map file: " + path);
     }
-  }
-  try {
-    f.fallback_ = read_all(fd, size, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
+    f.mapped_ = static_cast<const std::uint8_t*>(p);
   }
   ::close(fd);
-#else
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open file: " + path);
-  Bytes buf;
-  Bytes chunk(kFileChunkBytes);
-  while (in) {
-    in.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(chunk.size()));
-    buf.insert(buf.end(), chunk.begin(), chunk.begin() + in.gcount());
-  }
-  if (!in.eof()) throw std::runtime_error("read failed: " + path);
-  f.size_ = buf.size();
-  f.fallback_ = std::move(buf);
-#endif
   return f;
 }
 
 MappedFile::~MappedFile() {
-#if H2PRIV_HAVE_MMAP
   if (mapped_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(mapped_), size_);  // NOLINT(cppcoreguidelines-pro-type-const-cast)
   }
-#endif
 }
 
 MappedFile::MappedFile(MappedFile&& o) noexcept
-    : mapped_(std::exchange(o.mapped_, nullptr)),
-      size_(std::exchange(o.size_, 0)),
-      fallback_(std::move(o.fallback_)) {}
+    : mapped_(std::exchange(o.mapped_, nullptr)), size_(std::exchange(o.size_, 0)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& o) noexcept {
   if (this != &o) {
     std::swap(mapped_, o.mapped_);
     std::swap(size_, o.size_);
-    std::swap(fallback_, o.fallback_);
   }
   return *this;  // o's destructor unmaps whatever we held before
 }

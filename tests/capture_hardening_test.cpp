@@ -448,12 +448,11 @@ TEST_F(TraceHardening, BlocksClaimingMoreThanTheCoderCanCarryAreRejected) {
 
 TEST_F(TraceHardening, StreamedFileDigestMatchesWholeImageDigest) {
   // digest_file reads the file mapped; it must agree with the one-shot
-  // fnv1a on a file spanning several 64 KiB chunks. The fixture trace is
-  // small, so pad a copy out past 3 chunks with a second image's worth of
-  // appended bytes (digest input is raw bytes; validity as a trace is
-  // irrelevant here).
+  // fnv1a on a file of a few hundred KiB. The fixture trace is small, so
+  // pad a copy out with repeats of the image (digest input is raw bytes;
+  // validity as a trace is irrelevant here).
   util::Bytes big = image_;
-  while (big.size() < 3 * util::kFileChunkBytes + 17) {
+  while (big.size() < 3 * 64 * 1024 + 17) {
     big.insert(big.end(), image_.begin(), image_.end());
   }
   const std::string path = temp_path("digest");

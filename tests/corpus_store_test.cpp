@@ -1,11 +1,8 @@
 // Sharded corpus store: shard layout on disk, per-shard manifests, and the
-// deterministic merged manifest — byte-identical at any --jobs count, with
-// fold_manifests covering disjoint seeds, colliding duplicates and digest
-// conflicts.
+// deterministic merged manifest — byte-identical at any --jobs count.
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,15 +35,6 @@ util::Bytes file_bytes(const fs::path& p) {
   EXPECT_TRUE(in.good()) << p;
   return util::Bytes{std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>()};
-}
-
-capture::Manifest shard(const std::string& scenario, std::uint64_t base,
-                        std::vector<capture::ManifestEntry> entries) {
-  capture::Manifest m;
-  m.scenario = scenario;
-  m.base_seed = base;
-  m.entries = std::move(entries);
-  return m;
 }
 
 TEST(CorpusStore, ShardNamesAreFixedWidthAndOrdered) {
@@ -102,50 +90,6 @@ TEST(CorpusStore, ShardedGenerationByteIdenticalAcrossJobs) {
     EXPECT_EQ(file_bytes(j1 / e.file), file_bytes(j4 / e.file)) << e.file;
   }
   fs::remove_all(base);
-}
-
-TEST(CorpusStore, FoldDisjointSeedsSortsAcrossShards) {
-  const capture::Manifest merged = fold_manifests(
-      {shard("s", 20, {{"run_21.h2t", 21, 10, 0xa1}, {"run_20.h2t", 20, 11, 0xa0}}),
-       shard("s", 10, {{"run_10.h2t", 10, 12, 0xb0}})},
-      {"shard_000", "shard_001"});
-  EXPECT_EQ(merged.scenario, "s");
-  EXPECT_EQ(merged.base_seed, 10u);
-  ASSERT_EQ(merged.entries.size(), 3u);
-  EXPECT_EQ(merged.entries[0].file, "shard_001/run_10.h2t");
-  EXPECT_EQ(merged.entries[1].file, "shard_000/run_20.h2t");
-  EXPECT_EQ(merged.entries[2].file, "shard_000/run_21.h2t");
-}
-
-TEST(CorpusStore, FoldCollidingSeedsDedupeOrThrow) {
-  // Identical seed+packets+digest in two shards: one entry survives, with
-  // the lexicographically smallest path, whatever the shard order.
-  const capture::ManifestEntry dup{"run_5.h2t", 5, 33, 0xdd};
-  for (const bool swap : {false, true}) {
-    std::vector<capture::Manifest> shards = {shard("s", 5, {dup}),
-                                             shard("s", 5, {dup})};
-    std::vector<std::string> prefixes = {"shard_001", "shard_000"};
-    if (swap) std::swap(prefixes[0], prefixes[1]);
-    const capture::Manifest merged = fold_manifests(shards, prefixes);
-    ASSERT_EQ(merged.entries.size(), 1u);
-    EXPECT_EQ(merged.entries[0].file, "shard_000/run_5.h2t");
-  }
-
-  // Same seed, different digest: corruption, not redundancy.
-  EXPECT_THROW(fold_manifests({shard("s", 5, {{"run_5.h2t", 5, 33, 0xdd}}),
-                               shard("s", 5, {{"run_5.h2t", 5, 33, 0xee}})},
-                              {"a", "b"}),
-               capture::TraceError);
-  // Same seed, different packet count: likewise.
-  EXPECT_THROW(fold_manifests({shard("s", 5, {{"run_5.h2t", 5, 33, 0xdd}}),
-                               shard("s", 5, {{"run_5.h2t", 5, 44, 0xdd}})},
-                              {"a", "b"}),
-               capture::TraceError);
-  // Scenario mismatch across shards.
-  EXPECT_THROW(fold_manifests({shard("s1", 1, {}), shard("s2", 2, {})}, {"a", "b"}),
-               capture::TraceError);
-  // One prefix per shard.
-  EXPECT_THROW(fold_manifests({shard("s", 1, {})}, {}), capture::TraceError);
 }
 
 TEST(CorpusStore, LoadCorpusReadsFlatLayoutToo) {

@@ -159,8 +159,9 @@ hpack::HeaderList get_request(const std::string& path) {
 }
 
 /// Transfers `body` server→client with the given pad provider installed and
-/// a small client window (so padded WINDOW_UPDATE accounting is exercised);
-/// returns the server's total wire bytes.
+/// a small client window (so padded WINDOW_UPDATE accounting is exercised),
+/// offering the unsent rest again on every window update; returns the
+/// server's total wire bytes.
 std::uint64_t padded_transfer(const util::Bytes& body,
                               std::function<std::uint8_t(std::size_t)> provider) {
   h2::ConnectionConfig client_cfg;
@@ -184,11 +185,18 @@ std::uint64_t padded_transfer(const util::Bytes& body,
   };
   (void)pair.client->send_request(get_request("/padded"));
   pair.pump();
-  pair.server->send_data(stream, body, true);
+  std::size_t sent = 0;
+  const auto offer = [&] {
+    sent += pair.server->send_data(stream, util::BytesView(body).subspan(sent), true);
+  };
+  pair.server->on_window_update = [&](std::uint32_t) {
+    if (sent < body.size()) offer();
+  };
+  offer();
   pair.pump();
+  EXPECT_EQ(sent, body.size());
   EXPECT_EQ(received, body);
   EXPECT_TRUE(ended);
-  EXPECT_TRUE(pair.server->stream(stream).pending.empty());
   return pair.server_wire_bytes;
 }
 

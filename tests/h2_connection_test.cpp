@@ -70,6 +70,21 @@ hpack::HeaderList get_request(const std::string& path) {
           {":authority", "example.com"}, {":path", path}};
 }
 
+// A response body its caller holds, as the server's handlers do: offer()
+// writes what flow control allows, and the caller offers the rest again
+// when on_window_update fires.
+struct HeldBody {
+  Connection* conn = nullptr;
+  std::uint32_t stream = 0;
+  util::Bytes body;
+  std::size_t sent = 0;
+
+  void offer() {
+    sent += conn->send_data(stream, util::BytesView(body).subspan(sent), true);
+  }
+  [[nodiscard]] bool done() const noexcept { return sent == body.size(); }
+};
+
 TEST(H2Connection, SettingsExchangeOnStart) {
   ConnPair pair;
   pair.start();
@@ -117,7 +132,8 @@ TEST(H2Connection, ResponseBodyDeliveredWithEndStream) {
   pair.start();
   pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
     pair.server->send_response_headers(id, {{":status", "200"}});
-    pair.server->send_data(id, util::patterned_bytes(30'000, 1), true);
+    EXPECT_EQ(pair.server->send_data(id, util::patterned_bytes(30'000, 1), true),
+              30'000u);
   };
   util::Bytes body;
   bool ended = false;
@@ -142,7 +158,8 @@ TEST(H2Connection, DataFramesRespectMaxFrameSize) {
   std::size_t data_frames = 0;
   pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
     pair.server->send_response_headers(id, {{":status", "200"}});
-    pair.server->send_data(id, util::patterned_bytes(40'000, 2), true);
+    EXPECT_EQ(pair.server->send_data(id, util::patterned_bytes(40'000, 2), true),
+              40'000u);
   };
   pair.client->on_data = [&](std::uint32_t, util::BytesView d, bool) {
     EXPECT_LE(d.size(), kDefaultMaxFrameSize);
@@ -154,8 +171,8 @@ TEST(H2Connection, DataFramesRespectMaxFrameSize) {
 }
 
 TEST(H2Connection, FlowControlBlocksUntilWindowUpdate) {
-  // Tiny client windows: the server must stall mid-body, then resume as the
-  // client's auto window updates arrive.
+  // Tiny client windows: send_data writes one window's worth and leaves the
+  // rest with its caller, which offers it again on each window update.
   ConnectionConfig client_cfg;
   client_cfg.local_settings.initial_window_size = 4'096;
   ConnPair pair(client_cfg);
@@ -177,12 +194,79 @@ TEST(H2Connection, FlowControlBlocksUntilWindowUpdate) {
   pair.pump();
   ASSERT_NE(stream, 0u);
 
-  pair.server->send_data(stream, util::patterned_bytes(50'000, 3), true);
+  HeldBody held{pair.server.get(), stream, util::patterned_bytes(50'000, 3)};
+  int updates = 0;
+  pair.server->on_window_update = [&](std::uint32_t) {
+    ++updates;
+    if (!held.done()) held.offer();
+  };
+  held.offer();
   // Before pumping, the stream window (4096) caps what was written.
-  EXPECT_GT(pair.server->stream(stream).pending.size(), 0u);
-  pair.pump();  // window updates flow back and drain the rest
-  EXPECT_EQ(body, util::patterned_bytes(50'000, 3));
-  EXPECT_TRUE(pair.server->stream(stream).pending.empty());
+  EXPECT_EQ(held.sent, 4'096u);
+  EXPECT_EQ(pair.server->send_window(stream), 0);
+  EXPECT_EQ(pair.server->send_data(stream, util::BytesView(held.body).subspan(held.sent),
+                                   true),
+            0u)
+      << "a closed window writes nothing";
+  pair.pump();  // window updates flow back and the caller offers the rest
+  EXPECT_TRUE(held.done());
+  EXPECT_GE(updates, 50'000 / 4'096);
+  EXPECT_EQ(body, held.body);
+  EXPECT_EQ(pair.server->stream(stream).state, StreamState::kClosed);
+}
+
+TEST(H2Connection, EmptyEndStreamFrameNeedsNoWindow) {
+  ConnectionConfig client_cfg;
+  client_cfg.local_settings.initial_window_size = 1'024;
+  ConnPair pair(client_cfg);
+  pair.start();
+  std::uint32_t stream = 0;
+  pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
+    stream = id;
+    pair.server->send_response_headers(id, {{":status", "200"}});
+    EXPECT_EQ(pair.server->send_data(id, util::patterned_bytes(1'024, 8), false), 1'024u);
+    EXPECT_EQ(pair.server->send_window(id), 0);
+    EXPECT_EQ(pair.server->send_data(id, {}, true), 0u);
+  };
+  std::vector<std::size_t> frames;
+  bool ended = false;
+  pair.client->on_data = [&](std::uint32_t, util::BytesView d, bool end) {
+    frames.push_back(d.size());
+    ended = ended || end;
+  };
+  (void)pair.client->send_request(get_request("/ends-empty"));
+  pair.pump();
+  EXPECT_EQ(frames, (std::vector<std::size_t>{1'024, 0}));
+  EXPECT_TRUE(ended);
+  EXPECT_EQ(pair.server->stream(stream).state, StreamState::kClosed);
+}
+
+TEST(H2Connection, WindowUpdateCallbackReportsEveryWindowThatGrew) {
+  ConnPair pair;
+  pair.start();
+  std::uint32_t stream = 0;
+  pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
+    stream = id;
+  };
+  (void)pair.client->send_request(get_request("/windows"));
+  pair.pump();
+  ASSERT_NE(stream, 0u);
+  std::vector<std::uint32_t> grown;
+  pair.server->on_window_update = [&](std::uint32_t id) { grown.push_back(id); };
+
+  pair.server->on_bytes(encode_frame(Frame{WindowUpdateFrame{stream, 100}}));
+  pair.server->on_bytes(encode_frame(Frame{WindowUpdateFrame{0, 200}}));
+  pair.server->on_bytes(encode_frame(Frame{WindowUpdateFrame{99, 300}}));  // never opened
+  const auto settings_window = [&](std::uint32_t value) {
+    SettingsFrame sf;
+    sf.settings = {{static_cast<std::uint16_t>(SettingId::kInitialWindowSize), value}};
+    pair.server->on_bytes(encode_frame(Frame{sf}));
+  };
+  settings_window(70'000);  // raised: every stream window grew
+  settings_window(60'000);  // lowered: none did
+  EXPECT_EQ(grown, (std::vector<std::uint32_t>{stream, 0, 0}));
+  EXPECT_EQ(pair.server->stream(stream).send_window, 60'000 + 100);
+  EXPECT_EQ(pair.server->connection_send_window(), 65'535 + 200);
 }
 
 TEST(H2Connection, ConnectionWindowExtraIsGranted) {
@@ -213,14 +297,23 @@ TEST(H2Connection, RstStreamFlushesPendingAndNotifiesPeer) {
   pair.pump();
   ASSERT_NE(stream, 0u);
   // Write the body while the client's bytes are NOT being delivered: flow
-  // control (1 KiB stream window) blocks most of it in the pending queue.
-  pair.server->send_data(stream, util::patterned_bytes(100'000, 4), true);
-  EXPECT_GT(pair.server->stream(stream).pending.size(), 0u);
+  // control (1 KiB stream window) leaves most of it with the caller.
+  HeldBody held{pair.server.get(), stream, util::patterned_bytes(100'000, 4)};
+  held.offer();
+  EXPECT_EQ(held.sent, 1'024u);
   pair.client->rst_stream(id, ErrorCode::kCancel);
   pair.pump();
   EXPECT_TRUE(server_saw_rst);
-  EXPECT_TRUE(pair.server->stream(stream).pending.empty()) << "queue flushed on reset";
   EXPECT_EQ(pair.server->stream(stream).state, StreamState::kClosed);
+  // The pending remainder is flushed: offered again, it is dropped and
+  // reported written, and no DATA frame leaves.
+  int data_frames = 0;
+  pair.server->on_frame_sent = [&](std::uint32_t, FrameType type, WireSpan) {
+    if (type == FrameType::kData) ++data_frames;
+  };
+  held.offer();
+  EXPECT_TRUE(held.done());
+  EXPECT_EQ(data_frames, 0);
 }
 
 TEST(H2Connection, PingIsAnsweredWithAck) {
@@ -253,9 +346,9 @@ TEST(H2Connection, ServerPushDeliversPromisedResource) {
     pair.server->send_response_headers(id, {{":status", "200"}});
     const std::uint32_t promised = pair.server->push_promise(id,
                                                              get_request("/style.css"));
-    pair.server->send_data(id, util::patterned_bytes(100, 5), true);
+    EXPECT_EQ(pair.server->send_data(id, util::patterned_bytes(100, 5), true), 100u);
     pair.server->send_response_headers(promised, {{":status", "200"}});
-    pair.server->send_data(promised, util::patterned_bytes(700, 6), true);
+    EXPECT_EQ(pair.server->send_data(promised, util::patterned_bytes(700, 6), true), 700u);
   };
   std::uint32_t promised_id = 0;
   hpack::HeaderList promised_request;
@@ -399,8 +492,9 @@ TEST(H2Connection, StreamLookupErrors) {
   pair.start();
   EXPECT_FALSE(pair.client->stream_exists(99));
   EXPECT_THROW((void)pair.client->stream(99), std::out_of_range);
-  EXPECT_THROW(pair.client->send_data(99, util::patterned_bytes(1, 1), true),
+  EXPECT_THROW((void)pair.client->send_data(99, util::patterned_bytes(1, 1), true),
                std::out_of_range);
+  EXPECT_THROW((void)pair.client->send_window(99), std::out_of_range);
 }
 
 TEST(H2Connection, ServerCannotSendRequests) {
@@ -442,11 +536,18 @@ TEST_P(ChunkingFuzz, ArbitraryByteChunkingPreservesProtocol) {
   pair.server->start();
   pump_chunked();
 
+  // 77,777 bytes outgrow the default 64 KiB windows, so the tail waits
+  // for window updates that arrive in random pieces too.
   util::Bytes body;
   bool done = false;
+  HeldBody held{pair.server.get(), 0, util::patterned_bytes(77'777, 7)};
   pair.server->on_request = [&](std::uint32_t id, const hpack::HeaderList&, bool) {
     pair.server->send_response_headers(id, {{":status", "200"}});
-    pair.server->send_data(id, util::patterned_bytes(77'777, 7), true);
+    held.stream = id;
+    held.offer();
+  };
+  pair.server->on_window_update = [&](std::uint32_t) {
+    if (held.stream != 0 && !held.done()) held.offer();
   };
   pair.client->on_data = [&](std::uint32_t, util::BytesView d, bool end) {
     body.insert(body.end(), d.begin(), d.end());
@@ -454,8 +555,9 @@ TEST_P(ChunkingFuzz, ArbitraryByteChunkingPreservesProtocol) {
   };
   (void)pair.client->send_request(get_request("/chunked"));
   pump_chunked();
+  EXPECT_TRUE(held.done());
   EXPECT_TRUE(done);
-  EXPECT_EQ(body, util::patterned_bytes(77'777, 7));
+  EXPECT_EQ(body, held.body);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkingFuzz, ::testing::Range<std::uint64_t>(0, 8));

@@ -252,6 +252,60 @@ TEST(H2FrameDecoder, RejectsZeroWindowIncrement) {
   EXPECT_THROW((void)dec.next(), FrameError);
 }
 
+/// One frame from raw header fields and payload bytes.
+util::Bytes raw_frame(FrameType type, std::uint8_t flags, const util::Bytes& payload) {
+  util::ByteWriter w;
+  w.u24(static_cast<std::uint32_t>(payload.size()));
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(flags);
+  w.u32(1);
+  w.bytes(payload);
+  return w.take();
+}
+
+// Length fields a peer controls: every lie is a FrameError (RFC 7540 §6.1,
+// §6.2, §6.6: PROTOCOL_ERROR), never a read past the payload.
+TEST(H2FrameDecoder, ShortPaddedOrPrioritizedFramesAreFrameErrors) {
+  const struct {
+    const char* what;
+    FrameType type;
+    std::uint8_t flags;
+    util::Bytes payload;
+  } cases[] = {
+      {"PADDED HEADERS, pad 5 in 1 byte", FrameType::kHeaders, kFlagPadded, {5}},
+      {"PADDED HEADERS, no pad length", FrameType::kHeaders, kFlagPadded, {}},
+      {"HEADERS with PRIORITY in 3 bytes", FrameType::kHeaders, kFlagPriority, {0, 0, 0}},
+      {"PADDED HEADERS with PRIORITY, pad leaves 4 bytes",
+       FrameType::kHeaders, kFlagPadded | kFlagPriority, {1, 0, 0, 0, 0, 0}},
+      {"PUSH_PROMISE in 2 bytes", FrameType::kPushPromise, kFlagEndHeaders, {0, 2}},
+      {"PADDED PUSH_PROMISE, pad 9 in 5 bytes",
+       FrameType::kPushPromise, kFlagPadded, {9, 0, 0, 0, 2}},
+      {"PADDED PUSH_PROMISE, pad leaves 3 bytes",
+       FrameType::kPushPromise, kFlagPadded, {1, 0, 0, 2, 0}},
+      {"PADDED DATA, no pad length", FrameType::kData, kFlagPadded, {}},
+  };
+  for (const auto& c : cases) {
+    FrameDecoder dec;
+    dec.feed(raw_frame(c.type, c.flags, c.payload));
+    EXPECT_THROW((void)dec.next(), FrameError) << c.what;
+  }
+}
+
+TEST(H2FrameDecoder, PaddedPushPromiseDropsItsPadding) {
+  const util::Bytes block = to_bytes("hpack-block");
+  util::Bytes payload{3, 0, 0, 0, 4};  // pad length 3, promised stream 4
+  payload.insert(payload.end(), block.begin(), block.end());
+  payload.insert(payload.end(), 3, 0);
+  FrameDecoder dec;
+  dec.feed(raw_frame(FrameType::kPushPromise, kFlagPadded | kFlagEndHeaders, payload));
+  const auto frame = dec.next();
+  ASSERT_TRUE(frame.has_value());
+  const auto& pp = std::get<PushPromiseFrame>(*frame);
+  EXPECT_EQ(pp.promised_stream_id, 4u);
+  EXPECT_EQ(pp.header_block, block);
+  EXPECT_TRUE(pp.end_headers);
+}
+
 TEST(H2Frame, TypeAndStreamAccessors) {
   EXPECT_EQ(frame_type(Frame{DataFrame{}}), FrameType::kData);
   EXPECT_EQ(frame_type(Frame{SettingsFrame{}}), FrameType::kSettings);

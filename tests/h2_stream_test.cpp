@@ -65,13 +65,13 @@ TEST(H2Stream, IllegalTransitionsThrow) {
   EXPECT_THROW(s.end_local(), std::logic_error);       // already half-closed local
 }
 
-TEST(H2Stream, ResetClosesAndFlushesPending) {
+TEST(H2Stream, ResetClosesTheStream) {
   Stream s;
   s.open_local(false);
-  s.pending.append(util::Bytes(100, std::uint8_t{0}));
   s.reset();
   EXPECT_EQ(s.state, StreamState::kClosed);
-  EXPECT_TRUE(s.pending.empty());
+  EXPECT_FALSE(s.can_send_data());
+  EXPECT_FALSE(s.can_receive_data());
 }
 
 TEST(H2Stream, StateNames) {

@@ -2,6 +2,10 @@
 // duplicate handling, resets, ground-truth annotation.
 #include "h2priv/server/h2_server.hpp"
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "h2priv/analysis/ground_truth.hpp"
@@ -161,6 +165,97 @@ TEST(H2Server, RstStreamKillsHandlerMidResponse) {
   EXPECT_EQ(f.responses_completed, 0u);
   EXPECT_LT(received, 200'000u);
   EXPECT_EQ(f.server->active_handlers(), 0u);
+}
+
+TEST(H2Server, SmallClientWindowsInterleaveAndResetStopsData) {
+  // 4 KiB stream windows: every response stalls after one chunk until the
+  // client's WINDOW_UPDATE, so the server holds the bodies and the windows
+  // pace them. Four concurrent responses, the last a duplicate GET that the
+  // client resets mid-body.
+  ServerFixture f;
+  f.client = std::make_unique<h2::Connection>(
+      h2::Role::kClient,
+      h2::ConnectionConfig{.local_settings = {.initial_window_size = 4'096},
+                           .connection_window_extra = 1 << 22},
+      [&f](util::BytesView b) {
+        const tls::WireRange r = f.stack.client_tls->send_app(b);
+        return h2::WireSpan{r.begin, r.end};
+      });
+  f.stack.client_tls->on_app_data = [&f](util::BytesView b) { f.client->on_bytes(b); };
+  f.stack.client_tls->on_established = [&f] { f.client->start(); };
+  ASSERT_TRUE(f.establish());
+
+  // Server side: every DATA frame written, and how many came before the
+  // server read the RST_STREAM.
+  h2::Connection& conn = f.server->connection();
+  std::vector<std::uint32_t> server_data;
+  std::size_t data_before_rst = 0;
+  conn.on_frame_sent = [&, truth_hook = conn.on_frame_sent](
+                           std::uint32_t id, h2::FrameType type, h2::WireSpan span) {
+    truth_hook(id, type, span);
+    if (type == h2::FrameType::kData) server_data.push_back(id);
+  };
+  conn.on_rst_stream = [&, server_hook = conn.on_rst_stream](std::uint32_t id,
+                                                             h2::ErrorCode code) {
+    data_before_rst = server_data.size();
+    server_hook(id, code);
+  };
+
+  std::size_t window_updates = 0;
+  f.client->on_frame_sent = [&](std::uint32_t, h2::FrameType type, h2::WireSpan) {
+    if (type == h2::FrameType::kWindowUpdate) ++window_updates;
+  };
+  std::map<std::uint32_t, util::Bytes> bodies;
+  std::vector<std::uint32_t> client_data;
+  std::uint32_t reset_stream = 0;
+  bool reset_sent = false;
+  f.client->on_data = [&](std::uint32_t id, util::BytesView d, bool) {
+    if (d.empty()) return;
+    EXPECT_LE(d.size(), 4'096u) << "a frame never outgrows the stream window";
+    client_data.push_back(id);
+    bodies[id].insert(bodies[id].end(), d.begin(), d.end());
+    if (id == reset_stream && !reset_sent && bodies[id].size() >= 3 * 4'096) {
+      reset_sent = true;
+      f.stack.sim().schedule(util::Duration{0}, [&f, id] {
+        f.client->rst_stream(id, h2::ErrorCode::kCancel);
+      });
+    }
+  };
+  const std::uint32_t small = f.get("/small.html");
+  const std::uint32_t a = f.get("/big-a.bin");
+  const std::uint32_t b = f.get("/big-b.bin");
+  reset_stream = f.get("/big-a.bin");
+  f.stack.run_for(seconds(60));
+
+  EXPECT_EQ(bodies[small], f.site.object(1).body());
+  EXPECT_EQ(bodies[a], f.site.object(2).body());
+  EXPECT_EQ(bodies[b], f.site.object(3).body());
+  EXPECT_EQ(f.responses_completed, 3u);
+  EXPECT_EQ(f.server->active_handlers(), 0u);
+  EXPECT_GE(window_updates, 2 * (200'000 / 4'096));
+
+  // The two big bodies interleave frame by frame as their windows reopen:
+  // each sees the other's DATA between its own first and last frame.
+  const auto switches = [&](std::uint32_t x, std::uint32_t y) {
+    int n = 0;
+    std::uint32_t prev = 0;
+    for (const std::uint32_t id : client_data) {
+      if (id != x && id != y) continue;
+      if (prev != 0 && id != prev) ++n;
+      prev = id;
+    }
+    return n;
+  };
+  EXPECT_GE(switches(a, b), 40);
+
+  // The reset stopped that stream's DATA mid-body: the server wrote none
+  // after reading the RST_STREAM, and the client never saw the whole body.
+  ASSERT_TRUE(reset_sent);
+  EXPECT_GT(data_before_rst, 0u);
+  EXPECT_EQ(std::count(server_data.begin() + static_cast<std::ptrdiff_t>(data_before_rst),
+                       server_data.end(), reset_stream),
+            0);
+  EXPECT_LT(bodies[reset_stream].size(), 200'000u);
 }
 
 TEST(H2Server, GroundTruthSpansAreWithinStream) {

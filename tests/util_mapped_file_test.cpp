@@ -1,10 +1,9 @@
-// util::MappedFile: the zero-copy file view the corpus readers sit on.
-// The mmap path and the H2PRIV_NO_MMAP buffered fallback must expose
-// byte-identical views, including the empty-file and missing-file edges.
+// util::MappedFile: the zero-copy file view the corpus readers sit on. The
+// view must equal the file's bytes, including the empty-file and
+// missing-file edges.
 #include "h2priv/util/mapped_file.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -47,15 +46,6 @@ Bytes patterned(std::size_t n) {
   return b;
 }
 
-/// RAII toggle for the H2PRIV_NO_MMAP escape hatch.
-class NoMmapGuard {
- public:
-  NoMmapGuard() { ::setenv("H2PRIV_NO_MMAP", "1", 1); }
-  ~NoMmapGuard() { ::unsetenv("H2PRIV_NO_MMAP"); }
-  NoMmapGuard(const NoMmapGuard&) = delete;
-  NoMmapGuard& operator=(const NoMmapGuard&) = delete;
-};
-
 TEST(MappedFile, ViewMatchesFileBytes) {
   const Bytes content = patterned(12'345);
   const ScratchFile file("basic", content);
@@ -64,22 +54,6 @@ TEST(MappedFile, ViewMatchesFileBytes) {
   ASSERT_EQ(f.size(), content.size());
   const BytesView v = f.view();
   EXPECT_TRUE(std::equal(v.begin(), v.end(), content.begin()));
-}
-
-TEST(MappedFile, FallbackViewIsIdenticalToMapped) {
-  // Larger than one 64 KiB chunk so the pread loop takes several laps.
-  const Bytes content = patterned(3 * kFileChunkBytes + 17);
-  const ScratchFile file("fallback", content);
-
-  const MappedFile mapped = MappedFile::open(file.path());
-  NoMmapGuard guard;
-  const MappedFile buffered = MappedFile::open(file.path());
-  EXPECT_FALSE(buffered.is_mapped());
-  ASSERT_EQ(mapped.size(), buffered.size());
-  const BytesView a = mapped.view();
-  const BytesView b = buffered.view();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), content.begin()));
 }
 
 TEST(MappedFile, EmptyFileGivesEmptyView) {
